@@ -1,18 +1,19 @@
 #include "maxmin/bridge.h"
 
-#include <unordered_map>
+#include <limits>
 
 namespace imrm::maxmin {
 
 ExtractedProblem extract_problem(const net::NetworkState& network, bool static_only) {
   ExtractedProblem out;
 
-  std::unordered_map<net::LinkId, LinkIndex> link_index;
+  // Problem index per link id, in first-appearance order; kUnseen until then.
+  constexpr LinkIndex kUnseen = std::numeric_limits<LinkIndex>::max();
+  std::vector<LinkIndex> link_index(network.link_count(), kUnseen);
   auto intern_link = [&](net::LinkId id) -> LinkIndex {
-    const auto it = link_index.find(id);
-    if (it != link_index.end()) return it->second;
-    const LinkIndex li = out.problem.links.size();
-    link_index.emplace(id, li);
+    LinkIndex& li = link_index.at(id.value());
+    if (li != kUnseen) return li;
+    li = out.problem.links.size();
     out.link_order.push_back(id);
     out.problem.links.push_back(
         ProblemLink{std::max(network.link(id).excess_available(), 0.0)});

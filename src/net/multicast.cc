@@ -1,7 +1,6 @@
 #include "net/multicast.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace imrm::net {
 
@@ -21,27 +20,28 @@ MulticastTree setup_neighbor_multicast(NetworkState& network, const Router& rout
   qos::QosRequest branch_request = request;
   branch_request.bandwidth.b_max = branch_request.bandwidth.b_min;
 
-  std::unordered_map<LinkId, int> link_use;
+  std::vector<LinkId> used;  // links of admitted branches, one entry per use
   for (NodeId bs : neighbor_base_stations) {
     MulticastBranch branch;
     branch.target_base_station = bs;
     if (auto route = router.shortest_path(source, bs); route && !route->empty()) {
-      branch.route = *route;
+      branch.route = std::move(*route);
       auto id = network.admit(source, bs, branch.route, branch_request,
                               qos::MobilityClass::kMobile, scheduler);
       if (id) {
         branch.admitted = true;
         branch.reservation = *id;
-        for (LinkId lid : branch.route) ++link_use[lid];
+        used.insert(used.end(), branch.route.begin(), branch.route.end());
       }
     }
     tree.branches.push_back(std::move(branch));
   }
 
-  for (const auto& [lid, uses] : link_use) {
-    if (uses >= 2) tree.shared_links.push_back(lid);
+  std::sort(used.begin(), used.end());
+  for (auto it = used.begin(); (it = std::adjacent_find(it, used.end())) != used.end();) {
+    tree.shared_links.push_back(*it);  // used by two or more branches
+    it = std::upper_bound(it, used.end(), *it);
   }
-  std::sort(tree.shared_links.begin(), tree.shared_links.end());
   return tree;
 }
 

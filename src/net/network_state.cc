@@ -1,5 +1,6 @@
 #include "net/network_state.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace imrm::net {
@@ -38,6 +39,7 @@ std::optional<ConnectionId> NetworkState::admit(NodeId src, NodeId dst, Route ro
   connections_.emplace(
       id, Connection{id, src, dst, std::move(route), request, mobility,
                      last_result_.allocated_bandwidth});
+  ids_.push_back(id);  // ids are issued in ascending order
   return id;
 }
 
@@ -46,20 +48,13 @@ void NetworkState::teardown(ConnectionId id) {
   assert(it != connections_.end());
   for (LinkId lid : it->second.route) link(lid).remove_connection(id);
   connections_.erase(it);
+  ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), id));
 }
 
 void NetworkState::set_allocated(ConnectionId id, qos::BitsPerSecond rate) {
   auto& conn = connections_.at(id);
   for (LinkId lid : conn.route) link(lid).set_allocated(id, rate);
   conn.allocated = rate;
-}
-
-std::vector<ConnectionId> NetworkState::connection_ids() const {
-  std::vector<ConnectionId> ids;
-  ids.reserve(connections_.size());
-  for (const auto& [id, conn] : connections_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
 }
 
 }  // namespace imrm::net

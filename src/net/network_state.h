@@ -64,7 +64,8 @@ class NetworkState {
     return connections_.contains(id);
   }
   [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
-  [[nodiscard]] std::vector<ConnectionId> connection_ids() const;
+  /// Live connection ids, ascending. Invalidated by admit and teardown.
+  [[nodiscard]] const std::vector<ConnectionId>& connection_ids() const { return ids_; }
 
   [[nodiscard]] const qos::AdmissionResult& last_result() const { return last_result_; }
 
@@ -72,6 +73,7 @@ class NetworkState {
   const Topology* topology_;
   std::vector<LinkState> links_;
   std::unordered_map<ConnectionId, Connection> connections_;
+  std::vector<ConnectionId> ids_;  // keys of connections_, ascending
   qos::AdmissionResult last_result_;
   ConnectionId::underlying next_connection_ = 0;
 };

@@ -1,29 +1,29 @@
 #include "net/routing.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 
 namespace imrm::net {
 
-namespace {
-
-struct QueueItem {
-  double dist;
-  NodeId node;
-  bool operator<(const QueueItem& rhs) const { return dist > rhs.dist; }  // min-heap
-};
-
-}  // namespace
-
-std::vector<std::optional<Route>> Router::shortest_paths_from(NodeId src) const {
+const std::vector<LinkId>& Router::tree_from(NodeId src) const {
+  struct QueueItem {
+    double dist;
+    NodeId node;
+    bool operator<(const QueueItem& rhs) const { return dist > rhs.dist; }  // min-heap
+  };
   const std::size_t n = topology_->node_count();
-  assert(src.value() < n);
+  if (std::pair(n, topology_->link_count()) != memo_size_) {
+    trees_.assign(n, {});
+    memo_size_ = {n, topology_->link_count()};
+  }
+  std::vector<LinkId>& via = trees_[src.value()];
+  if (!via.empty()) return via;
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(n, kInf);
-  std::vector<LinkId> via(n, LinkId::invalid());
-  std::vector<bool> done(n, false);
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  via.assign(n, LinkId::invalid());
 
   std::priority_queue<QueueItem> heap;
   dist[src.value()] = 0.0;
@@ -32,8 +32,7 @@ std::vector<std::optional<Route>> Router::shortest_paths_from(NodeId src) const 
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
-    if (done[u.value()]) continue;
-    done[u.value()] = true;
+    if (d > dist[u.value()]) continue;  // stale entry; u is already settled
     for (LinkId lid : topology_->out_links(u)) {
       const Link& link = topology_->link(lid);
       const double w = weight_(link);
@@ -46,27 +45,21 @@ std::vector<std::optional<Route>> Router::shortest_paths_from(NodeId src) const 
       }
     }
   }
-
-  std::vector<std::optional<Route>> routes(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (dist[v] == kInf) continue;
-    Route path;
-    for (NodeId cur{static_cast<NodeId::underlying>(v)}; cur != src;) {
-      const LinkId lid = via[cur.value()];
-      path.push_back(lid);
-      cur = topology_->link(lid).from;
-    }
-    std::reverse(path.begin(), path.end());
-    routes[v] = std::move(path);
-  }
-  return routes;
+  return via;
 }
 
 std::optional<Route> Router::shortest_path(NodeId src, NodeId dst) const {
-  // Single-destination query; runs the full Dijkstra (topologies here are
-  // small) and extracts one entry.
-  auto all = shortest_paths_from(src);
-  return std::move(all.at(dst.value()));
+  if (std::max(src.value(), dst.value()) >= topology_->node_count()) {
+    throw std::out_of_range("Router::shortest_path: node not in topology");
+  }
+  const std::vector<LinkId>& via = tree_from(src);
+  if (dst != src && !via[dst.value()].is_valid()) return std::nullopt;
+  Route path;
+  for (NodeId cur = dst; cur != src; cur = topology_->link(path.back()).from) {
+    path.push_back(via[cur.value()]);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 std::vector<NodeId> route_nodes(const Topology& topology, const Route& route) {

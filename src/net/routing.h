@@ -3,10 +3,15 @@
 // Section 4 assumes "an appropriate route found by a routing algorithm";
 // we provide Dijkstra with pluggable link weights (hop count by default;
 // inverse-capacity available for capacity-aware routes).
+//
+// Routes are memoized, one Dijkstra predecessor tree per source. Topology is
+// append-only, so a tree holds until the node or link count grows, when the
+// memo is dropped. Weight functions must be pure.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/ids.h"
@@ -17,6 +22,7 @@ namespace imrm::net {
 /// A route is the ordered list of directed links from source to destination.
 using Route = std::vector<LinkId>;
 
+/// Not thread-safe, const queries included: they fill the memo.
 class Router {
  public:
   using WeightFn = std::function<double(const Link&)>;
@@ -24,12 +30,9 @@ class Router {
   explicit Router(const Topology& topology, WeightFn weight = hop_weight())
       : topology_(&topology), weight_(std::move(weight)) {}
 
-  /// Shortest path from `src` to `dst`; nullopt if unreachable.
+  /// Shortest path from `src` to `dst`; nullopt if unreachable. Throws
+  /// std::out_of_range when either node is not in the topology.
   [[nodiscard]] std::optional<Route> shortest_path(NodeId src, NodeId dst) const;
-
-  /// Shortest paths from `src` to every node (one Dijkstra run); entries are
-  /// nullopt for unreachable destinations.
-  [[nodiscard]] std::vector<std::optional<Route>> shortest_paths_from(NodeId src) const;
 
   [[nodiscard]] static WeightFn hop_weight() {
     return [](const Link&) { return 1.0; };
@@ -39,8 +42,15 @@ class Router {
   }
 
  private:
+  /// Predecessor tree from `src`: entry v is the last link of the shortest
+  /// route to v (invalid for `src` itself and for unreachable nodes).
+  const std::vector<LinkId>& tree_from(NodeId src) const;
+
   const Topology* topology_;
   WeightFn weight_;
+  // Per-source trees, empty until queried; valid for memo_size_ = (nodes, links).
+  mutable std::vector<std::vector<LinkId>> trees_;
+  mutable std::pair<std::size_t, std::size_t> memo_size_{0, 0};
 };
 
 /// Nodes visited by a route, starting at the route's source.

@@ -39,7 +39,9 @@ mobility::CellMap service_cell_map(std::size_t cells) {
 // ---- OverloadGovernor ----------------------------------------------------
 
 OverloadGovernor::OverloadGovernor(const SloConfig& slo)
-    : slo_(slo), window_(std::max<std::size_t>(slo.latency_window, 8), 0.0) {}
+    : slo_(slo), window_(std::max<std::size_t>(slo.latency_window, 8), 0.0) {
+  scratch_.reserve(window_.size());
+}
 
 bool OverloadGovernor::admit(std::size_t queue_depth) {
   if (shedding_) {
@@ -76,12 +78,12 @@ void OverloadGovernor::refresh_p99() {
     p99_us_ = 0.0;
     return;
   }
-  std::vector<double> sorted(window_.begin(),
-                             window_.begin() + std::ptrdiff_t(filled_));
+  scratch_.assign(window_.begin(), window_.begin() + std::ptrdiff_t(filled_));
   const std::size_t rank =
       std::min(filled_ - 1, std::size_t(double(filled_) * 0.99));
-  std::nth_element(sorted.begin(), sorted.begin() + std::ptrdiff_t(rank), sorted.end());
-  p99_us_ = sorted[rank];
+  std::nth_element(scratch_.begin(), scratch_.begin() + std::ptrdiff_t(rank),
+                   scratch_.end());
+  p99_us_ = scratch_[rank];
 }
 
 // ---- AdmissionService ----------------------------------------------------

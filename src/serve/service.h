@@ -89,6 +89,7 @@ class OverloadGovernor {
 
   SloConfig slo_;
   std::vector<double> window_;  // ring; newest overwrites oldest
+  std::vector<double> scratch_;  // refresh_p99's selection buffer, window-sized
   std::size_t next_ = 0;
   std::size_t filled_ = 0;
   std::size_t fresh_ = 0;  // observations since the last shed-mode exit

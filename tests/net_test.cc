@@ -1,7 +1,17 @@
-// Tests for the network substrate: topology construction, Dijkstra routing,
-// link-state bookkeeping, end-to-end admission through NetworkState, and
-// multicast branch setup.
+// Tests for the network substrate: topology construction, Dijkstra routing
+// and its per-source memo, link-state bookkeeping, end-to-end admission
+// through NetworkState, and multicast branch setup.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "net/ids.h"
 #include "net/link_state.h"
@@ -124,6 +134,121 @@ TEST(Routing, RouteNodesChainsEndpoints) {
   ASSERT_EQ(nodes.size(), 3u);
   EXPECT_EQ(nodes.front(), a);
   EXPECT_EQ(nodes.back(), c);
+}
+
+TEST(Routing, OutOfRangeNodesThrow) {
+  Topology topo;
+  const NodeId a = topo.add_node(NodeKind::kSwitch);
+  const Router router(topo);
+  EXPECT_THROW((void)router.shortest_path(NodeId{1}, a), std::out_of_range);
+  EXPECT_THROW((void)router.shortest_path(a, NodeId{1}), std::out_of_range);
+  EXPECT_THROW((void)router.shortest_path(NodeId::invalid(), a), std::out_of_range);
+  EXPECT_THROW((void)router.shortest_path(a, NodeId::invalid()), std::out_of_range);
+  EXPECT_TRUE(router.shortest_path(a, a).has_value());  // still usable after a throw
+}
+
+TEST(Routing, MemoDroppedWhenTopologyGrows) {
+  Topology topo;
+  const NodeId a = topo.add_node(NodeKind::kSwitch);
+  const NodeId b = topo.add_node(NodeKind::kSwitch);
+  const NodeId c = topo.add_node(NodeKind::kSwitch);
+  topo.add_duplex(a, b, mbps(10), 1e6);
+  topo.add_duplex(b, c, mbps(10), 1e6);
+  const Router router(topo);
+  EXPECT_EQ(router.shortest_path(a, c)->size(), 2u);
+
+  // A new link must be seen by the next query from an already-routed source.
+  const LinkId direct = topo.add_link(a, c, mbps(10), 1e6);
+  ASSERT_EQ(router.shortest_path(a, c)->size(), 1u);
+  EXPECT_EQ(router.shortest_path(a, c)->front(), direct);
+
+  // So must a new node, reachable or not.
+  const NodeId d = topo.add_node(NodeKind::kSwitch);
+  EXPECT_FALSE(router.shortest_path(a, d).has_value());
+  topo.add_link(c, d, mbps(10), 1e6);
+  EXPECT_EQ(router.shortest_path(a, d)->size(), 2u);
+}
+
+// Random directed topology: `nodes` nodes, `links` links between random
+// distinct endpoints with random capacities (so some pairs are unreachable
+// and inverse-capacity routes differ from hop routes).
+void grow_random(Topology& topo, std::size_t nodes, std::size_t links, std::mt19937& rng) {
+  for (std::size_t i = 0; i < nodes; ++i) topo.add_node(NodeKind::kSwitch);
+  std::uniform_int_distribution<std::size_t> pick(0, topo.node_count() - 1);
+  std::uniform_real_distribution<double> capacity(1.0, 100.0);
+  for (std::size_t i = 0; i < links; ++i) {
+    const std::size_t from = pick(rng);
+    const std::size_t to = pick(rng);
+    if (from == to) continue;
+    topo.add_link(NodeId{static_cast<NodeId::underlying>(from)},
+                  NodeId{static_cast<NodeId::underlying>(to)}, mbps(capacity(rng)), 1e6);
+  }
+}
+
+// Bellman-Ford distances from `src`: an independent reference for Dijkstra.
+std::vector<double> reference_distances(const Topology& topo, NodeId src,
+                                        const Router::WeightFn& weight) {
+  std::vector<double> dist(topo.node_count(), std::numeric_limits<double>::infinity());
+  dist[src.value()] = 0.0;
+  for (std::size_t round = 0; round < topo.node_count(); ++round) {
+    for (const Link& l : topo.links()) {
+      dist[l.to.value()] = std::min(dist[l.to.value()], dist[l.from.value()] + weight(l));
+    }
+  }
+  return dist;
+}
+
+// Queries every (src, dst) pair of `topo` through `memo`, in a shuffled
+// order, and checks each answer against a freshly constructed Router and
+// against the Bellman-Ford distance.
+void expect_memo_matches_fresh(const Topology& topo, const Router& memo,
+                               const Router::WeightFn& weight, std::mt19937& rng) {
+  const auto n = static_cast<NodeId::underlying>(topo.node_count());
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId::underlying s = 0; s < n; ++s) {
+    for (NodeId::underlying d = 0; d < n; ++d) pairs.emplace_back(NodeId{s}, NodeId{d});
+  }
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  for (const auto& [src, dst] : pairs) {
+    const auto memoized = memo.shortest_path(src, dst);
+    const auto fresh = Router(topo, weight).shortest_path(src, dst);
+    ASSERT_EQ(memoized, fresh) << "src=" << src.value() << " dst=" << dst.value();
+    const double expected = reference_distances(topo, src, weight)[dst.value()];
+    if (!memoized) {
+      EXPECT_TRUE(std::isinf(expected));
+      continue;
+    }
+    if (src == dst) {
+      EXPECT_TRUE(memoized->empty());
+    }
+    double cost = 0.0;
+    NodeId at = src;
+    for (LinkId lid : *memoized) {
+      ASSERT_EQ(topo.link(lid).from, at);
+      at = topo.link(lid).to;
+      cost += weight(topo.link(lid));
+    }
+    EXPECT_EQ(at, dst);
+    EXPECT_NEAR(cost, expected, 1e-9 * std::max(1.0, expected));
+  }
+}
+
+TEST(RoutingProperty, MemoizedRoutesMatchFreshRouter) {
+  std::mt19937 rng(20260417);
+  const std::vector<std::pair<const char*, Router::WeightFn>> weights = {
+      {"hop", Router::hop_weight()}, {"inverse_capacity", Router::inverse_capacity_weight()}};
+  for (const auto& [name, weight] : weights) {
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE(std::string(name) + " trial " + std::to_string(trial));
+      Topology topo;
+      grow_random(topo, 1 + rng() % 10, rng() % 30, rng);
+      const Router memo(topo, weight);
+      expect_memo_matches_fresh(topo, memo, weight, rng);
+      expect_memo_matches_fresh(topo, memo, weight, rng);  // all answers memoized now
+      grow_random(topo, rng() % 3, rng() % 10, rng);       // invalidates the memo
+      expect_memo_matches_fresh(topo, memo, weight, rng);
+    }
+  }
 }
 
 TEST(LinkState, TracksSumBMinAndExcess) {
@@ -305,6 +430,33 @@ TEST_F(NetworkStateTest, SetAllocatedAppliesEverywhere) {
   }
 }
 
+TEST_F(NetworkStateTest, ConnectionIdsStayAscendingUnderChurn) {
+  NetworkState net(topo_);
+  const Route route = route_to_bs();
+  std::set<ConnectionId> live;
+  std::mt19937 rng(7);
+  for (int step = 0; step < 10000; ++step) {
+    if (live.empty() || rng() % 2 == 0) {
+      // Rejected once the wireless link is full (100 connections).
+      if (auto id = net.admit(src_, bs_, route, small_request(),
+                              qos::MobilityClass::kMobile)) {
+        live.insert(*id);
+      }
+    } else {
+      auto victim = live.begin();
+      std::advance(victim, rng() % live.size());
+      net.teardown(*victim);
+      live.erase(victim);
+    }
+    const std::vector<ConnectionId>& ids = net.connection_ids();
+    ASSERT_TRUE(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) ==
+                ids.end())
+        << "step " << step;
+    ASSERT_TRUE(std::equal(ids.begin(), ids.end(), live.begin(), live.end()))
+        << "step " << step;
+  }
+}
+
 TEST_F(NetworkStateTest, MulticastBranchesAdmitIndependently) {
   // Two neighbor base stations, one reachable with capacity, one starved.
   const NodeId bs2 = topo_.add_node(NodeKind::kBaseStation, "bs2");
@@ -335,6 +487,22 @@ TEST_F(NetworkStateTest, MulticastSharedLinksDetected) {
   const Router router(topo_);
   const auto tree = setup_neighbor_multicast(net, router, src_, {bs2, bs3}, small_request());
   // Both branches share the src->sw link.
+  ASSERT_EQ(tree.shared_links.size(), 1u);
+  EXPECT_EQ(topo_.link(tree.shared_links[0]).from, src_);
+}
+
+TEST_F(NetworkStateTest, MulticastSharedLinksListedOnce) {
+  // Three branches, each crossing src->sw: the link is reported once.
+  const NodeId bs2 = topo_.add_node(NodeKind::kBaseStation);
+  const NodeId bs3 = topo_.add_node(NodeKind::kBaseStation);
+  topo_.add_duplex(sw_, bs2, mbps(10), 1e7);
+  topo_.add_duplex(sw_, bs3, mbps(10), 1e7);
+
+  NetworkState net(topo_);
+  const Router router(topo_);
+  const auto tree =
+      setup_neighbor_multicast(net, router, src_, {bs_, bs2, bs3}, small_request());
+  ASSERT_EQ(tree.admitted_count(), 3u);
   ASSERT_EQ(tree.shared_links.size(), 1u);
   EXPECT_EQ(topo_.link(tree.shared_links[0]).from, src_);
 }

@@ -209,8 +209,8 @@ TEST(AdmissionService, ShutdownStopsFurtherWork) {
   ServiceHarness harness;
   (void)std::get<ShutdownReply>(harness.call(ShutdownRequest{}).body);
   EXPECT_TRUE(harness.service().shutdown_requested());
-  const auto& error =
-      std::get<ErrorReply>(harness.call(ProbeRequest{}).body);
+  const auto reply = harness.call(ProbeRequest{});
+  const auto& error = std::get<ErrorReply>(reply.body);
   EXPECT_EQ(error.error, ServiceError::kShuttingDown);
 }
 

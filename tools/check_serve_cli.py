@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""End-to-end contract for scenario_cli serve / drive (ISSUE 8).
+"""End-to-end contract for scenario_cli serve / drive.
 
-Three checks, each against the schema-v3 `service` report block:
+Four checks, each against the schema-v3 `service` report block:
 
   1. determinism — two `drive --transport ring --pacing virtual` runs at the
      same seed must produce byte-identical `service` and `metrics` objects
@@ -10,7 +10,15 @@ Three checks, each against the schema-v3 `service` report block:
      malformed trace is rejected up front with exit 2 naming the bad line;
   3. socket — a real `serve` process driven by a separate `drive --transport
      socket` process; the driver's --shutdown 1 must terminate the server,
-     and both sides' reports must validate.
+     and both sides' reports must validate;
+  4. decision golden — `drive --rate 2500 --seed 7` must reproduce the
+     `service` and `metrics` objects stored in
+     tests/golden/serve_drive_golden.json byte for byte, so a change that
+     alters any admission, handoff or latency outcome of the service path
+     fails here rather than only against a twin run of itself.
+
+A change meant to move decisions replaces the golden with golden_text()'s
+output for the new binary.
 
 Usage: check_serve_cli.py <path-to-scenario_cli>
 """
@@ -23,6 +31,8 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 VALIDATE = TOOLS / "validate_report.py"
+GOLDEN = TOOLS.parent / "tests" / "golden" / "serve_drive_golden.json"
+GOLDEN_ARGS = ["drive", "--rate", "2500", "--seed", "7"]
 
 
 def fail(message):
@@ -150,6 +160,31 @@ def check_socket(cli, tmp):
           f"(offered={served['offered']} errors={served['errors']})")
 
 
+def golden_text(cli, tmp):
+    """The `service` and `metrics` objects of the golden drive, serialized
+    canonically (sorted keys, shortest round-trip floats)."""
+    path = tmp / "golden_drive.json"
+    run(cli, GOLDEN_ARGS + ["--metrics-json", str(path)])
+    validate(path)
+    report = json.loads(path.read_text())
+    pinned = {field: report[field] for field in ("service", "metrics")}
+    return json.dumps(pinned, indent=1, sort_keys=True) + "\n"
+
+
+def check_golden(cli, tmp):
+    actual = golden_text(cli, tmp)
+    expected = GOLDEN.read_text()
+    if actual != expected:
+        got = json.loads(actual)
+        want = json.loads(expected)
+        diff = [f"{field}.{key}" for field in want
+                for key in sorted(set(want[field]) | set(got[field]))
+                if want[field].get(key) != got[field].get(key)]
+        fail(f"`{' '.join(GOLDEN_ARGS)}` no longer matches {GOLDEN.name}; "
+             f"differing entries: {diff}")
+    print(f"OK: service drive matches {GOLDEN.name} byte for byte")
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: check_serve_cli.py <scenario_cli>", file=sys.stderr)
@@ -157,6 +192,7 @@ def main():
     cli = sys.argv[1]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        check_golden(cli, tmp)
         check_determinism(cli, tmp)
         check_trace(cli, tmp)
         check_socket(cli, tmp)

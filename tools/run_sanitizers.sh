@@ -4,7 +4,7 @@
 # already exposes. Each sanitizer gets its own build tree so the
 # instrumented objects never mix with the regular build (or each other).
 #
-# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|all]
+# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|all]
 #        (default: all)
 #        checkpoint = asan+ubsan over the `checkpoint`-labelled tests only —
 #        the serialization/restore code paths (fast: one instrumented tree,
@@ -26,6 +26,12 @@
 #        closed adaptation loop (ISSUE 9): the dual token-bucket shaper's
 #        per-flow counter arithmetic, the controller's window harvesting,
 #        and the campus loop's packet lambdas that capture per-stream state.
+#        netpath = asan+ubsan over the `netpath` and `serve` labels — the
+#        routed network path (memoized Router trees, NetworkState's id index,
+#        multicast setup, max-min extraction) and the admission service on
+#        top of it. Router hands out references into a memo that is reset
+#        when the topology grows; a dangling one would corrupt routes
+#        silently, which is what asan catches.
 # Env:   CMAKE_ARGS  extra configure flags (e.g. -DCMAKE_CXX_COMPILER=clang++)
 #        CTEST_ARGS  extra ctest flags (e.g. -R fault)
 #
@@ -63,12 +69,13 @@ case "$which" in
   serve) run_one tsan-serve "thread" "-L serve" ;;
   scale) run_one asan-scale "address;undefined" "-L scale" ;;
   adapt) run_one asan-adapt "address;undefined" "-L adapt" ;;
+  netpath) run_one asan-netpath "address;undefined" "-L netpath|serve" ;;
   all)
     run_one asan "address;undefined"
     run_one tsan "thread"
     ;;
   *)
-    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|all]" >&2
+    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|all]" >&2
     exit 2
     ;;
 esac

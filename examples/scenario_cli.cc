@@ -282,7 +282,13 @@ int run_classroom_cmd(const Flags& flags, ObsSession& obs) {
   else if (policy == "aggregate") config.policy = PolicyKind::kAggregate;
   else if (policy == "static") config.policy = PolicyKind::kStatic;
   else if (policy == "none") config.policy = PolicyKind::kNone;
-  else config.policy = PolicyKind::kMeetingRoom;
+  else if (policy == "meeting-room") config.policy = PolicyKind::kMeetingRoom;
+  else {
+    std::cerr << "scenario_cli: invalid --policy value '" << policy
+              << "' (expected meeting-room, brute-force, aggregate, static or "
+                 "none)\n";
+    return 2;
+  }
   config.metrics = obs.registry_or_null();
   config.tracer = obs.tracer_or_null();
   obs.config_echo("size", fmt_count(double(config.class_size)));
@@ -311,7 +317,12 @@ int run_twocell_cmd(const Flags& flags, ObsSession& obs) {
   const std::string rule = flags.text("rule", "probabilistic");
   if (rule == "static") config.rule = AdmissionRule::kStaticGuard;
   else if (rule == "none") config.rule = AdmissionRule::kNoReservation;
-  else config.rule = AdmissionRule::kProbabilistic;
+  else if (rule == "probabilistic") config.rule = AdmissionRule::kProbabilistic;
+  else {
+    std::cerr << "scenario_cli: invalid --rule value '" << rule
+              << "' (expected probabilistic, static or none)\n";
+    return 2;
+  }
   config.metrics = obs.registry_or_null();
   config.tracer = obs.tracer_or_null();
   if (!apply_signaling_faults(flags, config.faults, obs)) return 2;
@@ -536,7 +547,13 @@ int run_campus_cmd(const Flags& flags, ObsSession& obs) {
   else if (policy == "static") config.policy = CampusPolicy::kStatic;
   else if (policy == "brute-force") config.policy = CampusPolicy::kBruteForce;
   else if (policy == "aggregate") config.policy = CampusPolicy::kAggregate;
-  else config.policy = CampusPolicy::kDispatcher;
+  else if (policy == "dispatcher") config.policy = CampusPolicy::kDispatcher;
+  else {
+    std::cerr << "scenario_cli: invalid --policy value '" << policy
+              << "' (expected dispatcher, aggregate, brute-force, static or "
+                 "none)\n";
+    return 2;
+  }
   std::size_t replications = 0;
   std::size_t threads = 0;
   double checkpoint_at = 0.0;

@@ -31,7 +31,9 @@
 #include "experiments/campus_scale.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -118,6 +120,11 @@ class ShardedScaleSim {
  private:
   struct CellState {
     std::uint32_t id = 0;
+    /// Lower bound on the earliest pending milestone among the residents,
+    /// rounded down to a float so it fits the padding after `id` (see
+    /// on_tick). state_bytes counts sizeof(CellState), so the field must not
+    /// grow it.
+    float next_due = -std::numeric_limits<float>::infinity();
     sim::Simulator* sim = nullptr;
     std::vector<Row> residents;
     /// portable -> parked bandwidth (bps), counted inside `allocated`.
@@ -137,8 +144,27 @@ class ShardedScaleSim {
     std::uint64_t departures = 0;
   };
 
+  // id and next_due share the slot before the first pointer member, so the
+  // bound adds no bytes to sizeof(CellState).
+  static_assert(sizeof(std::uint32_t) + sizeof(float) <= alignof(sim::Simulator*),
+                "CellState::next_due must stay in the padding after id");
+
   [[nodiscard]] const detail::ScaleMilestone* milestones(std::uint32_t p) const {
     return &workload_.arena[p * kStride];
+  }
+
+  /// The time of `row`'s next milestone. The row has not departed, so its
+  /// cursor is inside the arena slice.
+  [[nodiscard]] double next_milestone(const Row& row) const {
+    return milestones(row.portable)[row.cursor].time;
+  }
+
+  /// `t` rounded down to a float, so `now < float_floor(t)` implies
+  /// `now < t`.
+  static float float_floor(double t) {
+    float f = float(t);
+    if (double(f) > t) f = std::nextafter(f, -std::numeric_limits<float>::infinity());
+    return f;
   }
 
   // --- cell-local bandwidth account ---------------------------------------
@@ -272,6 +298,7 @@ class ShardedScaleSim {
     if (departed) return;
     if (row.target == dest) {
       d.residents.push_back(row);
+      d.next_due = std::min(d.next_due, float_floor(next_milestone(row)));
       return;
     }
     // Route-based advance reservation: park bandwidth two hops ahead, so the
@@ -290,8 +317,16 @@ class ShardedScaleSim {
   }
 
   // --- per-cell tick -------------------------------------------------------
+  /// After any tick every resident that has appeared (cursor > 0) is at its
+  /// target, and a resident settled by on_arrival is at its target too. So
+  /// a tick before the earliest pending milestone fires nothing and moves
+  /// nobody: it returns at once. `next_due` is that milestone's time rounded
+  /// down, which makes the skip exact; a tick at or after it scans as before
+  /// and recomputes the bound over the residents it keeps.
   void on_tick(CellState& c) {
     const double now = c.sim->now().to_seconds();
+    if (now < double(c.next_due)) return;
+    double next_due = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < c.residents.size();) {
       Row& row = c.residents[i];
       if (fire_milestones(c, row, now)) {
@@ -305,8 +340,10 @@ class ShardedScaleSim {
         remove_resident(c, i);
         continue;
       }
+      next_due = std::min(next_due, next_milestone(row));
       ++i;
     }
+    c.next_due = float_floor(next_due);
   }
 
   void remove_resident(CellState& c, std::size_t i) {

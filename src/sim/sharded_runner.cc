@@ -1,6 +1,7 @@
 #include "sim/sharded_runner.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace imrm::sim {
@@ -22,7 +23,6 @@ ShardedRunner::ShardedRunner(const Config& config) : config_(config) {
     transports_.push_back(std::make_unique<BoundaryTransport>(*this, d));
   }
   outboxes_.resize(config_.domains);
-  inject_.resize(config_.domains);
 
   std::size_t workers = config_.workers;
   if (workers == 0) {
@@ -52,9 +52,14 @@ ShardedRunner::~ShardedRunner() {
 void ShardedRunner::post(std::size_t from, std::size_t to, Duration latency,
                          EventQueue::Callback deliver) {
   assert(from < sims_.size() && to < sims_.size());
-  assert(latency >= config_.window &&
-         "cross-domain latency below the conservative window would let a "
-         "message land inside an already-executed round");
+  // Checked in every build type: a shorter latency would deliver into a
+  // window the destination has already executed, and the destination's
+  // clock would run backwards.
+  if (!(latency >= config_.window)) {
+    throw std::invalid_argument(
+        "ShardedRunner::post: cross-domain latency below the conservative "
+        "window would deliver into an already-executed window");
+  }
   outboxes_[from].push_back(
       Envelope{sims_[from]->now() + latency, to, std::move(deliver)});
 }
@@ -342,34 +347,20 @@ void ShardedRunner::worker_loop(std::size_t worker) {
 }
 
 void ShardedRunner::exchange() {
-  // Gather per destination. Visiting source outboxes in domain order means
-  // each destination's list starts out ordered by (source domain, posting
-  // serial); the stable sort by delivery time then yields the canonical
-  // (deliver time, source domain, serial) order. Every component is a
-  // partition-invariant property of the simulation, so the injection
-  // sequence — and with it the destination queue's FIFO tie-breaking — is
-  // identical for any worker count.
-  bool any = false;
-  for (std::size_t src = 0; src < outboxes_.size(); ++src) {
-    for (Envelope& e : outboxes_[src]) {
-      inject_[e.to].push_back(std::move(e));
-      any = true;
+  // Inject straight from the outboxes, visiting sources in domain order, so
+  // each destination receives its messages in (source domain, posting
+  // serial) order. The destination queue orders events by (time, FIFO
+  // sequence), and one exchange's injections into a destination take a
+  // contiguous block of sequence numbers, so the queue executes them in the
+  // canonical (deliver time, source domain, serial) order. Every component
+  // is a partition-invariant property of the simulation, so the execution
+  // order is identical for any worker count. Each callback moves once.
+  for (std::vector<Envelope>& outbox : outboxes_) {
+    for (Envelope& e : outbox) {
+      sims_[e.to]->at(e.deliver_time, std::move(e.callback));
     }
-    outboxes_[src].clear();
-  }
-  if (!any) return;
-  for (std::size_t dest = 0; dest < inject_.size(); ++dest) {
-    auto& pending = inject_[dest];
-    if (pending.empty()) continue;
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       return a.deliver_time < b.deliver_time;
-                     });
-    for (Envelope& e : pending) {
-      sims_[dest]->at(e.deliver_time, std::move(e.callback));
-      ++stats_.boundary_messages;
-    }
-    pending.clear();
+    stats_.boundary_messages += outbox.size();
+    outbox.clear();
   }
 }
 

@@ -46,10 +46,11 @@
 //  * every cross-domain message goes through the outbox/exchange path — even
 //    when source and destination happen to run on the same worker — so the
 //    delivery schedule is identical at K = 1 and K = 8;
-//  * at each exchange, messages are injected per destination in the
-//    canonical order (deliver time, source domain, per-source serial), all
-//    of which are partition-invariant; FIFO sequence numbers in the
-//    destination queue then break equal-time ties identically for any K;
+//  * at each exchange, messages are injected in source-domain order, each
+//    source's in posting order; the destination queue's (time, FIFO
+//    sequence) order then executes them in the canonical order (deliver
+//    time, source domain, per-source serial), all of which are
+//    partition-invariant, so equal-time ties break identically for any K;
 //  * burst boundaries only decide when the coordinator thread regains
 //    control — the sub-window targets, exchange contents and exchange order
 //    are computed by the same code from the same simulation state whether a
@@ -159,8 +160,13 @@ class ShardedRunner {
 
   /// Posts a cross-domain message: `deliver` runs on domain `to`'s simulator
   /// `latency` after domain `from`'s current time. `latency` must be >= the
-  /// configured window (asserted) — that bound is what lets whole windows
-  /// run without intermediate synchronization. Always buffered through the
+  /// configured window — that bound is what lets whole windows run without
+  /// intermediate synchronization — and a shorter one throws
+  /// std::invalid_argument in every build type. The throw is recoverable
+  /// only before or between runs: from an event on a pool worker (K > 1)
+  /// nothing catches it and the process terminates, and from an inline run
+  /// (one worker) it leaves run_until partway through a burst, after which
+  /// the runner must not be used again. Always buffered through the
   /// exchange, never scheduled directly, even for from == to; see the
   /// determinism contract above.
   void post(std::size_t from, std::size_t to, Duration latency,
@@ -223,8 +229,6 @@ class ShardedRunner {
   // only between sub-windows (inside the burst barrier), so no per-message
   // lock.
   std::vector<std::vector<Envelope>> outboxes_;
-  // Exchange scratch, per destination; reused across windows.
-  std::vector<std::vector<Envelope>> inject_;
   Stats stats_;
 
   // Worker pool (only started when min(workers, domains) > 1). Contiguous

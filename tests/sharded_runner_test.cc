@@ -1,8 +1,12 @@
 // ShardedRunner: conservative-window correctness and worker-count
 // invariance at the engine level (the campus- and protocol-level suites are
 // sharded_campus_test.cc and sharded_convergence_test.cc).
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -250,6 +254,113 @@ TEST(ShardedRunner, IdleDomainsSkipAheadCheaply) {
   runner.run_until(SimTime::seconds(120.0));
   EXPECT_EQ(fired, 2);
   EXPECT_LE(runner.stats().windows, 4u);
+}
+
+TEST(ShardedRunner, PostRejectsLatencyBelowTheWindowInEveryBuild) {
+  ShardedRunner::Config config{2, 1, Duration::millis(5)};
+  ShardedRunner runner(config);
+  EXPECT_THROW(runner.post(0, 1, Duration::millis(4), [] {}), std::invalid_argument);
+  int delivered = 0;
+  runner.post(0, 1, Duration::millis(5), [&] { ++delivered; });  // == window: fine
+  runner.run_until(SimTime::seconds(1.0));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(runner.stats().boundary_messages, 1u);
+}
+
+// Exchange-order property: whatever the worker count and batch size, every
+// destination receives its messages in the canonical (deliver time, source
+// domain, per-source serial) order. Each round, every source posts several
+// messages at once to random destinations, so one exchange carries all of a
+// round's traffic; rounds sit ten windows apart, so no two rounds ever share
+// a delivery time and the reference order needs no exchange index.
+struct Delivery {
+  double time;
+  std::size_t source;
+  std::uint32_t serial;
+  bool operator==(const Delivery&) const = default;
+};
+
+using DeliveryLogs = std::vector<std::vector<Delivery>>;
+
+constexpr std::size_t kOrderDomains = 8;
+
+struct Post {
+  double at;
+  std::size_t to;
+  Duration latency;
+};
+
+/// Per source domain, its posts in posting order (index = serial). Mixed:
+/// latencies of 1x, 2x and 3.5x the window, and every odd source posts a
+/// quarter window late, so a destination's batch arrives out of delivery
+/// order. Otherwise every post is simultaneous with latency 2x and each
+/// batch is already in order.
+std::vector<std::vector<Post>> exchange_plan(bool mixed) {
+  constexpr int kRounds = 12;
+  constexpr int kPostsPerRound = 4;
+  const double factors[] = {1.0, 2.0, 3.5};
+  std::vector<std::vector<Post>> plan(kOrderDomains);
+  for (std::size_t src = 0; src < kOrderDomains; ++src) {
+    std::mt19937 rng(std::uint32_t(1000 + src));
+    for (int round = 0; round < kRounds; ++round) {
+      const double at = 0.01 * (round + 1) + (mixed && src % 2 == 1 ? 0.00025 : 0.0);
+      for (int k = 0; k < kPostsPerRound; ++k) {
+        const std::size_t to = rng() % kOrderDomains;
+        const double factor = mixed ? factors[rng() % 3] : 2.0;
+        plan[src].push_back(Post{at, to, Duration::millis(factor)});
+      }
+    }
+  }
+  return plan;
+}
+
+DeliveryLogs canonical_order(const std::vector<std::vector<Post>>& plan) {
+  DeliveryLogs logs(kOrderDomains);
+  for (std::size_t src = 0; src < kOrderDomains; ++src) {
+    for (std::uint32_t serial = 0; serial < plan[src].size(); ++serial) {
+      const Post& p = plan[src][serial];
+      const SimTime deliver = SimTime::seconds(p.at) + p.latency;
+      logs[p.to].push_back(Delivery{deliver.to_seconds(), src, serial});
+    }
+  }
+  for (auto& log : logs) {
+    std::sort(log.begin(), log.end(), [](const Delivery& a, const Delivery& b) {
+      return std::tie(a.time, a.source, a.serial) < std::tie(b.time, b.source, b.serial);
+    });
+  }
+  return logs;
+}
+
+DeliveryLogs delivered_order(const std::vector<std::vector<Post>>& plan,
+                             std::size_t workers, std::size_t batch) {
+  ShardedRunner runner(
+      ShardedRunner::Config{kOrderDomains, workers, Duration::millis(1), batch});
+  DeliveryLogs logs(kOrderDomains);  // logs[d] is written only by domain d's worker
+  for (std::size_t src = 0; src < kOrderDomains; ++src) {
+    for (std::uint32_t serial = 0; serial < plan[src].size(); ++serial) {
+      const Post& p = plan[src][serial];
+      runner.domain(src).at(SimTime::seconds(p.at), [&runner, &logs, p, src, serial] {
+        runner.post(src, p.to, p.latency, [&runner, &logs, src, serial, to = p.to] {
+          logs[to].push_back(Delivery{runner.domain(to).now().to_seconds(), src, serial});
+        });
+      });
+    }
+  }
+  runner.run_until(SimTime::seconds(1.0));
+  return logs;
+}
+
+TEST(ShardedRunner, ExchangeDeliversInCanonicalOrder) {
+  for (const bool mixed : {false, true}) {
+    const auto plan = exchange_plan(mixed);
+    const DeliveryLogs reference = canonical_order(plan);
+    for (const std::size_t workers : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
+      for (const std::size_t batch : {std::size_t(1), std::size_t(0)}) {
+        EXPECT_EQ(delivered_order(plan, workers, batch), reference)
+            << "mixed=" << mixed << " workers=" << workers << " batch=" << batch;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,23 +9,34 @@
 //   $ ./scenario_cli campus --attendees 40 --faults 0.2 --seed 5
 //   $ ./scenario_cli faults --topology campus --drop 0.1 --crashes 1
 //
-// Every subcommand also accepts the observability flags:
-//   --metrics-json <path>   write a versioned obs::RunReport JSON document
-//   --trace-out <path>      write a Chrome trace_event JSON (Perfetto-loadable)
-// Leading flags with no subcommand default to the campus scenario, so
+// Each command owns one flag table (commands() below): a row holds a flag's
+// name, value type, default and config-echo rule. Parsing, the usage text
+// (scenario_cli with no arguments) and the report's config block all come
+// from that table, so any token it does not accept exits 2 naming the flag.
+// Rules that span several flags stay as code in each command's run function.
+//
+// Every command also takes --metrics-json PATH (a versioned obs::RunReport)
+// and --trace-out PATH (a Chrome trace_event JSON). Flags with no command
+// run campus:
 //   $ ./scenario_cli --metrics-json out.json --trace-out trace.json
-// runs a campus day and emits both artifacts.
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,58 +59,193 @@
 #include "serve/socket_transport.h"
 #include "stats/table.h"
 
-#include <thread>
-
 using namespace imrm;
 using namespace imrm::experiments;
 
 namespace {
 
-/// Minimal flag scanner: --name value pairs after the subcommand.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) values_[argv[i] + 2] = argv[i + 1];
-    }
+// ---------------------------------------------------------------------------
+// Flag tables
+
+/// The value type of a flag. Each has one strict, whole-token parse.
+enum class Kind { kCount, kNumber, kProbability, kChoice, kPath };
+
+class Args;
+/// When a row's config echo applies, judged on the parsed flags.
+using Condition = bool (*)(const Args&);
+
+/// One row of a command's flag table.
+struct Flag {
+  std::string name;
+  Kind kind;
+  std::string fallback;  // the default, as text; "" = none
+  std::string choices;   // kChoice: the allowed values, '|'-separated
+  int echo = -1;         // config echo: -1 = none, else decimals for numbers
+  Condition condition = nullptr;  // echo only when this holds
+
+  /// The same row, echoed into the config block (numbers to `decimals`).
+  [[nodiscard]] Flag echoed(int decimals = 0, Condition when = nullptr) const {
+    Flag row = *this;
+    row.echo = decimals;
+    row.condition = when;
+    return row;
   }
-  // Numeric flags go through parse_count / parse_number below — strict,
-  // full-token parses that exit 2 on garbage. There is deliberately no lax
-  // std::stod accessor here.
-  [[nodiscard]] std::string text(const std::string& name, std::string fallback) const {
+};
+
+namespace flag {
+Flag count(const char* name, const char* fallback) { return {name, Kind::kCount, fallback, {}}; }
+Flag number(const char* name, const char* fallback) { return {name, Kind::kNumber, fallback, {}}; }
+Flag probability(const char* name, const char* fallback) {
+  return {name, Kind::kProbability, fallback, {}};
+}
+Flag choice(const char* name, std::string choices, const char* fallback) {
+  return {name, Kind::kChoice, fallback, std::move(choices)};
+}
+/// An on/off switch: 0 or 1.
+Flag toggle(const char* name) { return choice(name, "0|1", "0"); }
+Flag path(const char* name) { return {name, Kind::kPath, "", {}}; }
+
+/// The keys of a name -> enum map, as a choice list.
+template <typename E>
+std::string choices_of(const std::map<std::string, E>& values) {
+  std::string out;
+  for (const auto& [name, value] : values) out += (out.empty() ? "" : "|") + name;
+  return out;
+}
+}  // namespace flag
+
+/// A command's parsed flags: every row of its table, defaulted when not given.
+class Args {
+ public:
+  [[nodiscard]] bool has(const std::string& name) const { return values_.count(name) != 0; }
+  [[nodiscard]] bool given(const std::string& name) const { return given_.count(name) != 0; }
+  [[nodiscard]] const std::string& text(const std::string& name) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
+    if (it == values_.end()) throw std::logic_error("no --" + name + " row in this table");
+    return it->second;
+  }
+  // Values were validated on parse, so these conversions cannot fail.
+  [[nodiscard]] std::size_t count(const std::string& name) const {
+    return std::strtoull(text(name).c_str(), nullptr, 10);
+  }
+  [[nodiscard]] double number(const std::string& name) const {
+    return std::strtod(text(name).c_str(), nullptr);
+  }
+  [[nodiscard]] bool on(const std::string& name) const { return text(name) == "1"; }
+  /// A default that depends on another flag's value.
+  void set_default(const std::string& name, std::string value) {
+    if (!given(name)) values_.at(name) = std::move(value);
+  }
+  void set(const std::string& name, std::string value, bool from_argv) {
+    values_[name] = std::move(value);
+    if (from_argv) given_.insert(name);
   }
 
  private:
   std::map<std::string, std::string> values_;
+  std::set<std::string> given_;
 };
 
-bool parse_count(const Flags& flags, const std::string& name, std::size_t fallback,
-                 std::size_t& out);
-bool parse_number(const Flags& flags, const std::string& name, double fallback,
-                  double& out, bool probability);
+/// What a valid value of `row` looks like, or "" when `raw` is one.
+std::string value_error(const Flag& row, const std::string& raw) {
+  errno = 0;
+  char* end = nullptr;
+  switch (row.kind) {
+    case Kind::kCount:
+      // Digits only: strtoull alone would take " 5", "+5" and wrap "-5".
+      if (raw.empty() || !std::isdigit(static_cast<unsigned char>(raw.front()))) break;
+      std::strtoull(raw.c_str(), &end, 10);
+      if (*end == '\0' && errno != ERANGE) return "";
+      break;
+    case Kind::kNumber:
+    case Kind::kProbability: {
+      const double value = std::strtod(raw.c_str(), &end);
+      const bool ok = end != raw.c_str() && *end == '\0' && errno != ERANGE &&
+                      std::isfinite(value) && value >= 0.0 &&
+                      (row.kind == Kind::kNumber || value <= 1.0);
+      if (ok) return "";
+      break;
+    }
+    case Kind::kChoice:
+      if (("|" + row.choices + "|").find("|" + raw + "|") != std::string::npos) return "";
+      return "one of " + row.choices;
+    case Kind::kPath:
+      return raw.empty() ? "a path" : "";
+  }
+  if (row.kind == Kind::kCount) return "a non-negative integer";
+  return row.kind == Kind::kProbability ? "a probability in [0, 1]"
+                                        : "a finite non-negative number";
+}
+
+/// The usage-text name of a row's value type.
+std::string type_name(const Flag& row) {
+  switch (row.kind) {
+    case Kind::kCount: return "count";
+    case Kind::kNumber: return "number";
+    case Kind::kProbability: return "probability";
+    case Kind::kChoice: return row.choices;
+    case Kind::kPath: return "path";
+  }
+  return "";
+}
+
+/// The report's config block: every echoed row whose condition holds, in
+/// table order. tools/bench_compare.py keys trajectory entries on it.
+std::vector<std::pair<std::string, std::string>> config_echo(const std::vector<Flag>& table,
+                                                             const Args& args) {
+  std::vector<std::pair<std::string, std::string>> config;
+  for (const Flag& row : table) {
+    if (row.echo < 0 || (row.condition != nullptr && !row.condition(args))) continue;
+    std::string value = args.text(row.name);
+    if (row.kind == Kind::kCount) value = stats::fmt(double(args.count(row.name)), 0);
+    if (row.kind == Kind::kNumber || row.kind == Kind::kProbability) {
+      value = stats::fmt(args.number(row.name), row.echo);
+    }
+    config.emplace_back(row.name, std::move(value));
+  }
+  return config;
+}
+
+// Echo conditions.
+bool sharded(const Args& a) { return a.count("shards") > 0; }
+bool batched(const Args& a) { return a.count("batch") > 0; }
+bool unsharded(const Args& a) { return !sharded(a); }
+bool faulted(const Args& a) { return a.number("faults") > 0.0; }
+bool day_faulted(const Args& a) { return unsharded(a) && faulted(a); }
+bool adapting(const Args& a) { return a.on("adapt-loop"); }
+bool warm_barrier(const Args& a) { return a.number("faults-start") > 0.0; }
+bool trace_arrivals(const Args& a) { return a.text("arrivals") == "trace"; }
+bool over_socket(const Args& a) { return a.text("transport") == "socket"; }
+
+int refuse(const std::string& message) {
+  std::cerr << "scenario_cli: " << message << '\n';
+  return 2;
+}
+/// refuse() for functions that return an optional.
+std::nullopt_t reject(const std::string& message) {
+  refuse(message);
+  return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
+// Observability session
 
 /// Shared observability state for one CLI run: the registry/tracer/profiler
 /// handed to the experiment, the output paths, and the report skeleton.
 struct ObsSession {
-  explicit ObsSession(const Flags& flags)
-      : metrics_path(flags.text("metrics-json", "")),
-        trace_path(flags.text("trace-out", "")) {
-    std::size_t profile_flag = 0;
-    double progress_period = 0.0;
-    if (!parse_count(flags, "profile", 0, profile_flag)) flag_error = true;
-    if (!parse_number(flags, "progress", 0.0, progress_period, false)) {
-      flag_error = true;
-    }
-    want_profile_ = profile_flag != 0;
+  ObsSession(const std::vector<Flag>& table, const Args& args)
+      : metrics_path(args.text("metrics-json")),
+        trace_path(args.text("trace-out")),
+        table_(table),
+        args_(args) {
+    want_profile_ = args.has("profile") && args.on("profile");
     if (want_profile_ && !obs::Profiler::compiled_in()) {
       std::cerr << "scenario_cli: --profile requested but profiling is "
                    "compiled out (IMRM_PROFILING=0); running without it\n";
       want_profile_ = false;
     }
     profiler.set_enabled(want_profile_);
-    progress = obs::ProgressMeter(progress_period);
+    progress = obs::ProgressMeter(args.has("progress") ? args.number("progress") : 0.0);
     tracer.set_enabled(want_trace());
     start = std::chrono::steady_clock::now();
   }
@@ -118,10 +264,6 @@ struct ObsSession {
   }
   [[nodiscard]] obs::ProgressMeter* progress_or_null() {
     return progress.armed() ? &progress : nullptr;
-  }
-
-  void config_echo(std::string key, std::string value) {
-    config.emplace_back(std::move(key), std::move(value));
   }
 
   /// Writes whichever artifacts were requested. `sim_seconds`/`events_fired`
@@ -146,7 +288,7 @@ struct ObsSession {
       obs::RunReport report;
       report.tool = "scenario_cli";
       report.scenario = scenario;
-      report.config = config;
+      report.config = config_echo(table_, args_);
       report.wall_seconds = std::chrono::duration<double>(elapsed).count();
       if (const obs::GaugeSample* g = snapshot.gauge("sim.time_seconds")) {
         report.sim_seconds = g->value;
@@ -185,115 +327,52 @@ struct ObsSession {
   obs::Tracer tracer;
   obs::Profiler profiler;
   obs::ProgressMeter progress;
-  std::vector<std::pair<std::string, std::string>> config;
   std::chrono::steady_clock::time_point start;
-  /// Malformed --profile/--progress value; main exits 2 before dispatch.
-  bool flag_error = false;
 
  private:
+  const std::vector<Flag>& table_;
+  const Args& args_;
   bool want_profile_ = false;
 };
 
-std::string fmt_count(double v) { return stats::fmt(v, 0); }
+// ---------------------------------------------------------------------------
+// Commands
 
-/// Strict parse for count-valued flags (--replications, --threads, ...): the
-/// value must be a plain non-negative decimal integer. Malformed values get a
-/// diagnostic and a false return so sweeps fail loudly with a non-zero exit
-/// instead of crashing in std::stod or silently truncating "4x" to 4.
-bool parse_count(const Flags& flags, const std::string& name, std::size_t fallback,
-                 std::size_t& out) {
-  const std::string raw = flags.text(name, "");
-  if (raw.empty()) {
-    out = fallback;
-    return true;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE || raw.front() == '-') {
-    std::cerr << "scenario_cli: invalid --" << name << " value '" << raw
-              << "' (expected a non-negative integer)\n";
-    return false;
-  }
-  out = std::size_t(value);
-  return true;
-}
-
-/// Strict parse for real-valued flags (--drop, --pqos, --hours, ...). The
-/// whole token must parse as a finite double; NaN, infinities, trailing
-/// garbage ("0.1x"), and negative values are rejected with a diagnostic so a
-/// typo'd sweep exits 2 instead of feeding std::stod wreckage (or a negative
-/// probability) into the simulation. Flags marked `probability` must also be
-/// <= 1.
-bool parse_number(const Flags& flags, const std::string& name, double fallback,
-                  double& out, bool probability = false) {
-  const std::string raw = flags.text(name, "");
-  if (raw.empty()) {
-    out = fallback;
-    return true;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  const bool malformed = end == raw.c_str() || *end != '\0' || errno == ERANGE ||
-                         !std::isfinite(value);
-  if (malformed || value < 0.0 || (probability && value > 1.0)) {
-    std::cerr << "scenario_cli: invalid --" << name << " value '" << raw << "' (expected a "
-              << (probability ? "probability in [0, 1]" : "finite non-negative number")
-              << ")\n";
-    return false;
-  }
-  out = value;
-  return true;
-}
+const std::map<std::string, PolicyKind> kClassroomPolicies = {
+    {"meeting-room", PolicyKind::kMeetingRoom}, {"brute-force", PolicyKind::kBruteForce},
+    {"aggregate", PolicyKind::kAggregate},      {"static", PolicyKind::kStatic},
+    {"none", PolicyKind::kNone}};
+const std::map<std::string, AdmissionRule> kTwoCellRules = {
+    {"probabilistic", AdmissionRule::kProbabilistic},
+    {"static", AdmissionRule::kStaticGuard},
+    {"none", AdmissionRule::kNoReservation}};
+const std::map<std::string, CampusPolicy> kCampusPolicies = {
+    {"dispatcher", CampusPolicy::kDispatcher}, {"aggregate", CampusPolicy::kAggregate},
+    {"brute-force", CampusPolicy::kBruteForce}, {"static", CampusPolicy::kStatic},
+    {"none", CampusPolicy::kNone}};
+const std::map<std::string, ScaleEngine> kScaleEngines = {{"soa", ScaleEngine::kSoa},
+                                                          {"naive", ScaleEngine::kNaive}};
 
 /// Shared --faults / --fault-retries handling for the experiment commands:
 /// a positive drop probability turns every admission probe into an
-/// UnreliableCall over a Bernoulli-loss channel. False = malformed flag
-/// (already diagnosed); the caller must exit 2.
-bool apply_signaling_faults(const Flags& flags, fault::SignalingFaults& faults,
-                            ObsSession& obs) {
-  double drop = 0.0;
-  std::size_t retries = 0;
-  if (!parse_number(flags, "faults", 0.0, drop, /*probability=*/true)) return false;
-  if (!parse_count(flags, "fault-retries", 3, retries)) return false;
-  if (drop <= 0.0) return true;
+/// UnreliableCall over a Bernoulli-loss channel.
+void apply_signaling_faults(const Args& args, fault::SignalingFaults& faults) {
+  const double drop = args.number("faults");
+  if (drop <= 0.0) return;
   faults.model = fault::LinkFaultModel::bernoulli_loss(drop);
-  faults.max_attempts = int(retries);
-  obs.config_echo("faults", stats::fmt(drop, 4));
-  obs.config_echo("fault-retries", fmt_count(double(faults.max_attempts)));
-  return true;
+  faults.max_attempts = int(args.count("fault-retries"));
 }
 
-int run_classroom_cmd(const Flags& flags, ObsSession& obs) {
+int run_classroom_cmd(Args& args, ObsSession& obs) {
   ClassroomConfig config;
-  std::size_t size = 0, seed = 0;
-  double passby = 0.0;
-  if (!parse_count(flags, "size", 35, size)) return 2;
-  if (!parse_count(flags, "seed", 7, seed)) return 2;
-  if (!parse_number(flags, "passby", 18.0, passby)) return 2;
-  config.class_size = size;
+  config.class_size = args.count("size");
   config.meeting = {sim::SimTime::minutes(60), sim::SimTime::minutes(110),
                     config.class_size};
-  config.seed = std::uint64_t(seed);
-  config.passby_per_minute = passby;
-  const std::string policy = flags.text("policy", "meeting-room");
-  if (policy == "brute-force") config.policy = PolicyKind::kBruteForce;
-  else if (policy == "aggregate") config.policy = PolicyKind::kAggregate;
-  else if (policy == "static") config.policy = PolicyKind::kStatic;
-  else if (policy == "none") config.policy = PolicyKind::kNone;
-  else if (policy == "meeting-room") config.policy = PolicyKind::kMeetingRoom;
-  else {
-    std::cerr << "scenario_cli: invalid --policy value '" << policy
-              << "' (expected meeting-room, brute-force, aggregate, static or "
-                 "none)\n";
-    return 2;
-  }
+  config.seed = std::uint64_t(args.count("seed"));
+  config.passby_per_minute = args.number("passby");
+  config.policy = kClassroomPolicies.at(args.text("policy"));
   config.metrics = obs.registry_or_null();
   config.tracer = obs.tracer_or_null();
-  obs.config_echo("size", fmt_count(double(config.class_size)));
-  obs.config_echo("policy", policy);
-  obs.config_echo("seed", fmt_count(double(config.seed)));
 
   const ClassroomResult result = run_classroom(config);
   std::cout << "policy=" << result.policy << " size=" << result.attendees
@@ -303,33 +382,18 @@ int run_classroom_cmd(const Flags& flags, ObsSession& obs) {
   return obs.finish("classroom", obs.registry.snapshot());
 }
 
-int run_twocell_cmd(const Flags& flags, ObsSession& obs) {
+int run_twocell_cmd(Args& args, ObsSession& obs) {
   TwoCellConfig config;
-  std::size_t seed = 0;
-  if (!parse_number(flags, "window", 0.05, config.window)) return 2;
-  if (!parse_number(flags, "pqos", 0.01, config.p_qos, /*probability=*/true)) return 2;
-  if (!parse_number(flags, "duration", 1000.0, config.duration)) return 2;
-  if (!parse_number(flags, "guard", 0.1, config.guard_fraction, /*probability=*/true)) {
-    return 2;
-  }
-  if (!parse_count(flags, "seed", 3, seed)) return 2;
-  config.seed = std::uint64_t(seed);
-  const std::string rule = flags.text("rule", "probabilistic");
-  if (rule == "static") config.rule = AdmissionRule::kStaticGuard;
-  else if (rule == "none") config.rule = AdmissionRule::kNoReservation;
-  else if (rule == "probabilistic") config.rule = AdmissionRule::kProbabilistic;
-  else {
-    std::cerr << "scenario_cli: invalid --rule value '" << rule
-              << "' (expected probabilistic, static or none)\n";
-    return 2;
-  }
+  config.window = args.number("window");
+  config.p_qos = args.number("pqos");
+  config.duration = args.number("duration");
+  config.guard_fraction = args.number("guard");
+  config.seed = std::uint64_t(args.count("seed"));
+  const std::string& rule = args.text("rule");
+  config.rule = kTwoCellRules.at(rule);
   config.metrics = obs.registry_or_null();
   config.tracer = obs.tracer_or_null();
-  if (!apply_signaling_faults(flags, config.faults, obs)) return 2;
-  obs.config_echo("rule", rule);
-  obs.config_echo("window", stats::fmt(config.window, 4));
-  obs.config_echo("pqos", stats::fmt(config.p_qos, 4));
-  obs.config_echo("seed", fmt_count(double(config.seed)));
+  apply_signaling_faults(args, config.faults);
 
   const TwoCellResult r = run_twocell(config);
   std::cout << "rule=" << rule << " T=" << config.window << " Pqos=" << config.p_qos
@@ -339,19 +403,13 @@ int run_twocell_cmd(const Flags& flags, ObsSession& obs) {
   return obs.finish("twocell", obs.registry.snapshot());
 }
 
-int run_fig4_cmd(const Flags& flags, ObsSession& obs) {
+int run_fig4_cmd(Args& args, ObsSession& obs) {
   Fig4Config config;
-  std::size_t users = 0, seed = 0;
-  if (!parse_number(flags, "hours", 100.0, config.hours)) return 2;
-  if (!parse_count(flags, "users", 12, users)) return 2;
-  if (!parse_count(flags, "seed", 1, seed)) return 2;
-  config.background_users = int(users);
-  config.seed = std::uint64_t(seed);
+  config.hours = args.number("hours");
+  config.background_users = int(args.count("users"));
+  config.seed = std::uint64_t(args.count("seed"));
   config.metrics = obs.registry_or_null();
   config.tracer = obs.tracer_or_null();
-  obs.config_echo("hours", stats::fmt(config.hours, 1));
-  obs.config_echo("users", fmt_count(double(config.background_users)));
-  obs.config_echo("seed", fmt_count(double(config.seed)));
 
   const Fig4Result r = run_fig4(config);
   auto pct = [](std::size_t a, std::size_t b) {
@@ -367,21 +425,12 @@ int run_fig4_cmd(const Flags& flags, ObsSession& obs) {
   return obs.finish("fig4", obs.registry.snapshot());
 }
 
-int run_maxmin_cmd(const Flags& flags, ObsSession& obs) {
-  std::size_t links = 0, conns = 0, seed = 0;
-  if (!parse_count(flags, "links", 6, links)) return 2;
-  if (!parse_count(flags, "conns", 12, conns)) return 2;
-  if (!parse_count(flags, "seed", 1, seed)) return 2;
-  if (links == 0) {
-    std::cerr << "scenario_cli: --links must be at least 1\n";
-    return 2;
-  }
-  const int n_links = int(links);
-  const int n_conns = int(conns);
-  std::mt19937_64 rng{std::uint64_t(seed)};
+int run_maxmin_cmd(Args& args, ObsSession& obs) {
+  if (args.count("links") == 0) return refuse("--links must be at least 1");
+  const int n_links = int(args.count("links"));
+  const int n_conns = int(args.count("conns"));
+  std::mt19937_64 rng{std::uint64_t(args.count("seed"))};
   std::uniform_real_distribution<double> cap(5.0, 50.0);
-  obs.config_echo("links", fmt_count(double(n_links)));
-  obs.config_echo("conns", fmt_count(double(n_conns)));
 
   maxmin::Problem problem;
   for (int i = 0; i < n_links; ++i) problem.links.push_back({cap(rng)});
@@ -429,44 +478,25 @@ int run_maxmin_cmd(const Flags& flags, ObsSession& obs) {
 /// worker count only — cells are the determinism unit, so the metrics block
 /// of --metrics-json is byte-identical for any K (asserted by the
 /// shard-labeled ctests through tools/check_shard_determinism.py).
-int run_campus_sharded_cmd(const Flags& flags, ObsSession& obs, std::size_t shards) {
-  ShardedCampusConfig config;
-  std::size_t cells = 0, portables = 0, seed = 0, batch = 0;
-  double hours = 0.0, hop_ms = 0.0;
-  if (!parse_count(flags, "cells", 24, cells)) return 2;
-  if (!parse_count(flags, "portables", 8, portables)) return 2;
-  if (!parse_count(flags, "seed", 5, seed)) return 2;
-  if (!parse_count(flags, "batch", 0, batch)) return 2;
-  if (!parse_number(flags, "hours", 4.0, hours)) return 2;
-  if (!parse_number(flags, "hop-ms", 5.0, hop_ms)) return 2;
-  if (cells == 0) {
-    std::cerr << "scenario_cli: --cells must be at least 1\n";
-    return 2;
-  }
+int run_campus_sharded_cmd(const Args& args, ObsSession& obs) {
+  const std::size_t cells = args.count("cells");
+  const std::size_t shards = args.count("shards");
+  const double hop_ms = args.number("hop-ms");
+  if (cells == 0) return refuse("--cells must be at least 1");
   if (hop_ms <= 0.0) {
-    std::cerr << "scenario_cli: --hop-ms must be positive (it is the "
-                 "conservative window width)\n";
-    return 2;
+    return refuse("--hop-ms must be positive (it is the conservative window width)");
   }
+  ShardedCampusConfig config;
   config.cells = cells;
   config.shards = shards;
-  config.batch = batch;
-  config.portables_per_cell = portables;
-  config.seed = std::uint64_t(seed);
-  config.horizon = sim::SimTime::hours(hours);
+  config.batch = args.count("batch");
+  config.portables_per_cell = args.count("portables");
+  config.seed = std::uint64_t(args.count("seed"));
+  config.horizon = sim::SimTime::hours(args.number("hours"));
   config.hop_latency = sim::Duration::millis(hop_ms);
   config.profiler = obs.profiler_or_null();
   config.tracer = obs.tracer_or_null();
   config.progress = obs.progress_or_null();
-  obs.config_echo("cells", fmt_count(double(cells)));
-  obs.config_echo("shards", fmt_count(double(shards)));
-  // batch is execution-only; echo it only when explicitly set so default
-  // runs keep their pre-batching config fingerprint (bench_compare.py keys
-  // trajectory entries on the config echo).
-  if (batch > 0) obs.config_echo("batch", fmt_count(double(batch)));
-  obs.config_echo("portables", fmt_count(double(portables)));
-  obs.config_echo("seed", fmt_count(double(config.seed)));
-  obs.config_echo("hours", stats::fmt(hours, 2));
 
   const ShardedCampusResult r = run_sharded_campus(config);
   std::cout << "cells=" << cells << " shards=" << shards
@@ -516,112 +546,67 @@ obs::AdaptationBlock make_adaptation_block(const CampusDayConfig& config,
   return block;
 }
 
-int run_campus_cmd(const Flags& flags, ObsSession& obs) {
-  std::size_t shards = 0, adapt_loop = 0;
-  if (!parse_count(flags, "shards", 0, shards)) return 2;
-  if (!parse_count(flags, "adapt-loop", 0, adapt_loop)) return 2;
-  if (shards == 0 && !flags.text("batch", "").empty()) {
-    std::cerr << "scenario_cli: --batch tunes the sharded runner's window "
-                 "batching; it requires --shards K\n";
-    return 2;
-  }
-  if (shards > 0) {
-    if (adapt_loop != 0) {
-      std::cerr << "scenario_cli: --adapt-loop runs the single-process campus "
-                   "day; it does not support --shards\n";
-      return 2;
+int run_campus_cmd(Args& args, ObsSession& obs) {
+  if (sharded(args)) {
+    if (adapting(args)) {
+      return refuse("--adapt-loop runs the single-process campus day; it does not "
+                    "support --shards");
     }
-    return run_campus_sharded_cmd(flags, obs, shards);
+    return run_campus_sharded_cmd(args, obs);
+  }
+  if (args.given("batch")) {
+    return refuse("--batch tunes the sharded runner's window batching; it "
+                  "requires --shards K");
+  }
+  if (args.given("progress")) {
+    return refuse("invalid --progress: only campus --shards K reports progress");
   }
 
-  CampusDayConfig config;
-  std::size_t attendees = 0, squatters = 0, seed = 0;
-  if (!parse_count(flags, "attendees", 40, attendees)) return 2;
-  if (!parse_count(flags, "squatters", 10, squatters)) return 2;
-  if (!parse_count(flags, "seed", 5, seed)) return 2;
-  config.attendees = attendees;
-  config.squatters = squatters;
-  config.seed = std::uint64_t(seed);
-  const std::string policy = flags.text("policy", "dispatcher");
-  if (policy == "none") config.policy = CampusPolicy::kNone;
-  else if (policy == "static") config.policy = CampusPolicy::kStatic;
-  else if (policy == "brute-force") config.policy = CampusPolicy::kBruteForce;
-  else if (policy == "aggregate") config.policy = CampusPolicy::kAggregate;
-  else if (policy == "dispatcher") config.policy = CampusPolicy::kDispatcher;
-  else {
-    std::cerr << "scenario_cli: invalid --policy value '" << policy
-              << "' (expected dispatcher, aggregate, brute-force, static or "
-                 "none)\n";
-    return 2;
-  }
-  std::size_t replications = 0;
-  std::size_t threads = 0;
-  double checkpoint_at = 0.0;
-  if (!parse_count(flags, "replications", 1, replications)) return 2;
-  if (!parse_count(flags, "threads", 0, threads)) return 2;
-  if (!parse_number(flags, "checkpoint-at", 60.0, checkpoint_at)) return 2;
+  const std::size_t replications = args.count("replications");
   if (replications == 0) {
     // A 0-replication sweep used to fall through to a single run, silently
     // ignoring the flag; fail loudly instead.
-    std::cerr << "scenario_cli: --replications must be at least 1\n";
-    return 2;
+    return refuse("--replications must be at least 1");
   }
-  const std::string ckpt_out = flags.text("checkpoint-out", "");
-  const std::string ckpt_in = flags.text("checkpoint-in", "");
+  const std::string& ckpt_out = args.text("checkpoint-out");
+  const std::string& ckpt_in = args.text("checkpoint-in");
   if (!ckpt_out.empty() && !ckpt_in.empty()) {
-    std::cerr << "scenario_cli: --checkpoint-out and --checkpoint-in are exclusive\n";
-    return 2;
+    return refuse("--checkpoint-out and --checkpoint-in are exclusive");
   }
   if ((!ckpt_out.empty() || !ckpt_in.empty()) && replications > 1) {
-    std::cerr << "scenario_cli: checkpoints apply to single runs, not --replications\n";
-    return 2;
+    return refuse("checkpoints apply to single runs, not --replications");
   }
-  std::size_t adapt_flows = 0;
-  double adapt_fault = 0.0, adapt_fault_start = 0.0, adapt_fault_stop = 0.0;
-  if (!parse_count(flags, "adapt-flows", 4, adapt_flows)) return 2;
-  if (!parse_number(flags, "adapt-fault", 0.8, adapt_fault, /*probability=*/true)) {
-    return 2;
+  if (replications == 1 && args.given("profile")) {
+    return refuse("invalid --profile: a single campus day records no profile "
+                  "phases; profile a --replications sweep or a --shards run");
   }
-  if (!parse_number(flags, "adapt-fault-start", 60.0, adapt_fault_start)) return 2;
-  if (!parse_number(flags, "adapt-fault-stop", 100.0, adapt_fault_stop)) return 2;
-  if (adapt_loop != 0) {
+
+  CampusDayConfig config;
+  config.attendees = args.count("attendees");
+  config.squatters = args.count("squatters");
+  config.seed = std::uint64_t(args.count("seed"));
+  config.policy = kCampusPolicies.at(args.text("policy"));
+  const double checkpoint_at = args.number("checkpoint-at");
+  if (adapting(args)) {
+    const double fault_start = args.number("adapt-fault-start");
+    const double fault_stop = args.number("adapt-fault-stop");
     if (!ckpt_out.empty() || !ckpt_in.empty()) {
-      std::cerr << "scenario_cli: the adaptation loop does not support "
-                   "checkpoint/resume; drop --adapt-loop or the "
-                   "--checkpoint-out/--checkpoint-in flag\n";
-      return 2;
+      return refuse("the adaptation loop does not support checkpoint/resume; drop "
+                    "--adapt-loop or the --checkpoint-out/--checkpoint-in flag");
     }
-    if (adapt_flows == 0) {
-      std::cerr << "scenario_cli: --adapt-flows must be at least 1\n";
-      return 2;
-    }
-    if (adapt_fault > 0.0 && adapt_fault_start >= adapt_fault_stop) {
-      std::cerr << "scenario_cli: --adapt-fault-start (" << stats::fmt(adapt_fault_start, 1)
-                << ") must be before --adapt-fault-stop ("
-                << stats::fmt(adapt_fault_stop, 1) << ")\n";
-      return 2;
+    if (args.count("adapt-flows") == 0) return refuse("--adapt-flows must be at least 1");
+    if (args.number("adapt-fault") > 0.0 && fault_start >= fault_stop) {
+      return refuse("--adapt-fault-start (" + stats::fmt(fault_start, 1) +
+                    ") must be before --adapt-fault-stop (" + stats::fmt(fault_stop, 1) +
+                    ")");
     }
     config.adapt.enabled = true;
-    config.adapt.flows = adapt_flows;
-    config.adapt.fault_loss = adapt_fault;
-    config.adapt.fault_start = sim::SimTime::minutes(adapt_fault_start);
-    config.adapt.fault_stop = sim::SimTime::minutes(adapt_fault_stop);
+    config.adapt.flows = args.count("adapt-flows");
+    config.adapt.fault_loss = args.number("adapt-fault");
+    config.adapt.fault_start = sim::SimTime::minutes(fault_start);
+    config.adapt.fault_stop = sim::SimTime::minutes(fault_stop);
   }
-  if (!apply_signaling_faults(flags, config.faults, obs)) return 2;
-  obs.config_echo("policy", policy);
-  obs.config_echo("attendees", fmt_count(double(config.attendees)));
-  obs.config_echo("squatters", fmt_count(double(config.squatters)));
-  obs.config_echo("seed", fmt_count(double(config.seed)));
-  obs.config_echo("replications", fmt_count(double(replications)));
-  if (config.adapt.enabled) {
-    // Echoed only when enabled: loop-off config fingerprints (and therefore
-    // golden reports) stay byte-identical to pre-adaptation builds.
-    obs.config_echo("adapt-loop", "1");
-    obs.config_echo("adapt-flows", fmt_count(double(adapt_flows)));
-    obs.config_echo("adapt-fault", stats::fmt(adapt_fault, 4));
-    obs.config_echo("adapt-fault-start", stats::fmt(adapt_fault_start, 1));
-    obs.config_echo("adapt-fault-stop", stats::fmt(adapt_fault_stop, 1));
-  }
+  apply_signaling_faults(args, config.faults);
 
   if (replications > 1) {
     // Monte-Carlo sweep: per-replication snapshots merged deterministically;
@@ -629,7 +614,7 @@ int run_campus_cmd(const Flags& flags, ObsSession& obs) {
     CampusSweepConfig sweep;
     sweep.base = config;
     sweep.replications = replications;
-    sweep.threads = threads;
+    sweep.threads = args.count("threads");
     sweep.base_seed = config.seed;
     sweep.profiler = obs.profiler_or_null();
     const CampusSweepResult r = run_campus_day_sweep(sweep);
@@ -670,8 +655,9 @@ int run_campus_cmd(const Flags& flags, ObsSession& obs) {
       std::cerr << "scenario_cli: " << e.what() << '\n';
       return 1;
     }
-    std::cout << "checkpoint policy=" << policy << " t=" << stats::fmt(checkpoint_at, 1)
-              << "min written to " << ckpt_out << '\n';
+    std::cout << "checkpoint policy=" << args.text("policy")
+              << " t=" << stats::fmt(checkpoint_at, 1) << "min written to " << ckpt_out
+              << '\n';
     return 0;
   }
 
@@ -706,78 +692,50 @@ int run_campus_cmd(const Flags& flags, ObsSession& obs) {
                     config.adapt.enabled ? &adapt_block : nullptr);
 }
 
-int run_faults_cmd(const Flags& flags, ObsSession& obs) {
-  std::size_t replications = 0, threads = 0, flaps = 0, crashes = 0;
-  std::size_t cells = 0, conns = 0, seed_count = 0, fork = 0;
-  double drop = 0.0, stop = 0.0, horizon = 0.0, faults_start = 0.0;
-  if (!parse_count(flags, "replications", 8, replications)) return 2;
-  if (!parse_count(flags, "threads", 0, threads)) return 2;
-  if (!parse_count(flags, "flaps", 2, flaps)) return 2;
-  if (!parse_count(flags, "crashes", 1, crashes)) return 2;
-  if (!parse_count(flags, "cells", 8, cells)) return 2;
-  if (!parse_count(flags, "conns", 24, conns)) return 2;
-  if (!parse_count(flags, "seed", 1, seed_count)) return 2;
-  if (!parse_count(flags, "fork", 0, fork)) return 2;
-  if (!parse_number(flags, "drop", 0.1, drop, /*probability=*/true)) return 2;
-  if (!parse_number(flags, "stop", 0.5, stop)) return 2;
-  if (!parse_number(flags, "horizon", 30.0, horizon)) return 2;
-  if (!parse_number(flags, "faults-start", 0.0, faults_start)) return 2;
-  if (fork != 0 && threads > replications) {
+int run_faults_cmd(Args& args, ObsSession& obs) {
+  const std::size_t replications = args.count("replications");
+  const std::size_t threads = args.count("threads");
+  const bool fork = args.on("fork");
+  const double drop = args.number("drop");
+  const double faults_start = args.number("faults-start");
+  if (fork && threads > replications) {
     // A forked sweep hands each thread a variant to fork from the shared
     // warm image; more threads than variants means idle workers at best and
     // a confusing hang-looking stall at worst. 0 (auto) self-clamps.
-    std::cerr << "scenario_cli: --threads (" << threads
-              << ") exceeds --replications (" << replications
-              << ") for a forked sweep; lower --threads or raise "
-                 "--replications\n";
-    return 2;
+    return refuse("--threads (" + std::to_string(threads) + ") exceeds --replications (" +
+                  std::to_string(replications) +
+                  ") for a forked sweep; lower --threads or raise --replications");
   }
-  const std::uint64_t seed = std::uint64_t(seed_count);
-  const std::string topology = flags.text("topology", "twocell");
+  const std::uint64_t seed = std::uint64_t(args.count("seed"));
+  const std::string& topology = args.text("topology");
 
   fault::ConvergenceConfig base;
-  if (topology == "campus") {
-    base.problem = fault::campus_problem(cells, conns, seed);
-  } else if (topology == "twocell") {
-    base.problem = fault::two_cell_problem();
-  } else {
-    std::cerr << "scenario_cli: unknown --topology '" << topology
-              << "' (expected twocell or campus)\n";
-    return 2;
-  }
+  base.problem = topology == "campus"
+                     ? fault::campus_problem(args.count("cells"), args.count("conns"), seed)
+                     : fault::two_cell_problem();
   base.faults = fault::LinkFaultModel::bernoulli_loss(drop);
   base.faults_start = sim::SimTime::seconds(faults_start);
-  base.faults_stop = sim::SimTime::seconds(faults_start + stop);
-  base.horizon = sim::SimTime::seconds(faults_start + horizon);
+  base.faults_stop = sim::SimTime::seconds(faults_start + args.number("stop"));
+  base.horizon = sim::SimTime::seconds(faults_start + args.number("horizon"));
   base.seed = seed;
-  const std::string ckpt_out = flags.text("checkpoint-out", "");
-  const std::string ckpt_in = flags.text("checkpoint-in", "");
-  if ((!ckpt_out.empty() || !ckpt_in.empty() || fork != 0) && faults_start <= 0.0) {
-    std::cerr << "scenario_cli: --checkpoint-out/--checkpoint-in/--fork need a "
-                 "positive --faults-start barrier (the warm, fault-free phase)\n";
-    return 2;
+  const std::string& ckpt_out = args.text("checkpoint-out");
+  const std::string& ckpt_in = args.text("checkpoint-in");
+  if ((!ckpt_out.empty() || !ckpt_in.empty() || fork) && faults_start <= 0.0) {
+    return refuse("--checkpoint-out/--checkpoint-in/--fork need a positive "
+                  "--faults-start barrier (the warm, fault-free phase)");
   }
   if (!ckpt_out.empty() && !ckpt_in.empty()) {
-    std::cerr << "scenario_cli: --checkpoint-out and --checkpoint-in are exclusive\n";
-    return 2;
+    return refuse("--checkpoint-out and --checkpoint-in are exclusive");
   }
 
   fault::FaultSchedule::RandomConfig timeline;
   timeline.start = base.faults_start;
   timeline.stop = base.faults_stop;
   timeline.links = std::uint32_t(base.problem.links.size());
-  timeline.flaps = flaps;
-  timeline.crashes = crashes;
+  timeline.flaps = args.count("flaps");
+  timeline.crashes = args.count("crashes");
   sim::Rng schedule_rng(seed);
   base.schedule = fault::FaultSchedule::random(timeline, schedule_rng);
-
-  obs.config_echo("topology", topology);
-  obs.config_echo("drop", stats::fmt(drop, 4));
-  obs.config_echo("flaps", fmt_count(double(flaps)));
-  obs.config_echo("crashes", fmt_count(double(crashes)));
-  obs.config_echo("seed", fmt_count(double(seed)));
-  obs.config_echo("replications", fmt_count(double(replications)));
-  if (faults_start > 0.0) obs.config_echo("faults-start", stats::fmt(faults_start, 3));
 
   if (!ckpt_out.empty()) {
     // Freeze the warm, fault-free phase: the protocol converges, the queue
@@ -818,15 +776,14 @@ int run_faults_cmd(const Flags& flags, ObsSession& obs) {
   }
 
   if (!ckpt_in.empty()) {
-    std::cerr << "scenario_cli: --checkpoint-in applies to single runs; use --fork 1 "
-                 "to share one warm checkpoint across a sweep\n";
-    return 2;
+    return refuse("--checkpoint-in applies to single runs; use --fork 1 to share "
+                  "one warm checkpoint across a sweep");
   }
   fault::ConvergenceSweepConfig sweep;
   sweep.base = base;
   sweep.replications = replications;
   sweep.threads = threads;
-  sweep.fork_from_warm = fork != 0;
+  sweep.fork_from_warm = fork;
   fault::ConvergenceSweepResult r;
   try {
     r = fault::run_convergence_sweep(sweep);
@@ -844,74 +801,44 @@ int run_faults_cmd(const Flags& flags, ObsSession& obs) {
   return obs.finish("faults-sweep", r.metrics);
 }
 
-int run_campus_scale_cmd(const Flags& flags, ObsSession& obs) {
-  CampusScaleConfig config;
-  std::size_t cells = 0, portables = 0, seed = 0;
-  double duration = 0.0, tick = 0.0;
-  if (!parse_count(flags, "cells", 100, cells)) return 2;
-  if (!parse_count(flags, "portables", 1000, portables)) return 2;
-  if (!parse_count(flags, "seed", 5, seed)) return 2;
-  if (!parse_number(flags, "duration", 3600.0, duration)) return 2;
-  if (!parse_number(flags, "tick", 5.0, tick)) return 2;
-  if (cells < 2) {
-    std::cerr << "scenario_cli: --cells must be at least 2\n";
-    return 2;
-  }
+int run_campus_scale_cmd(Args& args, ObsSession& obs) {
+  const std::size_t cells = args.count("cells");
+  const std::size_t portables = args.count("portables");
+  const std::size_t shards = args.count("shards");
+  const double duration = args.number("duration");
+  const double tick = args.number("tick");
+  const std::string& engine = args.text("engine");
+  if (cells < 2) return refuse("--cells must be at least 2");
   if (tick <= 0.0 || duration <= 0.0) {
-    std::cerr << "scenario_cli: --duration and --tick must be positive\n";
-    return 2;
+    return refuse("--duration and --tick must be positive");
   }
-  const std::string engine = flags.text("engine", "soa");
-  if (engine == "soa") config.engine = ScaleEngine::kSoa;
-  else if (engine == "naive") config.engine = ScaleEngine::kNaive;
-  else {
-    std::cerr << "scenario_cli: invalid --engine value '" << engine
-              << "' (expected soa or naive)\n";
-    return 2;
-  }
-  std::size_t shards = 0, batch = 0;
-  if (!parse_count(flags, "shards", 0, shards)) return 2;
-  if (!parse_count(flags, "batch", 0, batch)) return 2;
-  if (shards > 0 && config.engine == ScaleEngine::kNaive) {
-    std::cerr << "scenario_cli: --engine naive is the monolithic pre-SoA "
-                 "baseline; it cannot run sharded (drop --shards or "
-                 "--engine)\n";
-    return 2;
+  if (shards > 0 && engine == "naive") {
+    return refuse("--engine naive is the monolithic pre-SoA baseline; it cannot "
+                  "run sharded (drop --shards or --engine)");
   }
   if (shards > cells) {
-    std::cerr << "scenario_cli: --shards (" << shards << ") exceeds --cells ("
-              << cells << "); cells are the unit of parallelism\n";
-    return 2;
+    return refuse("--shards (" + std::to_string(shards) + ") exceeds --cells (" +
+                  std::to_string(cells) + "); cells are the unit of parallelism");
   }
-  if (shards == 0 && !flags.text("batch", "").empty()) {
-    std::cerr << "scenario_cli: --batch tunes the sharded runner's window "
-                 "batching; it requires --shards K\n";
-    return 2;
+  if (shards == 0 && args.given("batch")) {
+    return refuse("--batch tunes the sharded runner's window batching; it "
+                  "requires --shards K");
   }
+  CampusScaleConfig config;
+  config.engine = kScaleEngines.at(engine);
   config.cells = cells;
   config.portables = portables;
-  config.seed = std::uint64_t(seed);
+  config.seed = std::uint64_t(args.count("seed"));
   config.duration = sim::Duration::seconds(duration);
   config.tick = sim::Duration::seconds(tick);
   config.metrics = obs.registry_or_null();
   config.profiler = obs.profiler_or_null();
   config.progress = obs.progress_or_null();
-  obs.config_echo("cells", fmt_count(double(cells)));
-  obs.config_echo("portables", fmt_count(double(portables)));
-  obs.config_echo("duration", stats::fmt(duration, 1));
-  obs.config_echo("tick", stats::fmt(tick, 2));
-  obs.config_echo("seed", fmt_count(double(seed)));
-  obs.config_echo("engine", engine);
 
   if (shards > 0) {
     config.shards = shards;
-    config.batch = batch;
+    config.batch = args.count("batch");
     config.tracer = obs.tracer_or_null();
-    // shards/batch are execution-only (results byte-identical for any
-    // value); tools/check_shard_determinism.py strips these two echo keys
-    // before comparing reports across the (shards, batch) sweep.
-    obs.config_echo("shards", fmt_count(double(shards)));
-    if (batch > 0) obs.config_echo("batch", fmt_count(double(batch)));
     const CampusScaleResult r = run_campus_scale_sharded(config);
     // No dispatch count here: stdout must stay byte-identical across batch
     // sizes (dispatches vary; windows and boundary messages do not).
@@ -936,42 +863,39 @@ int run_campus_scale_cmd(const Flags& flags, ObsSession& obs) {
   return obs.finish("campus_scale", obs.registry.snapshot());
 }
 
-/// Shared serve/drive service-shape flags -> ServiceConfig. False = a flag
-/// was malformed (already diagnosed); the caller exits 2.
-bool parse_service_config(const Flags& flags, ObsSession& obs,
-                          serve::ServiceConfig& config) {
-  std::size_t cells = 0, queue_cap = 0, adapt_every = 0;
-  double slo_p99 = 0.0, retry_after = 0.0, cost = 0.0;
-  if (!parse_count(flags, "cells", 16, cells)) return false;
-  if (!parse_count(flags, "queue-cap", 512, queue_cap)) return false;
-  if (!parse_count(flags, "adapt-every", 0, adapt_every)) return false;
-  if (!parse_number(flags, "slo-p99-us", 5000.0, slo_p99)) return false;
-  if (!parse_number(flags, "retry-after-us", 5000.0, retry_after)) return false;
-  if (!parse_number(flags, "service-cost-us", 200.0, cost)) return false;
-  if (cells < 2) {
-    std::cerr << "scenario_cli: --cells must be at least 2\n";
-    return false;
+/// Shared serve/drive service-shape flags -> ServiceConfig; nullopt after a
+/// refusal (the caller exits 2).
+std::optional<serve::ServiceConfig> service_config(const Args& args, ObsSession& obs) {
+  serve::ServiceConfig config;
+  config.cells = args.count("cells");
+  config.slo.queue_capacity = args.count("queue-cap");
+  config.slo.p99_target_us = args.number("slo-p99-us");
+  config.slo.retry_after_us = args.number("retry-after-us");
+  config.virtual_service_cost_us = args.number("service-cost-us");
+  config.adapt_every = args.count("adapt-every");
+  if (config.cells < 2) return reject("--cells must be at least 2");
+  if (config.slo.queue_capacity == 0 || config.slo.p99_target_us <= 0.0 ||
+      config.virtual_service_cost_us <= 0.0) {
+    return reject("--queue-cap, --slo-p99-us and --service-cost-us must be positive");
   }
-  if (queue_cap == 0 || slo_p99 <= 0.0 || cost <= 0.0) {
-    std::cerr << "scenario_cli: --queue-cap, --slo-p99-us and "
-                 "--service-cost-us must be positive\n";
-    return false;
-  }
-  config.cells = cells;
-  config.slo.queue_capacity = queue_cap;
-  config.slo.p99_target_us = slo_p99;
-  config.slo.retry_after_us = retry_after;
-  config.virtual_service_cost_us = cost;
-  config.adapt_every = adapt_every;
   // serve/drive always record into the session registry: the latency
   // percentiles in the service block come from the serve.latency_us /
   // drive.latency_us histograms whether or not --metrics-json was given.
   config.metrics = &obs.registry;
   config.profiler = obs.profiler_or_null();
-  obs.config_echo("cells", fmt_count(double(cells)));
-  obs.config_echo("slo-p99-us", stats::fmt(slo_p99, 1));
-  obs.config_echo("queue-cap", fmt_count(double(queue_cap)));
-  return true;
+  return config;
+}
+
+/// The block's latency percentiles from `histogram`, judged against the SLO.
+void set_latency(obs::ServiceBlock& block, const obs::Snapshot& snapshot,
+                 const char* histogram, double slo_p99_us) {
+  if (const obs::HistogramSample* h = snapshot.histogram(histogram)) {
+    block.latency_p50_us = h->percentile(0.50);
+    block.latency_p90_us = h->percentile(0.90);
+    block.latency_p99_us = h->percentile(0.99);
+  }
+  block.slo_p99_us = slo_p99_us;
+  block.slo_met = block.latency_p99_us <= block.slo_p99_us;
 }
 
 /// Service-side block: exact offered == processed + shed conservation from
@@ -1003,13 +927,7 @@ obs::ServiceBlock make_service_block(const serve::AdmissionService& service,
     block.sustained_rps = double(s.processed) / duration_s;
   }
   if (s.offered > 0) block.shed_fraction = double(s.shed) / double(s.offered);
-  if (const obs::HistogramSample* h = snapshot.histogram("serve.latency_us")) {
-    block.latency_p50_us = h->percentile(0.50);
-    block.latency_p90_us = h->percentile(0.90);
-    block.latency_p99_us = h->percentile(0.99);
-  }
-  block.slo_p99_us = service.config().slo.p99_target_us;
-  block.slo_met = block.latency_p99_us <= block.slo_p99_us;
+  set_latency(block, snapshot, "serve.latency_us", service.config().slo.p99_target_us);
   return block;
 }
 
@@ -1026,21 +944,16 @@ void print_service_summary(const obs::ServiceBlock& b) {
 /// `scenario_cli serve --socket PATH`: the always-on service. Runs until a
 /// Shutdown request has been processed (or --deadline wall seconds elapse),
 /// then reports what it served.
-int run_serve_cmd(const Flags& flags, ObsSession& obs) {
-  const std::string path = flags.text("socket", "");
+int run_serve_cmd(Args& args, ObsSession& obs) {
+  const std::string& path = args.text("socket");
   if (path.empty()) {
-    std::cerr << "scenario_cli: serve requires --socket PATH (the AF_UNIX "
-                 "listening address)\n";
-    return 2;
+    return refuse("serve requires --socket PATH (the AF_UNIX listening address)");
   }
-  double deadline = 0.0;
-  if (!parse_number(flags, "deadline", 0.0, deadline)) return 2;
-  serve::ServiceConfig config;
-  if (!parse_service_config(flags, obs, config)) return 2;
-  obs.config_echo("socket", path);
+  const std::optional<serve::ServiceConfig> config = service_config(args, obs);
+  if (!config) return 2;
 
   sim::Simulator simulator;
-  serve::AdmissionService service(config, simulator);
+  serve::AdmissionService service(*config, simulator);
   std::unique_ptr<serve::SocketServerTransport> server;
   try {
     server = std::make_unique<serve::SocketServerTransport>(path);
@@ -1049,10 +962,10 @@ int run_serve_cmd(const Flags& flags, ObsSession& obs) {
     return 1;
   }
   std::cout << "serving on " << path << " (cells=" << service.cells()
-            << " slo-p99=" << stats::fmt(config.slo.p99_target_us, 0)
-            << "us queue-cap=" << config.slo.queue_capacity << ")" << std::endl;
+            << " slo-p99=" << stats::fmt(config->slo.p99_target_us, 0)
+            << "us queue-cap=" << config->slo.queue_capacity << ")" << std::endl;
   const auto t0 = std::chrono::steady_clock::now();
-  service.run_wall(*server, deadline);
+  service.run_wall(*server, args.number("deadline"));
   const double duration_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -1066,88 +979,48 @@ int run_serve_cmd(const Flags& flags, ObsSession& obs) {
 /// `scenario_cli drive`: the open-loop load driver. With --transport ring it
 /// hosts the service in-process (deterministic with --pacing virtual); with
 /// --transport socket it drives a separately started `serve`.
-int run_drive_cmd(const Flags& flags, ObsSession& obs) {
-  const std::string transport = flags.text("transport", "ring");
-  if (transport != "ring" && transport != "socket") {
-    std::cerr << "scenario_cli: invalid --transport '" << transport
-              << "' (expected ring or socket)\n";
-    return 2;
-  }
-  const std::string pacing =
-      flags.text("pacing", transport == "ring" ? "virtual" : "wall");
-  if (pacing != "virtual" && pacing != "wall") {
-    std::cerr << "scenario_cli: invalid --pacing '" << pacing
-              << "' (expected virtual or wall)\n";
-    return 2;
-  }
+int run_drive_cmd(Args& args, ObsSession& obs) {
+  const std::string& transport = args.text("transport");
+  args.set_default("pacing", transport == "ring" ? "virtual" : "wall");
+  const std::string& pacing = args.text("pacing");
   if (transport == "socket" && pacing == "virtual") {
-    std::cerr << "scenario_cli: --pacing virtual needs the in-process ring "
-                 "(a socket peer has its own clock); use --transport ring\n";
-    return 2;
+    return refuse("--pacing virtual needs the in-process ring (a socket peer has "
+                  "its own clock); use --transport ring");
   }
-  const std::string arrivals = flags.text("arrivals", "poisson");
-  if (arrivals != "poisson" && arrivals != "trace") {
-    std::cerr << "scenario_cli: invalid --arrivals '" << arrivals
-              << "' (expected poisson or trace)\n";
-    return 2;
+  if (transport == "socket" && args.given("profile")) {
+    return refuse("invalid --profile: a socket drive hosts no service to profile; "
+                  "profile the serve process instead");
   }
-
-  serve::ServiceConfig service_config;
-  if (!parse_service_config(flags, obs, service_config)) return 2;
+  const std::optional<serve::ServiceConfig> service_cfg = service_config(args, obs);
+  if (!service_cfg) return 2;
 
   serve::DriveConfig drive;
-  std::size_t seed = 0, portables = 0, shutdown = 0;
-  if (!parse_number(flags, "rate", 1000.0, drive.rate)) return 2;
-  if (!parse_number(flags, "duration", 10.0, drive.duration_s)) return 2;
-  if (!parse_count(flags, "seed", 1, seed)) return 2;
-  if (!parse_count(flags, "portables", 64, portables)) return 2;
-  if (!parse_count(flags, "shutdown", 0, shutdown)) return 2;
-  if (arrivals == "poisson" && (drive.rate <= 0.0 || drive.duration_s <= 0.0)) {
-    std::cerr << "scenario_cli: --rate and --duration must be positive\n";
-    return 2;
+  drive.rate = args.number("rate");
+  drive.duration_s = args.number("duration");
+  const bool poisson = args.text("arrivals") == "poisson";
+  if (poisson && (drive.rate <= 0.0 || drive.duration_s <= 0.0)) {
+    return refuse("--rate and --duration must be positive");
   }
-  if (portables == 0) {
-    std::cerr << "scenario_cli: --portables must be at least 1\n";
-    return 2;
-  }
-  drive.seed = std::uint64_t(seed);
-  drive.portables = std::uint32_t(portables);
-  drive.cells = std::uint32_t(service_config.cells);
-  drive.shutdown_after = shutdown != 0;
+  if (args.count("portables") == 0) return refuse("--portables must be at least 1");
+  drive.seed = std::uint64_t(args.count("seed"));
+  drive.portables = std::uint32_t(args.count("portables"));
+  drive.cells = std::uint32_t(service_cfg->cells);
+  drive.shutdown_after = args.on("shutdown");
   drive.metrics = &obs.registry;
-  if (arrivals == "trace") {
-    const std::string trace_path = flags.text("trace-in", "");
-    if (trace_path.empty()) {
-      std::cerr << "scenario_cli: --arrivals trace requires --trace-in PATH\n";
-      return 2;
-    }
+  if (!poisson) {
+    const std::string& trace_path = args.text("trace-in");
+    if (trace_path.empty()) return refuse("--arrivals trace requires --trace-in PATH");
     try {
       drive.trace = serve::parse_trace(trace_path);
     } catch (const std::runtime_error& e) {
-      std::cerr << "scenario_cli: " << e.what() << '\n';
-      return 2;
+      return refuse(e.what());
     }
-    if (drive.trace.empty()) {
-      std::cerr << "scenario_cli: trace '" << trace_path << "' has no events\n";
-      return 2;
-    }
-    obs.config_echo("trace-in", trace_path);
+    if (drive.trace.empty()) return refuse("trace '" + trace_path + "' has no events");
   }
-  obs.config_echo("transport", transport);
-  obs.config_echo("pacing", pacing);
-  obs.config_echo("arrivals", arrivals);
-  obs.config_echo("rate", stats::fmt(drive.rate, 1));
-  obs.config_echo("duration", stats::fmt(drive.duration_s, 2));
-  obs.config_echo("seed", fmt_count(double(drive.seed)));
-  obs.config_echo("portables", fmt_count(double(drive.portables)));
 
   if (transport == "socket") {
-    const std::string path = flags.text("socket", "");
-    if (path.empty()) {
-      std::cerr << "scenario_cli: --transport socket requires --socket PATH\n";
-      return 2;
-    }
-    obs.config_echo("socket", path);
+    const std::string& path = args.text("socket");
+    if (path.empty()) return refuse("--transport socket requires --socket PATH");
     std::unique_ptr<serve::SocketClientTransport> client;
     try {
       client = std::make_unique<serve::SocketClientTransport>(path);
@@ -1175,20 +1048,14 @@ int run_drive_cmd(const Flags& flags, ObsSession& obs) {
     }
     if (ds.sent > 0) block.shed_fraction = double(ds.shed) / double(ds.sent);
     const obs::Snapshot snapshot = obs.registry.snapshot();
-    if (const obs::HistogramSample* h = snapshot.histogram("drive.latency_us")) {
-      block.latency_p50_us = h->percentile(0.50);
-      block.latency_p90_us = h->percentile(0.90);
-      block.latency_p99_us = h->percentile(0.99);
-    }
-    block.slo_p99_us = service_config.slo.p99_target_us;
-    block.slo_met = block.latency_p99_us <= block.slo_p99_us;
+    set_latency(block, snapshot, "drive.latency_us", service_cfg->slo.p99_target_us);
     print_service_summary(block);
     return obs.finish("drive", snapshot, nullptr, &block);
   }
 
   // In-process ring: the service lives here too.
   sim::Simulator simulator;
-  serve::AdmissionService service(service_config, simulator);
+  serve::AdmissionService service(*service_cfg, simulator);
   serve::RingTransport ring;
   serve::LoadDriver driver(drive);
   serve::DriveStats ds;
@@ -1211,97 +1078,225 @@ int run_drive_cmd(const Flags& flags, ObsSession& obs) {
   return obs.finish("drive", snapshot, nullptr, &block);
 }
 
+// ---------------------------------------------------------------------------
+// The command tables
+
+struct Command {
+  const char* name;
+  const char* summary;
+  int (*run)(Args&, ObsSession&);
+  /// Echoed rows are listed in config-block order.
+  std::vector<Flag> flags;
+};
+
+/// serve and drive share the service's shape.
+std::vector<Flag> with_service_flags(std::vector<Flag> rows) {
+  std::vector<Flag> table = {
+      flag::count("cells", "16").echoed(),
+      flag::number("slo-p99-us", "5000").echoed(1),
+      flag::count("queue-cap", "512").echoed(),
+      flag::number("retry-after-us", "5000"),
+      flag::number("service-cost-us", "200"),
+      flag::count("adapt-every", "0"),
+      flag::toggle("profile"),
+  };
+  table.insert(table.end(), rows.begin(), rows.end());
+  return table;
+}
+
+std::vector<Command> build_commands() {
+  using namespace flag;
+  std::vector<Command> list = {
+      {"classroom", "one classroom meeting day under a reservation policy",
+       run_classroom_cmd,
+       {
+           count("size", "35").echoed(),
+           choice("policy", choices_of(kClassroomPolicies), "meeting-room").echoed(),
+           count("seed", "7").echoed(),
+           number("passby", "18"),
+       }},
+      {"twocell", "two-cell admission: new-call blocking and handoff dropping",
+       run_twocell_cmd,
+       {
+           probability("faults", "0").echoed(4, faulted),
+           count("fault-retries", "3").echoed(0, faulted),
+           choice("rule", choices_of(kTwoCellRules), "probabilistic").echoed(),
+           number("window", "0.05").echoed(4),
+           probability("pqos", "0.01").echoed(4),
+           count("seed", "3").echoed(),
+           number("duration", "1000"),
+           probability("guard", "0.1"),
+       }},
+      {"fig4", "Fig. 4 office mobility: fan-out and prediction hit rate", run_fig4_cmd,
+       {
+           number("hours", "100").echoed(1),
+           count("users", "12").echoed(),
+           count("seed", "1").echoed(),
+       }},
+      {"maxmin", "distributed max-min protocol against the water-filling optimum",
+       run_maxmin_cmd,
+       {
+           count("links", "6").echoed(),
+           count("conns", "12").echoed(),
+           count("seed", "1"),
+           toggle("profile"),
+       }},
+      {"campus",
+       "the campus day (the command for bare flags); --shards K runs the sharded "
+       "corridor",
+       run_campus_cmd,
+       {
+           probability("faults", "0").echoed(4, day_faulted),
+           count("fault-retries", "3").echoed(0, day_faulted),
+           choice("policy", choices_of(kCampusPolicies), "dispatcher").echoed(0, unsharded),
+           count("attendees", "40").echoed(0, unsharded),
+           count("squatters", "10").echoed(0, unsharded),
+           count("cells", "24").echoed(0, sharded),
+           count("shards", "0").echoed(0, sharded),
+           count("batch", "0").echoed(0, batched),
+           count("portables", "8").echoed(0, sharded),
+           count("seed", "5").echoed(),
+           count("replications", "1").echoed(0, unsharded),
+           number("hours", "4").echoed(2, sharded),
+           toggle("adapt-loop").echoed(0, adapting),
+           count("adapt-flows", "4").echoed(0, adapting),
+           probability("adapt-fault", "0.8").echoed(4, adapting),
+           number("adapt-fault-start", "60").echoed(1, adapting),
+           number("adapt-fault-stop", "100").echoed(1, adapting),
+           number("hop-ms", "5"),
+           count("threads", "0"),
+           number("checkpoint-at", "60"),
+           path("checkpoint-out"),
+           path("checkpoint-in"),
+           toggle("profile"),
+           number("progress", "0"),
+       }},
+      {"campus-scale",
+       "the grid campus at scale; --shards K runs it on the sharded runner",
+       run_campus_scale_cmd,
+       {
+           count("cells", "100").echoed(),
+           count("portables", "1000").echoed(),
+           number("duration", "3600").echoed(1),
+           number("tick", "5").echoed(2),
+           count("seed", "5").echoed(),
+           choice("engine", choices_of(kScaleEngines), "soa").echoed(),
+           count("shards", "0").echoed(0, sharded),
+           count("batch", "0").echoed(0, batched),
+           toggle("profile"),
+           number("progress", "0"),
+       }},
+      {"faults", "max-min reconvergence under a lossy control plane and outages",
+       run_faults_cmd,
+       {
+           choice("topology", "twocell|campus", "twocell").echoed(),
+           probability("drop", "0.1").echoed(4),
+           count("flaps", "2").echoed(),
+           count("crashes", "1").echoed(),
+           count("seed", "1").echoed(),
+           count("replications", "8").echoed(),
+           number("faults-start", "0").echoed(3, warm_barrier),
+           count("threads", "0"),
+           count("cells", "8"),
+           count("conns", "24"),
+           number("stop", "0.5"),
+           number("horizon", "30"),
+           toggle("fork"),
+           path("checkpoint-out"),
+           path("checkpoint-in"),
+       }},
+      {"serve", "the admission service on an AF_UNIX socket, until Shutdown or --deadline",
+       run_serve_cmd,
+       with_service_flags({
+           path("socket").echoed(),
+           number("deadline", "0"),
+       })},
+      {"drive", "open-loop load driver; ring+virtual is deterministic", run_drive_cmd,
+       with_service_flags({
+           path("trace-in").echoed(0, trace_arrivals),
+           choice("transport", "ring|socket", "ring").echoed(),
+           choice("pacing", "virtual|wall", "").echoed(),
+           choice("arrivals", "poisson|trace", "poisson").echoed(),
+           number("rate", "1000").echoed(1),
+           number("duration", "10").echoed(2),
+           count("seed", "1").echoed(),
+           count("portables", "64").echoed(),
+           path("socket").echoed(0, over_socket),
+           toggle("shutdown"),
+       })},
+  };
+  // Every command writes the report artifacts.
+  for (Command& command : list) {
+    command.flags.push_back(path("metrics-json"));
+    command.flags.push_back(path("trace-out"));
+  }
+  return list;
+}
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = build_commands();
+  return table;
+}
+
 void usage() {
-  std::cout <<
-      "usage: scenario_cli [<command>] [--flag value ...]\n"
-      "  classroom  --size N --policy meeting-room|brute-force|aggregate|static|none\n"
-      "             --passby R --seed S\n"
-      "  twocell    --window T --pqos P --rule probabilistic|static|none\n"
-      "             --guard G --duration D --seed S\n"
-      "  fig4       --hours H --users N --seed S\n"
-      "  maxmin     --links L --conns C --seed S\n"
-      "  campus     --policy dispatcher|aggregate|brute-force|static|none\n"
-      "             --attendees N --squatters M --replications R --seed S\n"
-      "             (default command when only flags are given)\n"
-      "  campus --shards K   sharded multi-cell corridor (K worker threads;\n"
-      "             --cells N --portables P --hours H --hop-ms T --seed S\n"
-      "             --batch B windows per barrier dispatch, 0=adaptive;\n"
-      "             metrics are byte-identical for any K and B)\n"
-      "  campus-scale --cells N --portables M --duration S --tick T --seed S\n"
-      "             --engine soa|naive   (grid campus scaling harness; reports\n"
-      "             events/s and bytes-per-portable at up to 1000x100k)\n"
-      "  campus-scale --shards K   the same grid campus as one sharded-runner\n"
-      "             domain per cell (K worker threads, --batch B as above;\n"
-      "             soa engine only; byte-identical for any K and B)\n"
-      "  faults     --topology twocell|campus --drop P --flaps F --crashes C\n"
-      "             --stop T --horizon H --replications R --threads W --seed S\n"
-      "             (convergence-under-faults harness: lossy control plane +\n"
-      "              random outage/crash timeline, safety + reconvergence check)\n"
-      "  serve      --socket PATH [--cells N --slo-p99-us T --queue-cap Q\n"
-      "             --retry-after-us T --adapt-every N --deadline S]\n"
-      "             (always-on admission service on an AF_UNIX socket; runs\n"
-      "              until a Shutdown request or the --deadline backstop)\n"
-      "  drive      --transport ring|socket --pacing virtual|wall\n"
-      "             --arrivals poisson|trace --rate R --duration S --seed S\n"
-      "             --portables N [--socket PATH --trace-in PATH --shutdown 1]\n"
-      "             (open-loop load driver; ring+virtual is deterministic,\n"
-      "              socket drives a separately started `serve`; the report\n"
-      "              gains a schema-v3 `service` block)\n"
-      "fault injection (twocell, campus):\n"
-      "  --faults P            drop each admission probe with probability P\n"
-      "  --fault-retries N     probe attempts before degrading to rejection\n"
-      "adaptation loop (campus, not with --shards or checkpoints):\n"
-      "  --adapt-loop 1        run N adaptive packet streams in the meeting room\n"
-      "                        (source -> dual token-bucket shaper -> VC link ->\n"
-      "                        lossy hop); measured loss/delay windows drive\n"
-      "                        renegotiation and max-min re-division; the report\n"
-      "                        gains a schema-v4 `adaptation` block\n"
-      "  --adapt-flows N       adaptive streams (default 4)\n"
-      "  --adapt-fault P       Gilbert-Elliott burst loss probability during the\n"
-      "                        fault window (default 0.8; 0 disables the fault)\n"
-      "  --adapt-fault-start M fault window start, minutes (default 60)\n"
-      "  --adapt-fault-stop M  fault window end, minutes (default 100)\n"
-      "checkpoint/restore (campus):\n"
-      "  --checkpoint-out PATH freeze the day at --checkpoint-at MIN (default 60)\n"
-      "  --checkpoint-in PATH  resume a frozen day; same flags -> identical output\n"
-      "checkpoint/restore (faults, needs --faults-start T > 0):\n"
-      "  --faults-start T      fault-free warm phase until T seconds (--stop and\n"
-      "                        --horizon then count from the barrier)\n"
-      "  --checkpoint-out PATH write the warm, seed-independent image\n"
-      "  --checkpoint-in PATH  run one fault variant from a warm image\n"
-      "  --fork 1              sweep replications fork from one shared warm image\n"
-      "observability (any command):\n"
-      "  --metrics-json PATH   versioned run report with the metrics snapshot\n"
-      "  --trace-out PATH      Chrome trace_event JSON (chrome://tracing, Perfetto)\n"
-      "  --profile 1           wall-clock profile: phase table on stdout, a\n"
-      "                        `profile` block in the v2 report, and (sharded\n"
-      "                        runs) per-shard wall lanes in the trace\n"
-      "  --progress SECS       stderr heartbeat every SECS wall seconds\n"
-      "                        (campus --shards K and campus-scale)\n";
+  std::cout << "usage: scenario_cli [<command>] [--flag value ...]\n"
+               "Flags alone, with no command, run campus. Each command takes the\n"
+               "flags listed under it (value type, default).\n";
+  for (const Command& command : commands()) {
+    std::cout << '\n' << command.name << "  " << command.summary << '\n';
+    for (const Flag& row : command.flags) {
+      std::cout << "  --" << std::left << std::setw(18) << row.name << ' ' << type_name(row);
+      if (!row.fallback.empty()) std::cout << "  (default " << row.fallback << ')';
+      std::cout << '\n';
+    }
+  }
+}
+
+/// Checks argv[first..] against `command`'s table: only `--flag value` pairs
+/// of that table, each at most once, each value valid for its type. Returns
+/// nullopt after a diagnostic.
+std::optional<Args> parse_flags(const Command& command, int argc, char** argv, int first) {
+  Args args;
+  for (const Flag& row : command.flags) args.set(row.name, row.fallback, false);
+  for (int i = first; i < argc; i += 2) {
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
+      return reject("invalid argument '" + token + "' (flags are --name value pairs)");
+    }
+    const std::string name = token.substr(2);
+    const auto row = std::find_if(command.flags.begin(), command.flags.end(),
+                                  [&](const Flag& f) { return f.name == name; });
+    if (row == command.flags.end()) {
+      return reject("invalid " + token + " (not a " + command.name +
+                    " flag; scenario_cli with no arguments lists them)");
+    }
+    if (args.given(name)) return reject("invalid " + token + " (given twice)");
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      return reject("invalid " + token + " (no value)");
+    }
+    const std::string value = argv[i + 1];
+    if (const std::string expected = value_error(*row, value); !expected.empty()) {
+      return reject("invalid " + token + " value '" + value + "' (expected " + expected + ")");
+    }
+    args.set(name, value, true);
+  }
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 2;
+  // Leading flags with no command: default to the campus scenario.
+  const bool bare_flags = argc > 1 && std::strncmp(argv[1], "--", 2) == 0;
+  const std::string name = bare_flags ? "campus" : argc > 1 ? argv[1] : "";
+  for (const Command& command : commands()) {
+    if (command.name != name) continue;
+    std::optional<Args> args = parse_flags(command, argc, argv, bare_flags ? 1 : 2);
+    if (!args) return 2;
+    ObsSession obs(command.flags, *args);
+    return command.run(*args, obs);
   }
-  // Leading flags with no subcommand: default to the campus scenario.
-  const bool bare_flags = std::strncmp(argv[1], "--", 2) == 0;
-  const std::string command = bare_flags ? "campus" : argv[1];
-  const Flags flags(argc, argv, bare_flags ? 1 : 2);
-  ObsSession obs(flags);
-  if (obs.flag_error) return 2;
-  if (command == "classroom") return run_classroom_cmd(flags, obs);
-  if (command == "twocell") return run_twocell_cmd(flags, obs);
-  if (command == "fig4") return run_fig4_cmd(flags, obs);
-  if (command == "maxmin") return run_maxmin_cmd(flags, obs);
-  if (command == "campus") return run_campus_cmd(flags, obs);
-  if (command == "campus-scale") return run_campus_scale_cmd(flags, obs);
-  if (command == "faults") return run_faults_cmd(flags, obs);
-  if (command == "serve") return run_serve_cmd(flags, obs);
-  if (command == "drive") return run_drive_cmd(flags, obs);
+  if (!name.empty()) std::cerr << "scenario_cli: unknown command '" << name << "'\n";
   usage();
   return 2;
 }

@@ -1,11 +1,10 @@
 // Bounded ring buffer with oldest-element eviction.
 //
-// The storage primitive under both the structured tracer (obs::Tracer) and
-// the CSV trace recorder (trace::TraceRecorder): a fixed-capacity window of
-// the most recent records plus a counter of everything that was evicted, so
-// long runs observe bounded memory while the exporter can still report how
-// much history was lost. Capacity 0 means "unbounded" (plain append), which
-// keeps the pre-observability TraceRecorder semantics available.
+// The storage primitive under the structured tracer (obs::Tracer): a
+// fixed-capacity window of the most recent records plus a counter of
+// everything that was evicted, so long runs observe bounded memory while the
+// exporter can still report how much history was lost. Capacity 0 means
+// "unbounded" (plain append), for a Tracer that must keep every record.
 #pragma once
 
 #include <cstddef>

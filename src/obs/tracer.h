@@ -15,8 +15,6 @@
 //    Perfetto — 1 simulated second renders as 1 trace second; the `track`
 //    field becomes the tid, so per-portable / per-link activity lands on
 //    separate timeline rows.
-// The CSV TraceRecorder (trace/trace.h) sits on the same ring buffer
-// primitive for its richer, string-carrying event log.
 #pragma once
 
 #include <cstdint>

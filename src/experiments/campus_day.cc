@@ -94,7 +94,7 @@ class CampusDay {
 
   /// Runs up to (not including) the first event at or after `at`, then
   /// snapshots everything a resume needs. The quiescence rule holds by
-  /// construction: every pending event is a tagged record in pending_.
+  /// construction: every pending event is a live record in pending_.
   sim::Checkpoint checkpoint(SimTime at) {
     if (config_.adapt.enabled) {
       // The packet pipeline schedules raw lambdas (source ticks, link
@@ -166,15 +166,18 @@ class CampusDay {
     kRefresh = 4,         // self-re-arming 30 s periodic
     kRoomSample = 5,      // self-re-arming 1 min periodic
   };
+  static constexpr std::uint8_t kLastEventKind = std::uint8_t(EventKind::kRoomSample);
 
+  /// A record's serial (global scheduling order, FIFO-tie preserving) is its
+  /// index in pending_; `live` until the event fires.
   struct PendingEvent {
-    std::uint64_t serial = 0;  // global scheduling order, FIFO-tie preserving
     SimTime at = SimTime::zero();
     EventKind kind = EventKind::kRefresh;
     PortableId portable = PortableId::invalid();
     CellId cell = CellId::invalid();
     qos::BitsPerSecond bandwidth = 0.0;
     bool attendee = false;
+    bool live = false;
   };
 
   void start() {
@@ -209,22 +212,21 @@ class CampusDay {
   }
 
   void schedule_event(PendingEvent e) {
-    e.serial = next_serial_++;
+    e.live = true;
     pending_.push_back(e);
-    arm(e);
+    arm(next_serial_++);
   }
 
-  void arm(const PendingEvent& e) {
-    simulator_.at(e.at, [this, serial = e.serial] { fire(serial); });
+  void arm(std::uint64_t serial) {
+    simulator_.at(pending_[serial].at, [this, serial] { fire(serial); });
   }
 
   void fire(std::uint64_t serial) {
-    const auto it =
-        std::find_if(pending_.begin(), pending_.end(),
-                     [serial](const PendingEvent& e) { return e.serial == serial; });
-    assert(it != pending_.end() && "fired event missing from pending list");
-    const PendingEvent e = *it;
-    pending_.erase(it);
+    PendingEvent& slot = pending_[serial];
+    assert(slot.live && "fired event is not pending");
+    slot.live = false;
+    // A copy: dispatch() schedules follow-ups, which may grow pending_.
+    const PendingEvent e = slot;
     dispatch(e);
   }
 
@@ -273,13 +275,11 @@ class CampusDay {
     e.map = &map_;
     e.directory = &directory_;
     e.profiles = &server_;
+    e.mobility = &manager_;
     e.demand = [this](PortableId p) {
       const qos::BitsPerSecond* b = demand_.find(p.value());
       return b == nullptr ? 0.0 : *b;
     };
-    e.classify = [this](PortableId p) { return manager_.classify(p); };
-    e.portables_in = [this](CellId c) { return manager_.portables_in(c); };
-    e.previous_cell = [this](PortableId p) { return manager_.portable(p).previous_cell; };
     return e;
   }
 
@@ -685,9 +685,12 @@ class CampusDay {
     policy_->save_state(w);
 
     w.u64(next_serial_);
-    w.u64(pending_.size());
-    for (const PendingEvent& e : pending_) {
-      w.u64(e.serial);
+    w.u64(std::uint64_t(std::count_if(pending_.begin(), pending_.end(),
+                                      [](const PendingEvent& e) { return e.live; })));
+    for (std::uint64_t serial = 0; serial < next_serial_; ++serial) {
+      const PendingEvent& e = pending_[serial];
+      if (!e.live) continue;
+      w.u64(serial);
       w.time(e.at);
       w.u8(std::uint8_t(e.kind));
       w.u32(e.portable.value());
@@ -733,21 +736,53 @@ class CampusDay {
     policy_->restore_state(r);
 
     next_serial_ = r.u64();
+    if (next_serial_ > kMaxSerials) {
+      throw sim::CheckpointError("campus: checkpoint schedules implausibly many events");
+    }
     // Re-arm in saved (= original scheduling) order: fresh queue sequence
     // numbers then rise in the same relative order as the originals, so
     // equal-timestamp ties keep breaking identically.
-    pending_.clear();
+    pending_.assign(std::size_t(next_serial_), PendingEvent{});
+    std::uint64_t min_serial = 0;  // saved serials strictly ascend
     for (std::uint64_t n = r.u64(); n-- > 0;) {
-      PendingEvent e;
-      e.serial = r.u64();
+      const std::uint64_t serial = r.u64();
+      if (serial >= next_serial_) {
+        throw sim::CheckpointError("campus: pending event serial beyond next_serial");
+      }
+      if (serial < min_serial) {
+        throw sim::CheckpointError("campus: pending event serials not strictly ascending");
+      }
+      min_serial = serial + 1;
+      PendingEvent& e = pending_[serial];
+      e.live = true;
       e.at = r.time();
-      e.kind = EventKind(r.u8());
+      const std::uint8_t kind = r.u8();
+      if (kind > kLastEventKind) {
+        throw sim::CheckpointError("campus: unknown pending event kind");
+      }
+      e.kind = EventKind(kind);
       e.portable = PortableId{r.u32()};
       e.cell = CellId{r.u32()};
       e.bandwidth = r.f64();
       e.attendee = r.boolean();
-      pending_.push_back(e);
-      arm(e);
+      check_ids(e);
+      arm(serial);
+    }
+  }
+
+  /// A restored record may name only the ids its kind uses, each in range;
+  /// every other id field must hold the invalid sentinel save_harness wrote.
+  void check_ids(const PendingEvent& e) const {
+    const bool uses_portable =
+        e.kind != EventKind::kRefresh && e.kind != EventKind::kRoomSample;
+    const bool uses_cell = e.kind == EventKind::kHandoff;
+    const bool portable_ok = uses_portable
+                                 ? e.portable.value() < manager_.portable_count()
+                                 : e.portable == PortableId::invalid();
+    const bool cell_ok = uses_cell ? e.cell.value() < map_.size()
+                                   : e.cell == CellId::invalid();
+    if (!portable_ok || !cell_ok) {
+      throw sim::CheckpointError("campus: pending event names an unknown portable or cell");
     }
   }
 
@@ -770,8 +805,12 @@ class CampusDay {
   std::unique_ptr<AdaptRuntime> adapt_;  // null unless config_.adapt.enabled
   CampusDayResult result_;
   SimTime horizon_;
-  std::vector<PendingEvent> pending_;  // scheduling (= serial) order
-  std::uint64_t next_serial_ = 0;
+  // Every event ever scheduled, indexed by serial: fire() is O(1), and a
+  // checkpoint lists the live ones in serial order.
+  std::vector<PendingEvent> pending_;
+  std::uint64_t next_serial_ = 0;  // == pending_.size()
+  /// Restore refuses a larger table: a day schedules a few thousand events.
+  static constexpr std::uint64_t kMaxSerials = std::uint64_t(1) << 24;
 };
 
 }  // namespace

@@ -155,12 +155,11 @@ struct Pass {
     env.map = map;
     env.directory = &directory;
     env.profiles = server;
+    env.mobility = manager.get();
     env.demand = [this](PortableId p) {
       const auto it = demand.find(p);
       return it == demand.end() ? 0.0 : it->second;
     };
-    env.classify = [this](PortableId p) { return manager->classify(p); };
-    env.portables_in = [this](CellId c) { return manager->portables_in(c); };
 
     switch (config->policy) {
       case PolicyKind::kNone:

@@ -21,23 +21,15 @@ void MobilityManager::index_insert(PortableId id, CellId cell) {
   if (cell.value() >= residents_by_cell_.size()) {
     residents_by_cell_.resize(cell.value() + 1);
   }
-  if (id.value() >= position_in_cell_.size()) {
-    position_in_cell_.resize(id.value() + 1, 0);
-  }
   auto& bucket = residents_by_cell_[cell.value()];
-  position_in_cell_[id.value()] = std::uint32_t(bucket.size());
-  bucket.push_back(id);
+  bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), id), id);
 }
 
 void MobilityManager::index_remove(PortableId id, CellId cell) {
   auto& bucket = residents_by_cell_[cell.value()];
-  const std::uint32_t pos = position_in_cell_[id.value()];
-  assert(pos < bucket.size() && bucket[pos] == id);
-  if (pos + 1 != bucket.size()) {
-    bucket[pos] = bucket.back();
-    position_in_cell_[bucket[pos].value()] = pos;
-  }
-  bucket.pop_back();
+  const auto it = std::lower_bound(bucket.begin(), bucket.end(), id);
+  assert(it != bucket.end() && *it == id);
+  bucket.erase(it);
 }
 
 PortableId MobilityManager::add_portable(CellId start) {
@@ -105,7 +97,6 @@ void MobilityManager::restore_state(sim::CheckpointReader& r) {
   portables_.clear();
   portables_.resize(std::size_t(r.u64()));
   residents_by_cell_.clear();
-  position_in_cell_.clear();
   for (Portable& p : portables_) {
     p.id = PortableId{r.u32()};
     p.current_cell = CellId{r.u32()};
@@ -118,15 +109,8 @@ void MobilityManager::restore_state(sim::CheckpointReader& r) {
   }
 }
 
-std::vector<PortableId> MobilityManager::portables_in(CellId cell) const {
-  std::vector<PortableId> out = residents(cell);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::size_t MobilityManager::memory_bytes() const {
   std::size_t total = portables_.capacity() * sizeof(Portable) +
-                      position_in_cell_.capacity() * sizeof(std::uint32_t) +
                       residents_by_cell_.capacity() * sizeof(std::vector<PortableId>);
   for (const auto& bucket : residents_by_cell_) {
     total += bucket.capacity() * sizeof(PortableId);

@@ -57,24 +57,20 @@ class MobilityManager {
   }
   [[nodiscard]] const StaticMobileClassifier& classifier() const { return classifier_; }
 
-  /// Portables currently in `cell`, ascending id. O(k log k) in the cell's
-  /// population — NOT O(total portables); the manager maintains a per-cell
-  /// resident index updated in O(1) per move.
-  [[nodiscard]] std::vector<PortableId> portables_in(CellId cell) const;
-
-  /// Number of portables currently in `cell` (O(1)).
-  [[nodiscard]] std::size_t resident_count(CellId cell) const {
-    const std::size_t i = cell.value();
-    return i < residents_by_cell_.size() ? residents_by_cell_[i].size() : 0;
-  }
-
-  /// Unordered view of the portables currently in `cell` (O(1), no copy).
-  /// Order is arbitrary and changes across moves; callers that need
-  /// determinism use portables_in.
-  [[nodiscard]] const std::vector<PortableId>& residents(CellId cell) const {
+  /// Portables currently in `cell`, ascending id. O(1), no copy: the
+  /// manager keeps each cell's resident bucket sorted. The reference stays
+  /// valid, and its contents unchanged, until the next add_portable, move
+  /// or restore_state that touches `cell`; do not move portables while
+  /// iterating it.
+  [[nodiscard]] const std::vector<PortableId>& portables_in(CellId cell) const {
     static const std::vector<PortableId> kEmpty;
     const std::size_t i = cell.value();
     return i < residents_by_cell_.size() ? residents_by_cell_[i] : kEmpty;
+  }
+
+  /// Number of portables currently in `cell` (O(1)).
+  [[nodiscard]] std::size_t resident_count(CellId cell) const {
+    return portables_in(cell).size();
   }
 
   /// Estimated heap footprint of the roster and resident index in bytes.
@@ -113,10 +109,10 @@ class MobilityManager {
   sim::Simulator* simulator_;
   StaticMobileClassifier classifier_;
   std::vector<Portable> portables_;
-  // Resident index: which portables sit in each cell (unsorted; swap-remove)
-  // and where each portable sits in its cell's bucket.
+  // Resident index: the portables in each cell, ascending id. Buckets hold
+  // a few dozen ids, so a binary-searched insert/erase beats keeping
+  // positions and sorting on every read.
   std::vector<std::vector<PortableId>> residents_by_cell_;
-  std::vector<std::uint32_t> position_in_cell_;
   std::vector<HandoffListener> listeners_;
   obs::Counter* handoff_counter_ = nullptr;
   obs::Histogram* handoff_wall_us_ = nullptr;

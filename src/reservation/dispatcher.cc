@@ -9,6 +9,7 @@ PolicyDispatcher::PolicyDispatcher(PolicyEnv env,
                                    const prediction::ThreeLevelPredictor& predictor,
                                    const profiles::ProfileServer& server, Params params)
     : AdvanceReservationPolicy(std::move(env)), predictor_(&predictor), params_(params) {
+  env_.require_workload(name());
   // Instantiate the collective lounge policies from the cell classes; they
   // contribute into the shared directory (non-standalone).
   for (const mobility::Cell& cell : env_.map->cells()) {
@@ -58,8 +59,7 @@ std::optional<CellId> PolicyDispatcher::decide(PortableId portable, CellId curre
   // Step 1 + level-2a/2b: delegate to the three-level predictor, which
   // implements exactly the portable-profile -> office-occupancy -> cell
   // aggregate ladder.
-  const CellId previous =
-      env_.previous_cell ? env_.previous_cell(portable) : CellId::invalid();
+  const CellId previous = env_.mobility->portable(portable).previous_cell;
   const prediction::Prediction p = predictor_->predict(portable, previous, current);
   return p.next_cell;
 }
@@ -72,8 +72,8 @@ void PolicyDispatcher::refresh(sim::SimTime now) {
   // portable with a usable prediction).
   for (const mobility::Cell& cell : env_.map->cells()) {
     if (mobility::is_lounge(cell.cell_class)) continue;  // collective below
-    for (PortableId portable : env_.portables_in(cell.id)) {
-      if (env_.classify(portable) != qos::MobilityClass::kMobile) continue;
+    for (PortableId portable : env_.mobility->portables_in(cell.id)) {
+      if (env_.mobility->classify(portable) != qos::MobilityClass::kMobile) continue;
       const qos::BitsPerSecond b = env_.demand(portable);
       if (b <= 0.0) continue;
       const auto target = decide(portable, cell.id);

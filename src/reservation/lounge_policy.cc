@@ -113,7 +113,10 @@ DefaultLoungePolicy::DefaultLoungePolicy(PolicyEnv env, CellId cell, sim::Durati
                                          qos::BitsPerSecond per_user_bandwidth,
                                          std::optional<ProbabilisticReservation> probabilistic)
     : LoungePolicyBase(std::move(env), cell, slot, per_user_bandwidth),
-      probabilistic_(std::move(probabilistic)) {}
+      probabilistic_(std::move(probabilistic)) {
+  // Only the probabilistic bound reads the roster.
+  if (probabilistic_.has_value()) env_.require_workload(name());
+}
 
 qos::BitsPerSecond DefaultLoungePolicy::self_reservation() const {
   if (!probabilistic_.has_value()) return LoungePolicyBase::self_reservation();
@@ -122,9 +125,9 @@ qos::BitsPerSecond DefaultLoungePolicy::self_reservation() const {
   // portables currently holding connections here and in the neighbors.
   std::vector<int> here(probabilistic_->type_count(), 0);
   std::vector<int> neighbor(probabilistic_->type_count(), 0);
-  here[0] = int(env_.portables_in(cell_).size());
+  here[0] = int(env_.mobility->resident_count(cell_));
   for (CellId n : env_.map->cell(cell_).neighbors) {
-    neighbor[0] += int(env_.portables_in(n).size());
+    neighbor[0] += int(env_.mobility->resident_count(n));
   }
   const int units = probabilistic_->reserved_units(here, neighbor);
   return double(units) * per_user_bandwidth_;

@@ -1,16 +1,33 @@
 #include "reservation/policy.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace imrm::reservation {
+
+void PolicyEnv::require_workload(const std::string& policy) const {
+  if (map == nullptr || directory == nullptr || mobility == nullptr) {
+    throw std::invalid_argument(policy +
+                                ": PolicyEnv needs map, directory and mobility set");
+  }
+}
+
+BruteForcePolicy::BruteForcePolicy(PolicyEnv env)
+    : AdvanceReservationPolicy(std::move(env)) {
+  env_.require_workload(name());
+}
+
+AggregatePolicy::AggregatePolicy(PolicyEnv env) : AdvanceReservationPolicy(std::move(env)) {
+  env_.require_workload(name());
+}
 
 void BruteForcePolicy::refresh(sim::SimTime now) {
   env_.directory->clear_reservations();
   // Every mobile portable with an active connection claims its bandwidth in
   // every neighbor of its current cell.
   for (const mobility::Cell& cell : env_.map->cells()) {
-    for (PortableId p : env_.portables_in(cell.id)) {
-      if (env_.classify(p) != qos::MobilityClass::kMobile) continue;
+    for (PortableId p : env_.mobility->portables_in(cell.id)) {
+      if (env_.mobility->classify(p) != qos::MobilityClass::kMobile) continue;
       const qos::BitsPerSecond b = env_.demand(p);
       if (b <= 0.0) continue;
       for (CellId neighbor : cell.neighbors) {
@@ -34,8 +51,8 @@ void AggregatePolicy::refresh(sim::SimTime now) {
     if (profile == nullptr) continue;
     const auto dist = profile->aggregate_distribution();
     if (dist.empty()) continue;
-    for (PortableId p : env_.portables_in(cell.id)) {
-      if (env_.classify(p) != qos::MobilityClass::kMobile) continue;
+    for (PortableId p : env_.mobility->portables_in(cell.id)) {
+      if (env_.mobility->classify(p) != qos::MobilityClass::kMobile) continue;
       const qos::BitsPerSecond b = env_.demand(p);
       if (b <= 0.0) continue;
       for (const auto& share : dist) {

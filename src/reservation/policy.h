@@ -32,20 +32,23 @@
 namespace imrm::reservation {
 
 /// Environment a policy reads: the cell map, the accounts it manipulates,
-/// profiles for aggregate statistics, and accessors into the live workload.
+/// profiles for aggregate statistics, the live mobility roster and the
+/// workload's demand table.
 struct PolicyEnv {
   const mobility::CellMap* map = nullptr;
   ReservationDirectory* directory = nullptr;
   const profiles::ProfileServer* profiles = nullptr;
+  /// Residents per cell (ascending id), static/mobile class and previous
+  /// cell of every portable. Policies read it during refresh() and never
+  /// move portables, so its by-reference portables_in stays valid.
+  const mobility::MobilityManager* mobility = nullptr;
   /// b_min of the portable's connection (0 when it has none).
   std::function<qos::BitsPerSecond(PortableId)> demand;
-  /// Current static/mobile classification of the portable.
-  std::function<qos::MobilityClass(PortableId)> classify;
-  /// Portables currently in a cell.
-  std::function<std::vector<PortableId>(CellId)> portables_in;
-  /// The portable's previous cell (for profile-keyed prediction); may be
-  /// left unset by harnesses that do not track it.
-  std::function<CellId(PortableId)> previous_cell;
+
+  /// Throws std::invalid_argument naming `policy` unless map, directory
+  /// and mobility are all set; policies that walk the roster call it at
+  /// construction instead of crashing at their first refresh().
+  void require_workload(const std::string& policy) const;
 };
 
 class AdvanceReservationPolicy {
@@ -92,14 +95,14 @@ class NoReservationPolicy final : public AdvanceReservationPolicy {
 
 class BruteForcePolicy final : public AdvanceReservationPolicy {
  public:
-  using AdvanceReservationPolicy::AdvanceReservationPolicy;
+  explicit BruteForcePolicy(PolicyEnv env);
   [[nodiscard]] std::string name() const override { return "brute-force"; }
   void refresh(sim::SimTime now) override;
 };
 
 class AggregatePolicy final : public AdvanceReservationPolicy {
  public:
-  using AdvanceReservationPolicy::AdvanceReservationPolicy;
+  explicit AggregatePolicy(PolicyEnv env);
   [[nodiscard]] std::string name() const override { return "aggregate"; }
   void refresh(sim::SimTime now) override;
 };

@@ -2,8 +2,10 @@
 // barrier and resuming must be indistinguishable from never having stopped —
 // identical CampusDayResult and byte-identical metrics JSON, through every
 // policy, with and without signaling faults, at any barrier time.
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +120,150 @@ TEST(CampusCheckpoint, ConfigFingerprintMismatchThrows) {
 TEST(CampusCheckpoint, ResumeFromForeignCheckpointThrows) {
   const CampusDayConfig config = small_config(CampusPolicy::kDispatcher);
   EXPECT_THROW((void)resume_campus_day(config, sim::Checkpoint{}), sim::CheckpointError);
+}
+
+// ---- strict restore of the pending-event table --------------------------
+//
+// The table closes the experiment.campus section: next_serial (u64), the
+// live count (u64), then one record per live event: serial u64, at f64,
+// kind u8, portable u32, cell u32, bandwidth f64, attendee u8. Each test
+// below flips one byte of a real serialized checkpoint and expects resume
+// to refuse it with a CheckpointError naming the defect.
+
+constexpr std::size_t kRecordBytes = 34;
+constexpr std::size_t kKindAt = 16, kPortableAt = 17, kCellAt = 21;
+
+std::uint64_t read_le(const std::vector<std::uint8_t>& b, std::size_t at, int n) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i) v |= std::uint64_t(b[at + std::size_t(i)]) << (8 * i);
+  return v;
+}
+
+/// A serialized checkpoint and where its pending-event records sit.
+struct PendingTable {
+  std::vector<std::uint8_t> image;
+  std::size_t first = 0;  // offset of record 0 in image
+  std::size_t count = 0;
+
+  [[nodiscard]] std::size_t record(std::size_t i) const { return first + i * kRecordBytes; }
+  [[nodiscard]] std::uint64_t serial(std::size_t i) const {
+    return read_le(image, record(i), 8);
+  }
+  [[nodiscard]] std::uint8_t kind(std::size_t i) const { return image[record(i) + kKindAt]; }
+};
+
+PendingTable pending_table(const sim::Checkpoint& ckpt) {
+  PendingTable t;
+  t.image = ckpt.serialize();
+  // Container: magic (8), version (4), section count (4), then per section
+  // a length-prefixed name and a length-prefixed payload.
+  std::size_t pos = 16, end = 0;
+  for (std::uint64_t s = read_le(t.image, 12, 4); s-- > 0 && end == 0;) {
+    const std::size_t name_len = std::size_t(read_le(t.image, pos, 8));
+    const std::string name(t.image.begin() + std::ptrdiff_t(pos + 8),
+                           t.image.begin() + std::ptrdiff_t(pos + 8 + name_len));
+    pos += 8 + name_len;
+    const std::size_t len = std::size_t(read_le(t.image, pos, 8));
+    pos += 8;
+    if (name == "experiment.campus") end = pos + len;
+    pos += len;
+  }
+  // Walk back from the section end to the live count that describes exactly
+  // the records after it: ascending serials below next_serial, known kinds.
+  for (std::size_t n = 1; end >= 16 + n * kRecordBytes; ++n) {
+    t.first = end - n * kRecordBytes;
+    t.count = n;
+    const std::uint64_t next_serial = read_le(t.image, t.first - 16, 8);
+    bool fits = read_le(t.image, t.first - 8, 8) == n;
+    for (std::size_t i = 0; fits && i < n; ++i) {
+      fits = t.serial(i) < next_serial && (i == 0 || t.serial(i - 1) < t.serial(i)) &&
+             t.kind(i) <= 5;
+    }
+    if (fits) return t;
+  }
+  ADD_FAILURE() << "no pending-event table found in the checkpoint";
+  t.count = 0;
+  return t;
+}
+
+/// Index of the first pending record of `kind`.
+std::size_t first_of_kind(const PendingTable& t, std::uint8_t kind) {
+  for (std::size_t i = 0; i < t.count; ++i) {
+    if (t.kind(i) == kind) return i;
+  }
+  ADD_FAILURE() << "checkpoint has no pending event of kind " << int(kind);
+  return 0;
+}
+
+class CampusCorruptCheckpoint : public ::testing::Test {
+ protected:
+  static constexpr std::uint8_t kHandoff = 1, kRefresh = 4;
+
+  CampusCorruptCheckpoint()
+      : config_(small_config(CampusPolicy::kDispatcher)),
+        table_(pending_table(checkpoint_campus_day(config_, sim::SimTime::minutes(95)))) {}
+
+  /// Resumes from a copy of the image with byte `at` set to `value`; the
+  /// restore must throw a CheckpointError whose message contains `why`.
+  void expect_rejected(std::size_t at, std::uint8_t value, const std::string& why) const {
+    std::vector<std::uint8_t> image = table_.image;
+    image[at] = value;
+    try {
+      (void)resume_campus_day(config_, sim::Checkpoint::deserialize(image));
+      ADD_FAILURE() << "resume accepted a checkpoint with " << why;
+    } catch (const sim::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+    }
+  }
+
+  /// A record whose serial shares all but its low byte with its
+  /// predecessor's, so one byte can make the pair collide or descend.
+  [[nodiscard]] std::size_t low_byte_neighbor() const {
+    for (std::size_t i = 1; i < table_.count; ++i) {
+      if ((table_.serial(i - 1) >> 8) == (table_.serial(i) >> 8) &&
+          (table_.serial(i - 1) & 0xff) > 0) {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "no neighboring serials share their upper bytes";
+    return 1;
+  }
+
+  CampusDayConfig config_;
+  PendingTable table_;
+};
+
+TEST_F(CampusCorruptCheckpoint, UntouchedImageResumes) {
+  ASSERT_GE(table_.count, 2u);
+  const CampusDayResult resumed =
+      resume_campus_day(config_, sim::Checkpoint::deserialize(table_.image));
+  expect_same_result(resumed, run_campus_day(config_));
+}
+
+TEST_F(CampusCorruptCheckpoint, UnknownEventKindThrows) {
+  expect_rejected(table_.record(table_.count - 1) + kKindAt, 6, "unknown pending event kind");
+}
+
+TEST_F(CampusCorruptCheckpoint, SerialBeyondNextSerialThrows) {
+  // The serial's top byte: the record now claims a serial past the table.
+  expect_rejected(table_.record(table_.count - 1) + 7, 0x01, "serial beyond next_serial");
+}
+
+TEST_F(CampusCorruptCheckpoint, DuplicateOrDescendingSerialThrows) {
+  const std::size_t i = low_byte_neighbor();
+  const auto previous_low = std::uint8_t(table_.serial(i - 1) & 0xff);
+  expect_rejected(table_.record(i), previous_low, "serials not strictly ascending");
+  expect_rejected(table_.record(i), std::uint8_t(previous_low - 1),
+                  "serials not strictly ascending");
+}
+
+TEST_F(CampusCorruptCheckpoint, UnknownPortableOrCellThrows) {
+  const std::size_t handoff = table_.record(first_of_kind(table_, kHandoff));
+  expect_rejected(handoff + kPortableAt + 3, 0x40, "unknown portable or cell");
+  expect_rejected(handoff + kCellAt + 3, 0x40, "unknown portable or cell");
+  // A periodic tick names no portable; a stray id there is corruption too.
+  const std::size_t refresh = table_.record(first_of_kind(table_, kRefresh));
+  expect_rejected(refresh + kPortableAt + 3, 0x00, "unknown portable or cell");
 }
 
 }  // namespace

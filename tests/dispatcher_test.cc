@@ -2,7 +2,9 @@
 // dispatch with hosted collective lounge policies.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "mobility/floorplan.h"
 #include "mobility/manager.h"
@@ -40,14 +42,10 @@ class DispatcherFixture : public ::testing::Test {
     e.map = &map_;
     e.directory = &directory_;
     e.profiles = &server_;
+    e.mobility = &manager_;
     e.demand = [this](net::PortableId p) {
       const auto it = demand_.find(p);
       return it == demand_.end() ? 0.0 : it->second;
-    };
-    e.classify = [this](net::PortableId p) { return manager_.classify(p); };
-    e.portables_in = [this](CellId c) { return manager_.portables_in(c); };
-    e.previous_cell = [this](net::PortableId p) {
-      return manager_.portable(p).previous_cell;
     };
     return e;
   }
@@ -155,6 +153,18 @@ TEST_F(DispatcherFixture, CafeteriaPredictionsFlowThroughDispatcher) {
     reserved += directory_.at(n).anonymous_reservation();
   }
   EXPECT_GT(reserved, 0.0);
+}
+
+TEST_F(DispatcherFixture, RefusesIncompleteEnv) {
+  const PolicyEnv full = env();
+  for (int missing = 0; missing < 3; ++missing) {
+    PolicyEnv e = full;
+    if (missing == 0) e.map = nullptr;
+    if (missing == 1) e.directory = nullptr;
+    if (missing == 2) e.mobility = nullptr;
+    EXPECT_THROW(PolicyDispatcher(e, predictor_, server_, PolicyDispatcher::Params{}),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 // Figure 4 movement model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mobility/cell.h"
 #include "mobility/floorplan.h"
 #include "mobility/manager.h"
 #include "mobility/movement.h"
 #include "mobility/portable.h"
+#include "sim/checkpoint.h"
+#include "sim/random.h"
 
 namespace imrm::mobility {
 namespace {
@@ -193,6 +197,57 @@ TEST(Manager, PortablesInCell) {
   EXPECT_EQ(in_c.size(), 2u);
   EXPECT_NE(std::find(in_c.begin(), in_c.end(), p1), in_c.end());
   EXPECT_NE(std::find(in_c.begin(), in_c.end(), p2), in_c.end());
+}
+
+/// The resident index against a brute-force scan of the roster: every
+/// cell's portables_in must list exactly the portables whose current_cell
+/// is that cell, ascending, and resident_count must be its size.
+void expect_index_matches_roster(const MobilityManager& manager, const CellMap& map) {
+  std::vector<std::vector<PortableId>> expected(map.size());
+  for (std::size_t i = 0; i < manager.portable_count(); ++i) {
+    const PortableId id{PortableId::underlying(i)};
+    expected[manager.portable(id).current_cell.value()].push_back(id);
+  }
+  for (const Cell& cell : map.cells()) {
+    ASSERT_EQ(manager.portables_in(cell.id), expected[cell.id.value()]) << cell.name;
+    ASSERT_EQ(manager.resident_count(cell.id), expected[cell.id.value()].size());
+  }
+}
+
+TEST(Manager, ResidentIndexMatchesRosterUnderRandomMoves) {
+  const CellMap map = campus_environment();
+  sim::Simulator simulator;
+  sim::Rng rng(17);
+  const auto random_cell = [&] {
+    return CellId{CellId::underlying(rng.uniform_int(0, int(map.size()) - 1))};
+  };
+  MobilityManager manager(map, simulator, Duration::minutes(3));
+  for (int step = 0; step < 10000; ++step) {
+    if (manager.portable_count() == 0 || rng.bernoulli(0.05)) {
+      manager.add_portable(random_cell());
+    } else {
+      const PortableId p{PortableId::underlying(
+          rng.uniform_int(0, int(manager.portable_count()) - 1))};
+      const auto& neighbors = map.cell(manager.portable(p).current_cell).neighbors;
+      manager.move(p, neighbors[std::size_t(
+                          rng.uniform_int(0, int(neighbors.size()) - 1))]);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_index_matches_roster(manager, map)) << "step " << step;
+  }
+
+  // The round trip rebuilds the index from the roster alone.
+  sim::CheckpointWriter w;
+  manager.save_state(w);
+  const std::vector<std::uint8_t> bytes = w.take();
+  sim::CheckpointReader r(bytes);
+  MobilityManager restored(map, simulator, Duration::minutes(3));
+  restored.restore_state(r);
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(restored.portable_count(), manager.portable_count());
+  expect_index_matches_roster(restored, map);
+  for (const Cell& cell : map.cells()) {
+    EXPECT_EQ(restored.portables_in(cell.id), manager.portables_in(cell.id));
+  }
 }
 
 TEST(TransitionTable, SecondOrderBeatsDefault) {

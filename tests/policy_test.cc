@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "mobility/floorplan.h"
 #include "mobility/manager.h"
@@ -20,6 +22,15 @@ using qos::kbps;
 using sim::Duration;
 using sim::SimTime;
 
+/// `full` with one of the fields a roster-walking policy needs left null.
+std::vector<PolicyEnv> incomplete_envs(const PolicyEnv& full) {
+  std::vector<PolicyEnv> out(3, full);
+  out[0].map = nullptr;
+  out[1].directory = nullptr;
+  out[2].mobility = nullptr;
+  return out;
+}
+
 /// Harness wiring a policy environment over the Figure 4 map.
 class PolicyFixture : public ::testing::Test {
  protected:
@@ -34,12 +45,11 @@ class PolicyFixture : public ::testing::Test {
     e.map = &map_;
     e.directory = &directory_;
     e.profiles = &server_;
+    e.mobility = &manager_;
     e.demand = [this](PortableId p) {
       const auto it = demand_.find(p);
       return it == demand_.end() ? 0.0 : it->second;
     };
-    e.classify = [this](PortableId p) { return manager_.classify(p); };
-    e.portables_in = [this](CellId c) { return manager_.portables_in(c); };
     return e;
   }
 
@@ -129,6 +139,13 @@ TEST_F(PolicyFixture, NoReservationPolicyClearsEverything) {
   NoReservationPolicy policy(env());
   policy.refresh(simulator_.now());
   EXPECT_DOUBLE_EQ(directory_.at(cells_.a).reserved_total(), 0.0);
+}
+
+TEST_F(PolicyFixture, BruteForceAndAggregateRefuseIncompleteEnv) {
+  for (const PolicyEnv& e : incomplete_envs(env())) {
+    EXPECT_THROW(BruteForcePolicy{e}, std::invalid_argument);
+    EXPECT_THROW(AggregatePolicy{e}, std::invalid_argument);
+  }
 }
 
 class MeetingRoomFixture : public PolicyFixture {
@@ -244,9 +261,8 @@ class LoungeFixture : public ::testing::Test {
     e.map = &map_;
     e.directory = &directory_;
     e.profiles = &server_;
+    e.mobility = &manager_;
     e.demand = [](PortableId) { return kbps(28); };
-    e.classify = [this](PortableId p) { return manager_.classify(p); };
-    e.portables_in = [this](CellId c) { return manager_.portables_in(c); };
     return e;
   }
 
@@ -355,9 +371,8 @@ TEST_F(LoungeFixture, DefaultLoungeAppliesProbabilisticBound) {
   e.map = &map;
   e.directory = &directory;
   e.profiles = &server_;
+  e.mobility = &manager;
   e.demand = [](PortableId) { return kbps(28); };
-  e.classify = [&manager](PortableId p) { return manager.classify(p); };
-  e.portables_in = [&manager](CellId c) { return manager.portables_in(c); };
 
   DefaultLoungePolicy policy(std::move(e), l1, Duration::minutes(1), kbps(28),
                              std::move(prob));
@@ -365,6 +380,20 @@ TEST_F(LoungeFixture, DefaultLoungeAppliesProbabilisticBound) {
   // The probabilistic bound reserves for potential arrivals from the loaded
   // default neighbor.
   EXPECT_GT(directory.at(l1).anonymous_reservation(), 0.0);
+}
+
+TEST_F(LoungeFixture, DefaultLoungeBoundRefusesIncompleteEnv) {
+  ProbabilisticReservation::Config config;
+  config.capacity_units = 40;
+  const ProbabilisticReservation prob(config, {{1, 0.2}});
+  for (const PolicyEnv& e : incomplete_envs(env())) {
+    EXPECT_THROW(DefaultLoungePolicy(e, lounge_, Duration::minutes(1), kbps(28), prob),
+                 std::invalid_argument);
+  }
+  // Without the probabilistic bound the lounge never reads the roster.
+  PolicyEnv no_roster = env();
+  no_roster.mobility = nullptr;
+  EXPECT_NO_THROW(DefaultLoungePolicy(no_roster, lounge_, Duration::minutes(1), kbps(28)));
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 # already exposes. Each sanitizer gets its own build tree so the
 # instrumented objects never mix with the regular build (or each other).
 #
-# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|all]
+# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|campus|all]
 #        (default: all)
 #        checkpoint = asan+ubsan over the `checkpoint`-labelled tests only —
 #        the serialization/restore code paths (fast: one instrumented tree,
@@ -32,6 +32,11 @@
 #        top of it. Router hands out references into a memo that is reset
 #        when the topology grows; a dangling one would corrupt routes
 #        silently, which is what asan catches.
+#        campus = asan+ubsan over the `campus` label — the campus-day path:
+#        the mobility manager's sorted resident index (portables_in hands
+#        out a reference into a bucket that the next move edits), the
+#        policies and dispatcher that walk it, the serial-indexed pending
+#        event table, its strict checkpoint restore and the campus golden.
 # Env:   CMAKE_ARGS  extra configure flags (e.g. -DCMAKE_CXX_COMPILER=clang++)
 #        CTEST_ARGS  extra ctest flags (e.g. -R fault)
 #
@@ -70,12 +75,13 @@ case "$which" in
   scale) run_one asan-scale "address;undefined" "-L scale" ;;
   adapt) run_one asan-adapt "address;undefined" "-L adapt" ;;
   netpath) run_one asan-netpath "address;undefined" "-L netpath|serve" ;;
+  campus) run_one asan-campus "address;undefined" "-L campus" ;;
   all)
     run_one asan "address;undefined"
     run_one tsan "thread"
     ;;
   *)
-    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|all]" >&2
+    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|campus|all]" >&2
     exit 2
     ;;
 esac

@@ -20,7 +20,6 @@
 #include "prediction/predictor.h"
 #include "profiles/profile_server.h"
 #include "reservation/dispatcher.h"
-#include "sim/flat_map.h"
 #include "sim/random.h"
 #include "sim/replication.h"
 #include "sim/simulator.h"
@@ -184,6 +183,7 @@ class CampusDay {
     schedule_attendees();
     schedule_squatters();
     schedule_roamers();
+    demand_.assign(manager_.portable_count(), 0.0);
     if (adapt_) start_adapt_loop();
     PendingEvent refresh_tick;
     refresh_tick.at = simulator_.now() + Duration::seconds(30);
@@ -276,10 +276,7 @@ class CampusDay {
     e.directory = &directory_;
     e.profiles = &server_;
     e.mobility = &manager_;
-    e.demand = [this](PortableId p) {
-      const qos::BitsPerSecond* b = demand_.find(p.value());
-      return b == nullptr ? 0.0 : *b;
-    };
+    e.demand = &demand_;
     return e;
   }
 
@@ -523,9 +520,8 @@ class CampusDay {
   void do_handoff(PortableId p, CellId to, bool is_attendee) {
     const CellId from = manager_.portable(p).current_cell;
     if (from == to || !map_.cell(from).is_neighbor(to)) return;
-    const qos::BitsPerSecond* d = demand_.find(p.value());
-    const bool connected = d != nullptr;
-    const qos::BitsPerSecond bandwidth = connected ? *d : 0.0;
+    const qos::BitsPerSecond bandwidth = demand_[p.value()];
+    const bool connected = bandwidth > 0.0;
     if (connected) directory_.at(from).release(p);
     manager_.move(p, to);
     ++result_.handoffs;
@@ -536,7 +532,7 @@ class CampusDay {
       } else {
         ++result_.other_drops;
       }
-      demand_.erase(p.value());
+      demand_[p.value()] = 0.0;
     }
     refresh();
   }
@@ -602,7 +598,7 @@ class CampusDay {
   /// A squatter repeatedly tries to open a bulk connection; once admitted it
   /// holds it for the rest of the day (the adversarial case for the meeting).
   void squat(PortableId p) {
-    if (demand_.contains(p.value())) return;
+    if (demand_[p.value()] > 0.0) return;
     if (probe_signaling() &&
         directory_.at(room_).admit_new(p, config_.squatter_bandwidth)) {
       demand_[p.value()] = config_.squatter_bandwidth;
@@ -660,16 +656,13 @@ class CampusDay {
     w.boolean(probe_.has_value());
     if (probe_) probe_->save_state(w);
 
-    std::vector<std::pair<std::uint32_t, qos::BitsPerSecond>> demand_entries;
-    demand_entries.reserve(demand_.size());
-    demand_.for_each([&demand_entries](std::uint32_t p, qos::BitsPerSecond b) {
-      demand_entries.emplace_back(p, b);
-    });
-    std::sort(demand_entries.begin(), demand_entries.end());
-    w.u64(demand_entries.size());
-    for (const auto& [p, b] : demand_entries) {
-      w.u32(p);
-      w.f64(b);
+    // The connected portables, ascending id: (u32 portable, f64 b_min).
+    w.u64(std::uint64_t(
+        std::count_if(demand_.begin(), demand_.end(), [](double b) { return b > 0.0; })));
+    for (std::size_t p = 0; p < demand_.size(); ++p) {
+      if (demand_[p] <= 0.0) continue;
+      w.u32(std::uint32_t(p));
+      w.f64(demand_[p]);
     }
 
     w.u64(result_.attendee_drops);
@@ -717,10 +710,18 @@ class CampusDay {
     }
     if (probe_) probe_->restore_state(r);
 
-    demand_.clear();
+    // Validated against the roster once it is restored below.
+    std::vector<std::pair<std::uint32_t, qos::BitsPerSecond>> demand_entries;
     for (std::uint64_t n = r.u64(); n-- > 0;) {
       const std::uint32_t p = r.u32();
-      demand_[p] = r.f64();
+      const qos::BitsPerSecond b = r.f64();
+      if (!demand_entries.empty() && p <= demand_entries.back().first) {
+        throw sim::CheckpointError("campus: demand entries not strictly ascending");
+      }
+      if (!(b > 0.0)) {
+        throw sim::CheckpointError("campus: demand entry is not a positive bandwidth");
+      }
+      demand_entries.emplace_back(p, b);
     }
 
     result_.attendee_drops = std::size_t(r.u64());
@@ -731,6 +732,13 @@ class CampusDay {
     result_.room_peak_allocated = r.f64();
 
     manager_.restore_state(r);
+    demand_.assign(manager_.portable_count(), 0.0);
+    for (const auto& [p, b] : demand_entries) {
+      if (p >= demand_.size()) {
+        throw sim::CheckpointError("campus: demand entry names an unknown portable");
+      }
+      demand_[p] = b;
+    }
     server_.restore_state(r);
     directory_.restore_state(r);
     policy_->restore_state(r);
@@ -798,7 +806,7 @@ class CampusDay {
   profiles::ProfileServer server_;
   prediction::ThreeLevelPredictor predictor_;
   reservation::ReservationDirectory directory_;
-  sim::FlatMap<std::uint32_t, qos::BitsPerSecond> demand_;
+  std::vector<qos::BitsPerSecond> demand_;  // by PortableId::value(); 0 = no connection
   std::unique_ptr<reservation::AdvanceReservationPolicy> policy_;
   sim::Rng rng_;
   CellId room_, corridor_, far_corridor_;

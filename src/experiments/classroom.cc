@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "mobility/manager.h"
 #include "obs/metrics.h"
@@ -81,7 +81,7 @@ struct Pass {
   sim::Simulator simulator;
   std::unique_ptr<mobility::MobilityManager> manager;
   reservation::ReservationDirectory directory;
-  std::unordered_map<PortableId, qos::BitsPerSecond> demand;
+  std::vector<qos::BitsPerSecond> demand;  // by PortableId::value(); 0 = no connection
   std::unique_ptr<reservation::AdvanceReservationPolicy> policy;
   std::size_t drops = 0;
   std::size_t blocked = 0;
@@ -156,10 +156,7 @@ struct Pass {
     env.directory = &directory;
     env.profiles = server;
     env.mobility = manager.get();
-    env.demand = [this](PortableId p) {
-      const auto it = demand.find(p);
-      return it == demand.end() ? 0.0 : it->second;
-    };
+    env.demand = &demand;
 
     switch (config->policy) {
       case PolicyKind::kNone:
@@ -215,13 +212,16 @@ struct Pass {
   }
 
   // Portables must exist before their first event fires; park them in O1.
-  PortableId manager_add_deferred() { return manager->add_portable(cells.o1); }
+  PortableId manager_add_deferred() {
+    demand.push_back(0.0);
+    return manager->add_portable(cells.o1);
+  }
 
   void spawn_at(PortableId p, qos::BitsPerSecond b) {
     // The portable was parked in O1 at creation; opening the connection is
     // the "appears" moment.
     if (directory.at(cells.o1).admit_new(p, b)) {
-      demand[p] = b;
+      demand[p.value()] = b;
     } else {
       ++blocked;
     }
@@ -230,23 +230,19 @@ struct Pass {
   void do_handoff(PortableId p, CellId to) {
     const CellId from = manager->portable(p).current_cell;
     if (from == to) return;  // dropped users may have stale itineraries
-    const auto it = demand.find(p);
-    const bool has_connection = it != demand.end();
-    if (has_connection) directory.at(from).release(p);
+    const qos::BitsPerSecond b = demand[p.value()];
+    if (b > 0.0) directory.at(from).release(p);
     manager->move(p, to);
-    if (has_connection) {
-      if (!directory.at(to).admit_handoff(p, it->second)) {
-        ++drops;
-        demand.erase(it);
-      }
+    if (b > 0.0 && !directory.at(to).admit_handoff(p, b)) {
+      ++drops;
+      demand[p.value()] = 0.0;
     }
   }
 
   void depart(PortableId p) {
-    const auto it = demand.find(p);
-    if (it != demand.end()) {
+    if (demand[p.value()] > 0.0) {
       directory.at(manager->portable(p).current_cell).release(p);
-      demand.erase(it);
+      demand[p.value()] = 0.0;
     }
   }
 };

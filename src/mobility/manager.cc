@@ -40,6 +40,8 @@ PortableId MobilityManager::add_portable(CellId start) {
   p.entered_cell = simulator_->now();
   portables_.push_back(p);
   index_insert(id, start);
+  ++revision_;
+  last_changed_ = id;
   return id;
 }
 
@@ -60,6 +62,8 @@ void MobilityManager::move(PortableId id, CellId to) {
   p.previous_cell = p.current_cell;
   p.current_cell = to;
   p.entered_cell = simulator_->now();
+  ++revision_;
+  last_changed_ = id;
 
   if (handoff_counter_) handoff_counter_->add();
   if (obs::Tracer* tracer = simulator_->tracer(); tracer && tracer->enabled()) {
@@ -94,6 +98,8 @@ void MobilityManager::save_state(sim::CheckpointWriter& w) const {
 }
 
 void MobilityManager::restore_state(sim::CheckpointReader& r) {
+  ++revision_;
+  last_changed_ = PortableId::invalid();
   portables_.clear();
   portables_.resize(std::size_t(r.u64()));
   residents_by_cell_.clear();

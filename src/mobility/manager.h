@@ -3,6 +3,7 @@
 // listeners (profile servers, resource managers, statistics).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -68,6 +69,13 @@ class MobilityManager {
     return i < residents_by_cell_.size() ? residents_by_cell_[i] : kEmpty;
   }
 
+  /// Change counter of the roster: bumped by add_portable, move and
+  /// restore_state, so a reader can tell in O(1) that nobody moved.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
+  /// The portable the latest add_portable or move concerned (invalid after
+  /// restore_state): a reader one revision behind knows the whole change.
+  [[nodiscard]] PortableId last_changed() const { return last_changed_; }
+
   /// Number of portables currently in `cell` (O(1)).
   [[nodiscard]] std::size_t resident_count(CellId cell) const {
     return portables_in(cell).size();
@@ -114,6 +122,8 @@ class MobilityManager {
   // positions and sorting on every read.
   std::vector<std::vector<PortableId>> residents_by_cell_;
   std::vector<HandoffListener> listeners_;
+  std::uint64_t revision_ = 0;
+  PortableId last_changed_ = PortableId::invalid();
   obs::Counter* handoff_counter_ = nullptr;
   obs::Histogram* handoff_wall_us_ = nullptr;
   obs::NameId trace_handoff_name_ = obs::kInvalidName;

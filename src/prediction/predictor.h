@@ -47,6 +47,9 @@ class ThreeLevelPredictor {
   [[nodiscard]] Prediction predict(PortableId portable, CellId previous,
                                    CellId current) const;
 
+  /// The profile store the predictions read.
+  [[nodiscard]] const profiles::ProfileSource& source() const { return *server_; }
+
   /// Convenience overload reading the state from a Portable record.
   [[nodiscard]] Prediction predict(const mobility::Portable& p) const {
     return predict(p.id, p.previous_cell, p.current_cell);

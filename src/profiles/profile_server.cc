@@ -20,6 +20,12 @@ const T* slot_get(const std::vector<std::optional<T>>& slots, std::size_t i) {
 
 }  // namespace
 
+void ProfileServer::bump(std::vector<std::uint64_t>& revisions, std::size_t i) {
+  if (i >= revisions.size()) revisions.resize(i + 1, 0);
+  ++revisions[i];
+  ++revision_;
+}
+
 void ProfileServer::record_handoff(const mobility::HandoffEvent& event) {
   record_handoff(event.portable, event.prev_of_from, event.from, event.to);
 }
@@ -44,6 +50,7 @@ const CellProfile* ProfileServer::cell_profile(CellId id) const {
 }
 
 PortableProfile& ProfileServer::portable_profile_mut(net::PortableId id) {
+  bump(portable_revisions_, id.value());
   ensure_slot(portables_, id.value());
   auto& slot = portables_[id.value()];
   if (!slot.has_value()) slot.emplace(id, config_.portable_window);
@@ -51,6 +58,7 @@ PortableProfile& ProfileServer::portable_profile_mut(net::PortableId id) {
 }
 
 CellProfile& ProfileServer::cell_profile_mut(CellId id) {
+  bump(cell_revisions_, id.value());
   ensure_slot(cells_, id.value());
   auto& slot = cells_[id.value()];
   if (!slot.has_value()) slot.emplace(id, config_.cell_window);
@@ -74,11 +82,13 @@ std::optional<PortableProfile> ProfileServer::extract_portable(net::PortableId i
   }
   std::optional<PortableProfile> profile = std::move(portables_[id.value()]);
   portables_[id.value()].reset();
+  bump(portable_revisions_, id.value());
   return profile;
 }
 
 void ProfileServer::adopt_portable(PortableProfile profile) {
   const net::PortableId id = profile.id();
+  bump(portable_revisions_, id.value());
   ensure_slot(portables_, id.value());
   portables_[id.value()] = std::move(profile);
 }
@@ -123,6 +133,11 @@ void ProfileServer::save_state(sim::CheckpointWriter& w) const {
 }
 
 void ProfileServer::restore_state(sim::CheckpointReader& r) {
+  // Every profile may change: bump the ones about to be dropped here, the
+  // restored ones as they arrive.
+  for (std::uint64_t& revision : portable_revisions_) ++revision;
+  for (std::uint64_t& revision : cell_revisions_) ++revision;
+  ++revision_;
   portables_.clear();
   for (std::uint64_t n = r.u64(); n-- > 0;) {
     adopt_portable(PortableProfile::restore_state(r));
@@ -131,6 +146,7 @@ void ProfileServer::restore_state(sim::CheckpointReader& r) {
   for (std::uint64_t n = r.u64(); n-- > 0;) {
     CellProfile profile = CellProfile::restore_state(r);
     const CellId id = profile.id();
+    bump(cell_revisions_, id.value());
     ensure_slot(cells_, id.value());
     cells_[id.value()] = std::move(profile);
   }

@@ -70,10 +70,27 @@ class ProfileServer final : public ProfileSource {
   std::optional<PortableProfile> extract_portable(net::PortableId id);
   void adopt_portable(PortableProfile profile);
 
+  /// Change counters: bumped by every mutable access to the portable's or
+  /// cell's profile (record_handoff, the *_mut accessors, adopt_portable,
+  /// extract_portable) and by restore_state. They only ever grow, so a
+  /// reader that caches something derived from a profile can tell whether
+  /// it is stale by comparing one number. Not checkpointed: a restore bumps
+  /// every counter instead, so nothing cached before it looks current.
+  [[nodiscard]] std::uint64_t portable_revision(net::PortableId id) const {
+    return id.value() < portable_revisions_.size() ? portable_revisions_[id.value()] : 0;
+  }
+  [[nodiscard]] std::uint64_t cell_revision(CellId id) const {
+    return id.value() < cell_revisions_.size() ? cell_revisions_[id.value()] : 0;
+  }
+  /// Grows with every bump above and with every restore: unchanged means
+  /// no profile changed.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
+
   [[nodiscard]] const CacheTraffic& traffic() const { return traffic_; }
   [[nodiscard]] net::ZoneId zone() const { return zone_; }
 
-  /// Estimated heap footprint of the profile store in bytes.
+  /// Estimated heap footprint of the profile store in bytes (the profiles
+  /// and calendars; the revision counters are not counted).
   [[nodiscard]] std::size_t memory_bytes() const;
 
   // --- checkpoint/restore (ISSUE 4) ---------------------------------------
@@ -86,12 +103,17 @@ class ProfileServer final : public ProfileSource {
   void restore_state(sim::CheckpointReader& r);
 
  private:
+  void bump(std::vector<std::uint64_t>& revisions, std::size_t i);
+
   net::ZoneId zone_;
   Config config_{};
   // Dense id-indexed slots; disengaged = not (or no longer) in this zone.
   std::vector<std::optional<PortableProfile>> portables_;
   std::vector<std::optional<CellProfile>> cells_;
   std::vector<std::optional<BookingCalendar>> calendars_;
+  std::vector<std::uint64_t> portable_revisions_;
+  std::vector<std::uint64_t> cell_revisions_;
+  std::uint64_t revision_ = 0;
   CacheTraffic traffic_;
 };
 

@@ -81,9 +81,13 @@ void CellBandwidth::set_allocation(PortableId portable, qos::BitsPerSecond b) {
 
 void CellBandwidth::reserve_for(PortableId portable, qos::BitsPerSecond b) {
   assert(b >= 0.0);
-  cancel_reservation(portable);
-  if (b <= 0.0) return;
-  reserved_for_.insert(portable.value(), b);
+  // One probe when the portable holds no reservation here yet; a replaced
+  // reservation is cancelled first.
+  if (b <= 0.0 || !reserved_for_.insert(portable.value(), b)) {
+    cancel_reservation(portable);
+    if (b <= 0.0) return;
+    reserved_for_.insert(portable.value(), b);
+  }
   reserved_specific_total_ += b;
 }
 
@@ -93,21 +97,6 @@ void CellBandwidth::cancel_reservation(PortableId portable) {
   reserved_specific_total_ -= *b;
   if (reserved_specific_total_ < 0.0) reserved_specific_total_ = 0.0;
   reserved_for_.erase(portable.value());
-}
-
-void CellBandwidth::clear_specific_reservations() {
-  reserved_for_.clear();
-  reserved_specific_total_ = 0.0;
-}
-
-void CellBandwidth::set_anonymous_reservation(qos::BitsPerSecond b) {
-  assert(b >= 0.0);
-  anonymous_reserved_ = b;
-}
-
-void CellBandwidth::add_anonymous_reservation(qos::BitsPerSecond b) {
-  assert(b >= 0.0);
-  anonymous_reserved_ += b;
 }
 
 qos::BitsPerSecond CellBandwidth::reservation_for(PortableId portable) const {

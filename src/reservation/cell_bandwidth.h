@@ -13,6 +13,7 @@
 //    other portables.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "net/ids.h"
@@ -79,14 +80,23 @@ class CellBandwidth {
 
   /// Sets the anonymous reservation level (aggregate policies and the B_dyn
   /// pool are both expressed this way).
-  void set_anonymous_reservation(qos::BitsPerSecond b);
+  void set_anonymous_reservation(qos::BitsPerSecond b) {
+    assert(b >= 0.0);
+    anonymous_reserved_ = b;
+  }
   /// Adds to the anonymous reservation (several policies contributing to
   /// one cell within a refresh cycle).
-  void add_anonymous_reservation(qos::BitsPerSecond b);
+  void add_anonymous_reservation(qos::BitsPerSecond b) {
+    assert(b >= 0.0);
+    anonymous_reserved_ += b;
+  }
 
   /// Drops every portable-specific reservation (used by policies that
-  /// recompute their reservation picture from scratch).
-  void clear_specific_reservations();
+  /// rebuild a cell's reservation picture from scratch).
+  void clear_specific_reservations() {
+    reserved_for_.clear();
+    reserved_specific_total_ = 0.0;
+  }
 
   // ---- introspection -----------------------------------------------------
   [[nodiscard]] qos::BitsPerSecond capacity() const { return capacity_; }

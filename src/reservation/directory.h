@@ -69,6 +69,15 @@ class ReservationDirectory {
     }
   }
 
+  /// Zeroes every cell's anonymous reservation and leaves the specific ones:
+  /// policies that rebuild only the specific reservations of some cells
+  /// still recompute the anonymous ones everywhere on each refresh.
+  void clear_anonymous_reservations() {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      if (present_[i]) cells_[i].set_anonymous_reservation(0.0);
+    }
+  }
+
   /// Visits every (CellId, CellBandwidth&) in ascending-id order.
   template <typename Fn>
   void for_each_cell(Fn&& fn) {

@@ -1,6 +1,7 @@
 #include "reservation/dispatcher.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 namespace imrm::reservation {
@@ -8,8 +9,11 @@ namespace imrm::reservation {
 PolicyDispatcher::PolicyDispatcher(PolicyEnv env,
                                    const prediction::ThreeLevelPredictor& predictor,
                                    const profiles::ProfileServer& server, Params params)
-    : AdvanceReservationPolicy(std::move(env)), predictor_(&predictor), params_(params) {
+    : RosterPolicy(std::move(env), true), predictor_(&predictor), params_(params) {
   env_.require_workload(name());
+  if (&predictor.source() != env_.profiles) {
+    throw std::invalid_argument(name() + ": the predictor must read env.profiles");
+  }
   // Instantiate the collective lounge policies from the cell classes; they
   // contribute into the shared directory (non-standalone).
   for (const mobility::Cell& cell : env_.map->cells()) {
@@ -48,41 +52,33 @@ void PolicyDispatcher::on_handoff(const mobility::HandoffEvent& event) {
   for (auto& policy : meeting_policies_) policy->on_handoff(event);
 }
 
-std::optional<CellId> PolicyDispatcher::decide(PortableId portable, CellId current) const {
-  const mobility::Cell& cell = env_.map->cell(current);
-
-  // The summary's office special case: a regular occupant AT HOME gets no
-  // reservation anywhere (No_Resv) — they are expected to stay.
-  if (cell.cell_class == mobility::CellClass::kOffice && cell.is_occupant(portable)) {
-    return std::nullopt;
-  }
+void PolicyDispatcher::shares_of(PortableId p, const Inputs& in, std::vector<Share>& out) {
+  const mobility::Cell& cell = env_.map->cell(in.cell);
+  // Lounges are collective (hosted policies below). A regular occupant AT
+  // HOME gets no reservation anywhere (the summary's office No_Resv case):
+  // they are expected to stay.
+  if (mobility::is_lounge(cell.cell_class)) return;
+  if (cell.cell_class == mobility::CellClass::kOffice && cell.is_occupant(p)) return;
   // Step 1 + level-2a/2b: delegate to the three-level predictor, which
   // implements exactly the portable-profile -> office-occupancy -> cell
   // aggregate ladder.
-  const CellId previous = env_.mobility->portable(portable).previous_cell;
-  const prediction::Prediction p = predictor_->predict(portable, previous, current);
-  return p.next_cell;
+  const prediction::Prediction prediction = predictor_->predict(p, in.previous, in.cell);
+  if (prediction.next_cell.has_value() && env_.directory->has(*prediction.next_cell)) {
+    out.push_back({*prediction.next_cell, in.demand});
+  }
+}
+
+void PolicyDispatcher::shares_changed(PortableId p, const std::vector<Share>& shares) {
+  last_reserved_.erase(p.value());
+  if (!shares.empty()) last_reserved_[p.value()] = shares.front().cell.value();
 }
 
 void PolicyDispatcher::refresh(sim::SimTime now) {
-  env_.directory->clear_reservations();
-  last_reserved_.clear();
-
+  env_.directory->clear_anonymous_reservations();
+  if (rebuild_pending()) last_reserved_.clear();
   // Per-portable reservations for offices and corridors (and any mobile
   // portable with a usable prediction).
-  for (const mobility::Cell& cell : env_.map->cells()) {
-    if (mobility::is_lounge(cell.cell_class)) continue;  // collective below
-    for (PortableId portable : env_.mobility->portables_in(cell.id)) {
-      if (env_.mobility->classify(portable) != qos::MobilityClass::kMobile) continue;
-      const qos::BitsPerSecond b = env_.demand(portable);
-      if (b <= 0.0) continue;
-      const auto target = decide(portable, cell.id);
-      if (target.has_value() && env_.directory->has(*target)) {
-        env_.directory->at(*target).reserve_for(portable, b);
-        last_reserved_[portable.value()] = target->value();
-      }
-    }
-  }
+  refresh_specific();
 
   // Collective lounge policies contribute additively.
   for (auto& policy : lounge_policies_) policy->refresh(now);
@@ -114,6 +110,7 @@ void PolicyDispatcher::save_state(sim::CheckpointWriter& w) const {
 }
 
 void PolicyDispatcher::restore_state(sim::CheckpointReader& r) {
+  RosterPolicy::restore_state(r);
   last_reserved_.clear();
   for (std::uint64_t n = r.u64(); n-- > 0;) {
     const std::uint32_t portable = r.u32();

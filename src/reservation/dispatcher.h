@@ -30,14 +30,16 @@
 
 namespace imrm::reservation {
 
-class PolicyDispatcher final : public AdvanceReservationPolicy {
+class PolicyDispatcher final : public RosterPolicy {
  public:
   struct Params {
     qos::BitsPerSecond per_user_bandwidth = qos::kbps(28);
     sim::Duration lounge_slot = sim::Duration::minutes(1);
   };
 
-  /// `predictor` implements level 1 + 2; lounge cells get their collective
+  /// `predictor` implements level 1 + 2 and must read env.profiles: the
+  /// per-portable cache keys on that server's revisions (throws
+  /// std::invalid_argument otherwise). Lounge cells get their collective
   /// policies instantiated automatically from the map's cell classes.
   /// Meeting-room calendars are read from the profile server.
   PolicyDispatcher(PolicyEnv env, const prediction::ThreeLevelPredictor& predictor,
@@ -58,9 +60,9 @@ class PolicyDispatcher final : public AdvanceReservationPolicy {
   void restore_state(sim::CheckpointReader& r) override;
 
  private:
-  /// Per-portable decision (steps 1 and 2 for offices/corridors). Returns
-  /// the target cell or nullopt (no portable-specific reservation).
-  [[nodiscard]] std::optional<CellId> decide(PortableId portable, CellId current) const;
+  // The per-portable part (steps 1 and 2 for offices and corridors).
+  void shares_of(PortableId p, const Inputs& in, std::vector<Share>& out) override;
+  void shares_changed(PortableId p, const std::vector<Share>& shares) override;
 
   const prediction::ThreeLevelPredictor* predictor_;
   Params params_;

@@ -1,7 +1,7 @@
 #include "reservation/lounge_policy.h"
 
-#include <cassert>
 #include <deque>
+#include <stdexcept>
 #include <utility>
 
 namespace imrm::reservation {
@@ -10,8 +10,12 @@ LoungePolicyBase::LoungePolicyBase(PolicyEnv env, CellId cell, sim::Duration slo
                                    qos::BitsPerSecond per_user_bandwidth)
     : AdvanceReservationPolicy(std::move(env)), cell_(cell), slot_(slot),
       per_user_bandwidth_(per_user_bandwidth) {
-  assert(slot_ > sim::Duration::zero());
-  assert(per_user_bandwidth_ > 0.0);
+  if (!(slot_ > sim::Duration::zero())) {
+    throw std::invalid_argument("lounge: slot must be > 0");
+  }
+  if (!(per_user_bandwidth_ > 0.0)) {
+    throw std::invalid_argument("lounge: per_user_bandwidth must be > 0");
+  }
 }
 
 bool LoungePolicyBase::has_default_neighbor() const {
@@ -115,7 +119,7 @@ DefaultLoungePolicy::DefaultLoungePolicy(PolicyEnv env, CellId cell, sim::Durati
     : LoungePolicyBase(std::move(env), cell, slot, per_user_bandwidth),
       probabilistic_(std::move(probabilistic)) {
   // Only the probabilistic bound reads the roster.
-  if (probabilistic_.has_value()) env_.require_workload(name());
+  if (probabilistic_.has_value()) env_.require_roster(name());
 }
 
 qos::BitsPerSecond DefaultLoungePolicy::self_reservation() const {

@@ -22,6 +22,7 @@ namespace imrm::reservation {
 /// Shared slot machinery for the two lounge policies.
 class LoungePolicyBase : public AdvanceReservationPolicy {
  public:
+  /// Throws std::invalid_argument unless slot > 0 and per_user_bandwidth > 0.
   LoungePolicyBase(PolicyEnv env, CellId cell, sim::Duration slot,
                    qos::BitsPerSecond per_user_bandwidth);
 

@@ -1,73 +1,231 @@
 #include "reservation/policy.h"
 
-#include <cassert>
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace imrm::reservation {
 
-void PolicyEnv::require_workload(const std::string& policy) const {
+void PolicyEnv::require_roster(const std::string& policy) const {
   if (map == nullptr || directory == nullptr || mobility == nullptr) {
     throw std::invalid_argument(policy +
                                 ": PolicyEnv needs map, directory and mobility set");
   }
 }
 
-BruteForcePolicy::BruteForcePolicy(PolicyEnv env)
-    : AdvanceReservationPolicy(std::move(env)) {
+void PolicyEnv::require_workload(const std::string& policy) const {
+  require_roster(policy);
+  if (demand == nullptr) {
+    throw std::invalid_argument(policy + ": PolicyEnv needs the demand table set");
+  }
+}
+
+void RosterPolicy::mark_dirty(const std::vector<Share>& shares) {
+  for (const Share& share : shares) {
+    const std::size_t i = share.cell.value();
+    if (i >= dirty_.size()) dirty_.resize(i + 1, 0);
+    dirty_[i] = 1;
+  }
+  any_dirty_ |= !shares.empty();
+}
+
+RosterPolicy::Inputs RosterPolicy::inputs_now(PortableId p) const {
+  const mobility::MobilityManager& roster = *env_.mobility;
+  Inputs in;
+  const qos::BitsPerSecond b = env_.demand_of(p);
+  if (b <= 0.0 || roster.classify(p) != qos::MobilityClass::kMobile) return in;
+  const mobility::Portable& record = roster.portable(p);
+  in.cell = record.current_cell;
+  in.previous = record.previous_cell;
+  in.demand = b;
+  if (reads_profiles_) {
+    in.portable_revision = env_.profiles->portable_revision(p);
+    in.cell_revision = env_.profiles->cell_revision(in.cell);
+  }
+  return in;
+}
+
+void RosterPolicy::diff(PortableId p, bool everything) {
+  const Inputs in = inputs_now(p);
+  Entry& entry = entries_[p.value()];
+  if (!everything && in == entry.inputs) return;
+
+  const Inputs none;
+  shares_.clear();
+  if (in != none) shares_of(p, in, shares_);
+  const bool moved = in.cell != entry.inputs.cell;
+  if (!everything && !moved && shares_ == entry.shares) {
+    entry.inputs = in;
+    return;
+  }
+  // A portable that moved dirties its old and new shares' cells even when
+  // they look alike: its arrival consumed its reservation in the new cell.
+  if (moved && entry.inputs != none) {
+    const Holder old{entry.inputs.cell.value(), p.value()};
+    holders_.erase(std::lower_bound(holders_.begin(), holders_.end(), old));
+  }
+  if (moved && in != none) {
+    const Holder now{in.cell.value(), p.value()};
+    holders_.insert(std::lower_bound(holders_.begin(), holders_.end(), now), now);
+  }
+  holders_changed_ |= moved;
+  mark_dirty(entry.shares);
+  mark_dirty(shares_);
+  entry.inputs = in;
+  entry.shares.swap(shares_);
+  shares_changed(p, entry.shares);
+}
+
+void RosterPolicy::rebuild_dirty_cells(bool everything) {
+  // Clear, then re-apply every share aimed at a dirty cell in the full
+  // rebuild's order (ascending source cell, then ascending portable).
+  const auto dirty = [this, everything](CellId id) {
+    return everything || (id.value() < dirty_.size() && dirty_[id.value()] != 0);
+  };
+  ReservationDirectory& directory = *env_.directory;
+  directory.for_each_cell([&dirty](CellId id, CellBandwidth& account) {
+    if (dirty(id)) account.clear_specific_reservations();
+  });
+  for (const Holder& holder : holders_) {
+    for (const Share& share : entries_[holder.second].shares) {
+      if (dirty(share.cell)) directory.at(share.cell).reserve_for(PortableId{holder.second},
+                                                                  share.bandwidth);
+    }
+  }
+  std::fill(dirty_.begin(), dirty_.end(), 0);
+  any_dirty_ = false;
+}
+
+void RosterPolicy::refresh_specific() {
+  const mobility::MobilityManager& roster = *env_.mobility;
+  const std::vector<qos::BitsPerSecond>& demand = *env_.demand;
+  const std::size_t count = roster.portable_count();
+  // The roster's changes since the last refresh: one names its portable.
+  // Several could hide a round trip that left a portable's inputs as they
+  // were while its arrival consumed one of its reservations, so they
+  // rebuild everything, as does a roster smaller than the cache (restored).
+  const std::uint64_t changes = roster.revision() - roster_revision_;
+  const bool everything = rebuild_ || count < entries_.size() || changes > 1 ||
+                          (changes == 1 && !roster.last_changed().is_valid());
+  // Bitwise, which is stricter than ==: at worst a needless diff.
+  const bool demand_same =
+      demand.size() == demand_.size() &&
+      (demand.empty() ||
+       std::memcmp(demand.data(), demand_.data(), demand.size() * sizeof(double)) == 0);
+  const bool profiles_same =
+      !reads_profiles_ || env_.profiles->revision() == profile_revision_;
+  // Time alone can only turn a mobile portable static (T_th), and the
+  // holder that entered its cell first turns first -- unless it just moved.
+  const auto turned_static = [&roster](PortableId p) {
+    return roster.classify(p) != qos::MobilityClass::kMobile;
+  };
+  const bool first_moved = changes == 1 && roster.last_changed() == first_to_turn_;
+  const bool any_static = !everything && first_to_turn_.is_valid() &&
+                          (first_moved || turned_static(first_to_turn_));
+  if (!everything && changes == 0 && demand_same && profiles_same && !any_static) return;
+
+  visit_.clear();
+  if (everything) {
+    entries_.assign(count, Entry{});
+    holders_.clear();
+    holders_changed_ = true;
+    for (std::size_t i = 0; i < count; ++i) visit_.push_back(std::uint32_t(i));
+  } else {
+    if (changes == 1) visit_.push_back(roster.last_changed().value());
+    for (std::size_t i = 0; !demand_same && i < count; ++i) {
+      const double now = i < demand.size() ? demand[i] : 0.0;
+      const double then = i < demand_.size() ? demand_[i] : 0.0;
+      if (now != then) visit_.push_back(std::uint32_t(i));
+    }
+    for (std::size_t i = 0; (any_static || !profiles_same) && i < holders_.size(); ++i) {
+      const PortableId p{holders_[i].second};
+      const Inputs& in = entries_[p.value()].inputs;
+      const bool profile_moved =
+          !profiles_same && (env_.profiles->portable_revision(p) != in.portable_revision ||
+                             env_.profiles->cell_revision(in.cell) != in.cell_revision);
+      if (profile_moved || (any_static && turned_static(p))) visit_.push_back(p.value());
+    }
+  }
+  entries_.resize(count);
+  for (const std::uint32_t p : visit_) diff(PortableId{p}, everything);
+  if (holders_changed_) {
+    first_to_turn_ = PortableId::invalid();
+    for (const Holder& holder : holders_) {
+      const PortableId p{holder.second};
+      if (!first_to_turn_.is_valid() ||
+          roster.portable(p).entered_cell < roster.portable(first_to_turn_).entered_cell) {
+        first_to_turn_ = p;
+      }
+    }
+    holders_changed_ = false;
+  }
+  roster_revision_ = roster.revision();
+  if (reads_profiles_) profile_revision_ = env_.profiles->revision();
+  if (!demand_same) demand_ = demand;
+  rebuild_ = false;
+  if (everything || any_dirty_) rebuild_dirty_cells(everything);
+}
+
+BruteForcePolicy::BruteForcePolicy(PolicyEnv env) : RosterPolicy(std::move(env), false) {
   env_.require_workload(name());
 }
 
-AggregatePolicy::AggregatePolicy(PolicyEnv env) : AdvanceReservationPolicy(std::move(env)) {
+// Every mobile portable with an active connection claims its bandwidth in
+// every neighbor of its current cell.
+void BruteForcePolicy::shares_of(PortableId, const Inputs& in, std::vector<Share>& out) {
+  for (CellId neighbor : env_.map->cell(in.cell).neighbors) {
+    if (env_.directory->has(neighbor)) out.push_back({neighbor, in.demand});
+  }
+}
+
+void BruteForcePolicy::refresh(sim::SimTime) {
+  env_.directory->clear_anonymous_reservations();
+  refresh_specific();
+}
+
+AggregatePolicy::AggregatePolicy(PolicyEnv env) : RosterPolicy(std::move(env), true) {
   env_.require_workload(name());
+  if (env_.profiles == nullptr) {
+    throw std::invalid_argument(name() + ": PolicyEnv needs profiles set");
+  }
 }
 
-void BruteForcePolicy::refresh(sim::SimTime now) {
-  env_.directory->clear_reservations();
-  // Every mobile portable with an active connection claims its bandwidth in
-  // every neighbor of its current cell.
-  for (const mobility::Cell& cell : env_.map->cells()) {
-    for (PortableId p : env_.mobility->portables_in(cell.id)) {
-      if (env_.mobility->classify(p) != qos::MobilityClass::kMobile) continue;
-      const qos::BitsPerSecond b = env_.demand(p);
-      if (b <= 0.0) continue;
-      for (CellId neighbor : cell.neighbors) {
-        if (env_.directory->has(neighbor)) {
-          env_.directory->at(neighbor).reserve_for(p, b);
-        }
-      }
-    }
+// Each mobile portable's bandwidth is reserved in every neighbor, scaled by
+// the cell profile's aggregate probability of handing off there — the
+// per-connection reservation model of Section 3.3 informed by aggregate
+// history instead of the brute-force "everything everywhere".
+void AggregatePolicy::shares_of(PortableId, const Inputs& in, std::vector<Share>& out) {
+  if (in.cell.value() >= distributions_.size()) distributions_.resize(in.cell.value() + 1);
+  Distribution& dist = distributions_[in.cell.value()];
+  if (!dist.valid || dist.revision != in.cell_revision) {
+    const profiles::CellProfile* profile = env_.profiles->cell_profile(in.cell);
+    dist.shares = profile == nullptr ? std::vector<profiles::CellProfile::NeighborShare>{}
+                                     : profile->aggregate_distribution();
+    dist.revision = in.cell_revision;
+    dist.valid = true;
   }
-  (void)now;
+  for (const auto& share : dist.shares) {
+    if (share.probability <= 0.0) continue;
+    if (!env_.directory->has(share.neighbor)) continue;
+    out.push_back({share.neighbor, in.demand * share.probability});
+  }
 }
 
-void AggregatePolicy::refresh(sim::SimTime now) {
-  env_.directory->clear_reservations();
-  // Each mobile portable's bandwidth is reserved in every neighbor, scaled
-  // by the cell profile's aggregate probability of handing off there — the
-  // per-connection reservation model of Section 3.3 informed by aggregate
-  // history instead of the brute-force "everything everywhere".
-  for (const mobility::Cell& cell : env_.map->cells()) {
-    const profiles::CellProfile* profile = env_.profiles->cell_profile(cell.id);
-    if (profile == nullptr) continue;
-    const auto dist = profile->aggregate_distribution();
-    if (dist.empty()) continue;
-    for (PortableId p : env_.mobility->portables_in(cell.id)) {
-      if (env_.mobility->classify(p) != qos::MobilityClass::kMobile) continue;
-      const qos::BitsPerSecond b = env_.demand(p);
-      if (b <= 0.0) continue;
-      for (const auto& share : dist) {
-        if (share.probability <= 0.0) continue;
-        if (!env_.directory->has(share.neighbor)) continue;
-        env_.directory->at(share.neighbor).reserve_for(p, b * share.probability);
-      }
-    }
+void AggregatePolicy::refresh(sim::SimTime) {
+  env_.directory->clear_anonymous_reservations();
+  refresh_specific();
+}
+
+StaticPolicy::StaticPolicy(PolicyEnv env, double guard_fraction)
+    : AdvanceReservationPolicy(std::move(env)), guard_fraction_(guard_fraction) {
+  if (!(guard_fraction_ >= 0.0 && guard_fraction_ <= 1.0)) {
+    throw std::invalid_argument("static: guard_fraction must lie in [0, 1]");
   }
-  (void)now;
 }
 
 void StaticPolicy::refresh(sim::SimTime) {
-  env_.directory->clear_reservations();
   env_.directory->for_each_cell([this](CellId, CellBandwidth& cell) {
+    cell.clear_specific_reservations();
     cell.set_anonymous_reservation(guard_fraction_ * cell.capacity());
   });
 }
@@ -76,7 +234,9 @@ MeetingRoomPolicy::MeetingRoomPolicy(PolicyEnv env, CellId room,
                                      profiles::BookingCalendar calendar, Params params)
     : AdvanceReservationPolicy(std::move(env)), room_(room),
       calendar_(std::move(calendar)), params_(params) {
-  assert(params_.per_user_bandwidth > 0.0);
+  if (!(params_.per_user_bandwidth > 0.0)) {
+    throw std::invalid_argument("meeting-room: per_user_bandwidth must be > 0");
+  }
 }
 
 void MeetingRoomPolicy::on_handoff(const mobility::HandoffEvent& event) {

@@ -1,8 +1,12 @@
 // Advance reservation policies (Sections 2.2, 6.1-6.4).
 //
-// Every policy recomputes the reservation picture of the whole directory on
-// refresh(): which bandwidth is held for which predicted handoff. The
-// policies compared in the paper's Figure 5 experiment:
+// On refresh(now) a policy brings the directory's reservations up to date
+// with the current workload: which bandwidth is held for which predicted
+// handoff. The per-portable policies (RosterPolicy below) recompute only
+// the cells whose inputs changed since their last refresh; the result is
+// bit-identical to a rebuild from scratch (DESIGN.md "Incremental
+// reservation refresh"). The policies compared in the paper's Figure 5
+// experiment:
 //
 //  - BruteForcePolicy: reserve each mobile portable's bandwidth in ALL
 //    neighbors of its current cell (the conservative scheme of [7]).
@@ -18,9 +22,11 @@
 //  - NoReservationPolicy: lower-bound reference.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mobility/floorplan.h"
 #include "mobility/manager.h"
@@ -34,6 +40,14 @@ namespace imrm::reservation {
 /// Environment a policy reads: the cell map, the accounts it manipulates,
 /// profiles for aggregate statistics, the live mobility roster and the
 /// workload's demand table.
+///
+/// Between refreshes the workload changes only through the mobility
+/// manager (add_portable, move, restore_state), the profile server's
+/// mutators and the demand table's entries; the cell map (neighbors,
+/// occupants) is configuration, fixed once a policy has refreshed. The
+/// portable-specific reservations in the directory belong to the policy:
+/// the one outside edit it expects is a handoff consuming the arriving
+/// portable's own reservation (CellBandwidth::admit_handoff).
 struct PolicyEnv {
   const mobility::CellMap* map = nullptr;
   ReservationDirectory* directory = nullptr;
@@ -42,12 +56,20 @@ struct PolicyEnv {
   /// cell of every portable. Policies read it during refresh() and never
   /// move portables, so its by-reference portables_in stays valid.
   const mobility::MobilityManager* mobility = nullptr;
-  /// b_min of the portable's connection (0 when it has none).
-  std::function<qos::BitsPerSecond(PortableId)> demand;
+  /// b_min of each portable's connection, indexed by PortableId::value();
+  /// 0 means no connection, and so does an id past the end.
+  const std::vector<qos::BitsPerSecond>* demand = nullptr;
+
+  [[nodiscard]] qos::BitsPerSecond demand_of(PortableId p) const {
+    return p.value() < demand->size() ? (*demand)[p.value()] : 0.0;
+  }
 
   /// Throws std::invalid_argument naming `policy` unless map, directory
-  /// and mobility are all set; policies that walk the roster call it at
+  /// and mobility are all set; policies that read the roster call it at
   /// construction instead of crashing at their first refresh().
+  void require_roster(const std::string& policy) const;
+  /// require_roster, and the demand table set too: for the policies that
+  /// reserve per connected portable.
   void require_workload(const std::string& policy) const;
 };
 
@@ -61,7 +83,7 @@ class AdvanceReservationPolicy {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Recomputes all reservations from the current workload state.
+  /// Brings the reservations up to date with the current workload state.
   virtual void refresh(sim::SimTime now) = 0;
 
   /// Observes a handoff (meeting-room policy counts arrivals/departures).
@@ -74,10 +96,11 @@ class AdvanceReservationPolicy {
   void set_standalone(bool standalone) { standalone_ = standalone; }
 
   // --- checkpoint/restore (ISSUE 4) ---------------------------------------
-  // Policies whose refresh() recomputes everything from the live workload
+  // Policies whose refresh() derives everything from the live workload
   // (none/static/brute-force/aggregate) carry no soft state and inherit
-  // these no-ops; stateful policies (meeting-room arrival counters, lounge
-  // slot machinery, dispatcher bookkeeping) override both.
+  // these no-ops (a RosterPolicy's restore only drops its cache); stateful
+  // policies (meeting-room arrival counters, lounge slot machinery,
+  // dispatcher bookkeeping) override both.
   virtual void save_state(sim::CheckpointWriter& w) const { (void)w; }
   virtual void restore_state(sim::CheckpointReader& r) { (void)r; }
 
@@ -93,24 +116,130 @@ class NoReservationPolicy final : public AdvanceReservationPolicy {
   void refresh(sim::SimTime) override { env_.directory->clear_reservations(); }
 };
 
-class BruteForcePolicy final : public AdvanceReservationPolicy {
+/// Base of the policies that make portable-specific reservations from the
+/// roster: brute force, aggregate and the dispatcher's per-portable part.
+///
+/// A derived policy says where a mobile, connected portable's reservation
+/// goes (shares_of). refresh_specific() keeps every portable's inputs and
+/// shares from the last refresh, diffs the inputs against the live
+/// workload, and clears and re-applies only the cells an old or a new share
+/// names, in the full rebuild's order (ascending source cell, then
+/// portable), so every floating-point total comes out bit-identical. The
+/// first refresh, the first after restore_state and the first after more
+/// than one roster change rebuild every cell. Assumes the simulated clock
+/// never runs backwards between refreshes. DESIGN.md "Incremental
+/// reservation refresh" gives the dirty rule and why it is complete.
+class RosterPolicy : public AdvanceReservationPolicy {
+ public:
+  /// `reads_profiles`: whether shares_of reads the profile server, so a
+  /// profile revision is one of a portable's inputs.
+  RosterPolicy(PolicyEnv env, bool reads_profiles)
+      : AdvanceReservationPolicy(std::move(env)), reads_profiles_(reads_profiles) {}
+
+  /// No soft state of its own: the restored directory and profiles are the
+  /// truth, so the cache is dropped and the next refresh rebuilds.
+  void restore_state(sim::CheckpointReader& r) override {
+    (void)r;
+    rebuild_ = true;
+  }
+
+ protected:
+  /// What a portable's shares are computed from. The default value is what
+  /// a static or unconnected portable gets: it reserves nothing. The
+  /// revisions stay 0 for a policy that does not read profiles.
+  struct Inputs {
+    CellId cell = CellId::invalid();
+    CellId previous = CellId::invalid();
+    qos::BitsPerSecond demand = 0.0;
+    std::uint64_t portable_revision = 0;  // ProfileServer::portable_revision
+    std::uint64_t cell_revision = 0;      // ProfileServer::cell_revision of `cell`
+    friend bool operator==(const Inputs&, const Inputs&) = default;
+  };
+  /// `bandwidth` reserved for the portable in `cell`.
+  struct Share {
+    CellId cell;
+    qos::BitsPerSecond bandwidth;
+    friend bool operator==(const Share&, const Share&) = default;
+  };
+
+  /// Appends the shares of mobile portable `p` holding a connection, given
+  /// its inputs: each in a directory cell, each cell at most once.
+  virtual void shares_of(PortableId p, const Inputs& in, std::vector<Share>& out) = 0;
+  /// Called for every portable whose shares changed.
+  virtual void shares_changed(PortableId p, const std::vector<Share>& shares) {
+    (void)p;
+    (void)shares;
+  }
+
+  /// Brings the directory's specific reservations up to date; leaves the
+  /// anonymous reservations alone.
+  void refresh_specific();
+  /// True when the next refresh_specific rebuilds every cell.
+  [[nodiscard]] bool rebuild_pending() const { return rebuild_; }
+
+ private:
+  struct Entry {
+    Inputs inputs;
+    std::vector<Share> shares;
+  };
+  /// (cell, portable) of a portable holding inputs; sorted, this is the
+  /// order a full rebuild applies shares in.
+  using Holder = std::pair<std::uint32_t, std::uint32_t>;
+
+  [[nodiscard]] Inputs inputs_now(PortableId p) const;
+  void diff(PortableId p, bool everything);
+  void mark_dirty(const std::vector<Share>& shares);
+  void rebuild_dirty_cells(bool everything);
+
+  bool reads_profiles_;
+  std::vector<Entry> entries_;  // by PortableId::value()
+  std::vector<Holder> holders_;
+  std::vector<char> dirty_;  // by CellId::value()
+  bool any_dirty_ = false;
+  bool rebuild_ = true;
+  // What the last refresh saw.
+  std::uint64_t roster_revision_ = 0;
+  std::uint64_t profile_revision_ = 0;
+  std::vector<qos::BitsPerSecond> demand_;
+  PortableId first_to_turn_ = PortableId::invalid();  // holder that entered first
+  bool holders_changed_ = false;
+  // Scratch, kept for its capacity.
+  std::vector<std::uint32_t> visit_;
+  std::vector<Share> shares_;
+};
+
+class BruteForcePolicy final : public RosterPolicy {
  public:
   explicit BruteForcePolicy(PolicyEnv env);
   [[nodiscard]] std::string name() const override { return "brute-force"; }
   void refresh(sim::SimTime now) override;
+
+ private:
+  void shares_of(PortableId p, const Inputs& in, std::vector<Share>& out) override;
 };
 
-class AggregatePolicy final : public AdvanceReservationPolicy {
+class AggregatePolicy final : public RosterPolicy {
  public:
   explicit AggregatePolicy(PolicyEnv env);
   [[nodiscard]] std::string name() const override { return "aggregate"; }
   void refresh(sim::SimTime now) override;
+
+ private:
+  void shares_of(PortableId p, const Inputs& in, std::vector<Share>& out) override;
+
+  /// A cell profile's aggregate distribution as of one revision.
+  struct Distribution {
+    std::uint64_t revision = 0;
+    bool valid = false;
+    std::vector<profiles::CellProfile::NeighborShare> shares;
+  };
+  std::vector<Distribution> distributions_;  // by CellId::value()
 };
 
 class StaticPolicy final : public AdvanceReservationPolicy {
  public:
-  StaticPolicy(PolicyEnv env, double guard_fraction)
-      : AdvanceReservationPolicy(std::move(env)), guard_fraction_(guard_fraction) {}
+  /// Throws std::invalid_argument unless guard_fraction is in [0, 1].
+  StaticPolicy(PolicyEnv env, double guard_fraction);
   [[nodiscard]] std::string name() const override { return "static"; }
   void refresh(sim::SimTime) override;
 
@@ -128,6 +257,7 @@ class MeetingRoomPolicy final : public AdvanceReservationPolicy {
     qos::BitsPerSecond per_user_bandwidth = 0.0;  // expected b per attendee
   };
 
+  /// Throws std::invalid_argument unless params.per_user_bandwidth > 0.
   MeetingRoomPolicy(PolicyEnv env, CellId room, profiles::BookingCalendar calendar,
                     Params params);
 

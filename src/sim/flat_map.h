@@ -34,7 +34,10 @@ class FlatMap {
     return cells_.capacity() * sizeof(Cell);
   }
 
+  /// Empties the map and keeps its capacity. An empty map returns at once:
+  /// deletion leaves no tombstones, so it has no occupied slot to reset.
   void clear() {
+    if (size_ == 0) return;
     cells_.assign(cells_.size(), Cell{});
     size_ = 0;
   }

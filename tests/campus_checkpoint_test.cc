@@ -4,6 +4,7 @@
 // policy, with and without signaling faults, at any barrier time.
 #include <cstdint>
 #include <sstream>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,20 @@ TEST(CampusCheckpoint, ResumeMatchesUninterruptedRunEveryPolicy) {
         CampusPolicy::kAggregate, CampusPolicy::kDispatcher}) {
     SCOPED_TRACE(to_string(policy));
     check_round_trip(small_config(policy), sim::SimTime::minutes(95));
+  }
+}
+
+TEST(CampusCheckpoint, EveryPolicyResumesAtEveryTwentyMinutes) {
+  // A resumed policy starts with no cache, so its first refresh rebuilds
+  // every cell; the uninterrupted day has been refreshing incrementally.
+  // Both must agree at any barrier, for every policy.
+  for (const CampusPolicy policy :
+       {CampusPolicy::kNone, CampusPolicy::kStatic, CampusPolicy::kBruteForce,
+        CampusPolicy::kAggregate, CampusPolicy::kDispatcher}) {
+    for (double minutes = 10.0; minutes <= 170.0; minutes += 20.0) {
+      SCOPED_TRACE(to_string(policy) + " at minute " + std::to_string(int(minutes)));
+      check_round_trip(small_config(policy), sim::SimTime::minutes(minutes));
+    }
   }
 }
 
@@ -152,22 +167,29 @@ struct PendingTable {
   [[nodiscard]] std::uint8_t kind(std::size_t i) const { return image[record(i) + kKindAt]; }
 };
 
+/// [begin, end) of the experiment.campus payload in a serialized image.
+std::pair<std::size_t, std::size_t> campus_section(const std::vector<std::uint8_t>& image) {
+  // Container: magic (8), version (4), section count (4), then per section
+  // a length-prefixed name and a length-prefixed payload.
+  std::size_t pos = 16;
+  for (std::uint64_t s = read_le(image, 12, 4); s-- > 0;) {
+    const std::size_t name_len = std::size_t(read_le(image, pos, 8));
+    const std::string name(image.begin() + std::ptrdiff_t(pos + 8),
+                           image.begin() + std::ptrdiff_t(pos + 8 + name_len));
+    pos += 8 + name_len;
+    const std::size_t len = std::size_t(read_le(image, pos, 8));
+    pos += 8;
+    if (name == "experiment.campus") return {pos, pos + len};
+    pos += len;
+  }
+  ADD_FAILURE() << "no experiment.campus section in the checkpoint";
+  return {0, 0};
+}
+
 PendingTable pending_table(const sim::Checkpoint& ckpt) {
   PendingTable t;
   t.image = ckpt.serialize();
-  // Container: magic (8), version (4), section count (4), then per section
-  // a length-prefixed name and a length-prefixed payload.
-  std::size_t pos = 16, end = 0;
-  for (std::uint64_t s = read_le(t.image, 12, 4); s-- > 0 && end == 0;) {
-    const std::size_t name_len = std::size_t(read_le(t.image, pos, 8));
-    const std::string name(t.image.begin() + std::ptrdiff_t(pos + 8),
-                           t.image.begin() + std::ptrdiff_t(pos + 8 + name_len));
-    pos += 8 + name_len;
-    const std::size_t len = std::size_t(read_le(t.image, pos, 8));
-    pos += 8;
-    if (name == "experiment.campus") end = pos + len;
-    pos += len;
-  }
+  const std::size_t end = campus_section(t.image).second;
   // Walk back from the section end to the live count that describes exactly
   // the records after it: ascending serials below next_serial, known kinds.
   for (std::size_t n = 1; end >= 16 + n * kRecordBytes; ++n) {
@@ -255,6 +277,24 @@ TEST_F(CampusCorruptCheckpoint, DuplicateOrDescendingSerialThrows) {
   expect_rejected(table_.record(i), previous_low, "serials not strictly ascending");
   expect_rejected(table_.record(i), std::uint8_t(previous_low - 1),
                   "serials not strictly ascending");
+}
+
+// The demand table follows the config fingerprint (58 bytes), the rng
+// state (length-prefixed text) and the probe flag: a u64 count, then per
+// connected portable a u32 id and an f64 b_min, ascending id.
+constexpr std::size_t kFingerprintBytes = 58, kDemandEntryBytes = 12;
+
+TEST_F(CampusCorruptCheckpoint, MalformedDemandTableThrows) {
+  const std::size_t rng_at = campus_section(table_.image).first + kFingerprintBytes;
+  const std::size_t count_at = rng_at + 8 + std::size_t(read_le(table_.image, rng_at, 8)) + 1;
+  const std::size_t count = std::size_t(read_le(table_.image, count_at, 8));
+  ASSERT_GE(count, 2u);
+  const std::size_t first = count_at + 8, last = first + (count - 1) * kDemandEntryBytes;
+  // Ids are small: a repeated low byte repeats the id.
+  expect_rejected(first + kDemandEntryBytes, table_.image[first],
+                  "demand entries not strictly ascending");
+  expect_rejected(first + 4 + 7, 0xc0, "demand entry is not a positive bandwidth");
+  expect_rejected(last + 3, 0x40, "demand entry names an unknown portable");
 }
 
 TEST_F(CampusCorruptCheckpoint, UnknownPortableOrCellThrows) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "mobility/floorplan.h"
@@ -43,10 +42,7 @@ class DispatcherFixture : public ::testing::Test {
     e.directory = &directory_;
     e.profiles = &server_;
     e.mobility = &manager_;
-    e.demand = [this](net::PortableId p) {
-      const auto it = demand_.find(p);
-      return it == demand_.end() ? 0.0 : it->second;
-    };
+    e.demand = &demand_;
     return e;
   }
 
@@ -57,7 +53,8 @@ class DispatcherFixture : public ::testing::Test {
 
   net::PortableId spawn(CellId cell, qos::BitsPerSecond b) {
     const auto p = manager_.add_portable(cell);
-    demand_[p] = b;
+    demand_.resize(p.value() + 1, 0.0);
+    demand_[p.value()] = b;
     return p;
   }
 
@@ -67,7 +64,7 @@ class DispatcherFixture : public ::testing::Test {
   profiles::ProfileServer server_;
   prediction::ThreeLevelPredictor predictor_;
   ReservationDirectory directory_;
-  std::unordered_map<net::PortableId, qos::BitsPerSecond> demand_;
+  std::vector<qos::BitsPerSecond> demand_;  // by PortableId::value()
   std::unique_ptr<PolicyDispatcher> dispatcher_;
   CellId office_, corridor_, meeting_, cafeteria_;
 };
@@ -165,6 +162,19 @@ TEST_F(DispatcherFixture, RefusesIncompleteEnv) {
     EXPECT_THROW(PolicyDispatcher(e, predictor_, server_, PolicyDispatcher::Params{}),
                  std::invalid_argument);
   }
+  PolicyEnv no_demand = full;
+  no_demand.demand = nullptr;
+  EXPECT_THROW(PolicyDispatcher(no_demand, predictor_, server_, PolicyDispatcher::Params{}),
+               std::invalid_argument);
+}
+
+TEST_F(DispatcherFixture, RefusesPredictorReadingAnotherProfileStore) {
+  // The per-portable cache keys on env.profiles' revisions, so a predictor
+  // reading any other store could go stale unseen.
+  const profiles::ProfileServer other(net::ZoneId{1});
+  const prediction::ThreeLevelPredictor elsewhere(map_, other);
+  EXPECT_THROW(PolicyDispatcher(env(), elsewhere, server_, PolicyDispatcher::Params{}),
+               std::invalid_argument);
 }
 
 }  // namespace

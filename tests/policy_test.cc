@@ -2,9 +2,9 @@
 // static, meeting-room, cafeteria, default lounge).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "mobility/floorplan.h"
@@ -46,16 +46,14 @@ class PolicyFixture : public ::testing::Test {
     e.directory = &directory_;
     e.profiles = &server_;
     e.mobility = &manager_;
-    e.demand = [this](PortableId p) {
-      const auto it = demand_.find(p);
-      return it == demand_.end() ? 0.0 : it->second;
-    };
+    e.demand = &demand_;
     return e;
   }
 
   PortableId spawn(CellId cell, qos::BitsPerSecond demand) {
     const PortableId p = manager_.add_portable(cell);
-    demand_[p] = demand;
+    demand_.resize(p.value() + 1, 0.0);
+    demand_[p.value()] = demand;
     return p;
   }
 
@@ -65,7 +63,7 @@ class PolicyFixture : public ::testing::Test {
   mobility::MobilityManager manager_;
   profiles::ProfileServer server_;
   ReservationDirectory directory_;
-  std::unordered_map<PortableId, qos::BitsPerSecond> demand_;
+  std::vector<qos::BitsPerSecond> demand_;  // by PortableId::value()
 };
 
 TEST_F(PolicyFixture, BruteForceReservesInAllNeighbors) {
@@ -145,6 +143,36 @@ TEST_F(PolicyFixture, BruteForceAndAggregateRefuseIncompleteEnv) {
   for (const PolicyEnv& e : incomplete_envs(env())) {
     EXPECT_THROW(BruteForcePolicy{e}, std::invalid_argument);
     EXPECT_THROW(AggregatePolicy{e}, std::invalid_argument);
+  }
+}
+
+TEST_F(PolicyFixture, BruteForceAndAggregateRefuseMissingInputs) {
+  PolicyEnv no_demand = env();
+  no_demand.demand = nullptr;
+  EXPECT_THROW(BruteForcePolicy{no_demand}, std::invalid_argument);
+  EXPECT_THROW(AggregatePolicy{no_demand}, std::invalid_argument);
+  // Only the aggregate policy reads profiles.
+  PolicyEnv no_profiles = env();
+  no_profiles.profiles = nullptr;
+  EXPECT_THROW(AggregatePolicy{no_profiles}, std::invalid_argument);
+  EXPECT_NO_THROW(BruteForcePolicy{no_profiles});
+}
+
+TEST_F(PolicyFixture, StaticPolicyRefusesGuardFractionOutsideUnitInterval) {
+  for (const double bad : {-0.01, 1.01, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(StaticPolicy(env(), bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(StaticPolicy(env(), 0.0));
+  EXPECT_NO_THROW(StaticPolicy(env(), 1.0));
+}
+
+TEST_F(PolicyFixture, MeetingRoomRefusesNonPositivePerUserBandwidth) {
+  for (const double bad : {0.0, -kbps(28), std::numeric_limits<double>::quiet_NaN()}) {
+    MeetingRoomPolicy::Params params;
+    params.per_user_bandwidth = bad;
+    EXPECT_THROW(MeetingRoomPolicy(env(), cells_.a, profiles::BookingCalendar{}, params),
+                 std::invalid_argument)
+        << bad;
   }
 }
 
@@ -262,7 +290,7 @@ class LoungeFixture : public ::testing::Test {
     e.directory = &directory_;
     e.profiles = &server_;
     e.mobility = &manager_;
-    e.demand = [](PortableId) { return kbps(28); };
+    e.demand = &demand_;
     return e;
   }
 
@@ -281,6 +309,7 @@ class LoungeFixture : public ::testing::Test {
   mobility::MobilityManager manager_;
   profiles::ProfileServer server_;
   ReservationDirectory directory_;
+  std::vector<qos::BitsPerSecond> demand_;  // the lounges read no demand
   CellId cafeteria_, lounge_;
 };
 
@@ -372,7 +401,6 @@ TEST_F(LoungeFixture, DefaultLoungeAppliesProbabilisticBound) {
   e.directory = &directory;
   e.profiles = &server_;
   e.mobility = &manager;
-  e.demand = [](PortableId) { return kbps(28); };
 
   DefaultLoungePolicy policy(std::move(e), l1, Duration::minutes(1), kbps(28),
                              std::move(prob));
@@ -380,6 +408,19 @@ TEST_F(LoungeFixture, DefaultLoungeAppliesProbabilisticBound) {
   // The probabilistic bound reserves for potential arrivals from the loaded
   // default neighbor.
   EXPECT_GT(directory.at(l1).anonymous_reservation(), 0.0);
+}
+
+TEST_F(LoungeFixture, LoungesRefuseNonPositiveSlotOrBandwidth) {
+  for (const Duration slot : {Duration::zero(), Duration::seconds(-60)}) {
+    EXPECT_THROW(CafeteriaPolicy(env(), cafeteria_, slot, kbps(28)), std::invalid_argument);
+    EXPECT_THROW(DefaultLoungePolicy(env(), lounge_, slot, kbps(28)), std::invalid_argument);
+  }
+  for (const double bad : {0.0, -kbps(28), std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(CafeteriaPolicy(env(), cafeteria_, Duration::minutes(1), bad),
+                 std::invalid_argument);
+    EXPECT_THROW(DefaultLoungePolicy(env(), lounge_, Duration::minutes(1), bad),
+                 std::invalid_argument);
+  }
 }
 
 TEST_F(LoungeFixture, DefaultLoungeBoundRefusesIncompleteEnv) {

@@ -237,6 +237,52 @@ TEST(FlatMap, InsertFindEraseChurn) {
   EXPECT_EQ(visited, reference.size());
 }
 
+TEST(FlatMap, ClearOnAFreshMapIsANoOp) {
+  sim::FlatMap<std::uint32_t, double> map;
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.memory_bytes(), 0u);
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_TRUE(map.insert(7, 1.5));
+  ASSERT_NE(map.find(7), nullptr);
+  EXPECT_EQ(*map.find(7), 1.5);
+}
+
+TEST(FlatMap, ClearAfterErasingEverythingLeavesNoStaleEntry) {
+  // Backward-shift deletion leaves no tombstones, so a map emptied by
+  // erase() is as clean as a cleared one and clear() may skip it.
+  sim::FlatMap<std::uint32_t, double> map;
+  for (std::uint32_t k = 0; k < 100; ++k) map[k] = double(k);
+  const std::size_t bytes = map.memory_bytes();
+  for (std::uint32_t k = 0; k < 100; ++k) EXPECT_TRUE(map.erase(k));
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.memory_bytes(), bytes);
+  std::size_t visited = 0;
+  map.for_each([&visited](std::uint32_t, double) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  for (std::uint32_t k = 0; k < 100; ++k) EXPECT_EQ(map.find(k), nullptr) << k;
+}
+
+TEST(FlatMap, InsertAfterClearSeesOnlyNewEntries) {
+  sim::FlatMap<std::uint32_t, double> map;
+  for (std::uint32_t k = 0; k < 40; ++k) map[k] = double(k);
+  const std::size_t bytes = map.memory_bytes();
+  map.clear();
+  EXPECT_EQ(map.memory_bytes(), bytes);  // capacity kept
+  for (std::uint32_t k = 20; k < 60; ++k) EXPECT_TRUE(map.insert(k, -double(k)));
+  EXPECT_EQ(map.size(), 40u);
+  for (std::uint32_t k = 0; k < 60; ++k) {
+    const double* found = map.find(k);
+    if (k < 20) {
+      EXPECT_EQ(found, nullptr) << k;
+    } else {
+      ASSERT_NE(found, nullptr) << k;
+      EXPECT_EQ(*found, -double(k));
+    }
+  }
+}
+
 TEST(Simulator, NowAdvancesWithEvents) {
   Simulator sim;
   SimTime seen = SimTime::zero();

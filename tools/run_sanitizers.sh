@@ -35,8 +35,10 @@
 #        campus = asan+ubsan over the `campus` label — the campus-day path:
 #        the mobility manager's sorted resident index (portables_in hands
 #        out a reference into a bucket that the next move edits), the
-#        policies and dispatcher that walk it, the serial-indexed pending
-#        event table, its strict checkpoint restore and the campus golden.
+#        policies and dispatcher that walk it, their incremental refresh
+#        and its oracle (reservation_refresh_oracle_test), the
+#        serial-indexed pending event table, its strict checkpoint restore
+#        and the campus golden.
 # Env:   CMAKE_ARGS  extra configure flags (e.g. -DCMAKE_CXX_COMPILER=clang++)
 #        CTEST_ARGS  extra ctest flags (e.g. -R fault)
 #

@@ -55,10 +55,9 @@
 # per-shard metrics is asserted here too (the cheap end-to-end determinism
 # check; the thorough one is ctest -L shard).
 #
-# campus_scale (ISSUE 6) sweeps the grid campus harness over
-# {10,100,1000} cells x {1k,10k,100k} portables and records events/s and
-# bytes-per-portable per point, plus the naive (pre-SoA access pattern)
-# engine at 100x10k for the layout speedup on this host.
+# campus_scale sweeps the grid campus over {10,100,1000} cells x
+# {1k,10k,100k} portables on one worker and records events/s and
+# bytes-per-portable per point.
 #
 # campus_scale_sharded (ISSUE 10) runs the grid campus through the
 # window-batched ShardedRunner (one domain per cell) at the pinned 100x10k
@@ -217,7 +216,7 @@ for i in 2 3; do
 done
 
 # Campus-at-scale curve (ISSUE 6): events/s and bytes/portable over the
-# 3x3 grid, plus the naive engine at the 100x10k comparison point.
+# 3x3 grid, on the sharded engine's default single worker.
 for c in 10 100 1000; do
   for p in 1000 10000 100000; do
     "$repo_root/$build_dir/examples/scenario_cli" campus-scale \
@@ -225,9 +224,6 @@ for c in 10 100 1000; do
       --metrics-json "$shard_dir/scale_${c}x${p}.json" >/dev/null
   done
 done
-"$repo_root/$build_dir/examples/scenario_cli" campus-scale \
-  --cells 100 --portables 10000 "${scale_flags[@]}" --engine naive \
-  --metrics-json "$shard_dir/scale_naive.json" >/dev/null
 
 # Sharded grid campus (ISSUE 10): the pinned 100x10k point through the
 # window-batched runner at K=1/2/4/8 (adaptive batching), clean, plus a
@@ -401,8 +397,7 @@ trajectory["scenario_cli/campus_sharded"] = entry(
     profile=profile_block,
 )
 
-# Campus-at-scale curve (ISSUE 6): 3x3 grid of events/s and bytes/portable,
-# plus the SoA-vs-naive layout speedup at the 100x10k point.
+# Campus-at-scale curve: 3x3 grid of events/s and bytes/portable.
 grid = {}
 scale_config = None
 for c in (10, 100, 1000):
@@ -416,16 +411,10 @@ for c in (10, 100, 1000):
             "bytes_per_portable": gauges["scale.bytes_per_portable"]["value"],
         }
         scale_config = scale_report["config"]
-with open(f"{shard_dir}/scale_naive.json") as f:
-    naive_report = json.load(f)
-soa_100x10k = grid["100x10000"]["events_per_second"]
 trajectory["scenario_cli/campus_scale"] = {
     "host_cpus": os.cpu_count(),
     "config": scale_config,
     "grid": grid,
-    "naive_events_per_second_100x10000": naive_report["events_per_second"],
-    "soa_vs_naive_speedup_100x10000":
-        soa_100x10k / naive_report["events_per_second"],
 }
 
 # Sharded grid campus (ISSUE 10): byte-identical per-K metrics (asserted),

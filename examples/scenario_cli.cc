@@ -350,8 +350,6 @@ const std::map<std::string, CampusPolicy> kCampusPolicies = {
     {"dispatcher", CampusPolicy::kDispatcher}, {"aggregate", CampusPolicy::kAggregate},
     {"brute-force", CampusPolicy::kBruteForce}, {"static", CampusPolicy::kStatic},
     {"none", CampusPolicy::kNone}};
-const std::map<std::string, ScaleEngine> kScaleEngines = {{"soa", ScaleEngine::kSoa},
-                                                          {"naive", ScaleEngine::kNaive}};
 
 /// Shared --faults / --fault-retries handling for the experiment commands:
 /// a positive drop probability turns every admission probe into an
@@ -807,25 +805,16 @@ int run_campus_scale_cmd(Args& args, ObsSession& obs) {
   const std::size_t shards = args.count("shards");
   const double duration = args.number("duration");
   const double tick = args.number("tick");
-  const std::string& engine = args.text("engine");
   if (cells < 2) return refuse("--cells must be at least 2");
   if (tick <= 0.0 || duration <= 0.0) {
     return refuse("--duration and --tick must be positive");
   }
-  if (shards > 0 && engine == "naive") {
-    return refuse("--engine naive is the monolithic pre-SoA baseline; it cannot "
-                  "run sharded (drop --shards or --engine)");
-  }
+  if (shards == 0) return refuse("--shards must be at least 1");
   if (shards > cells) {
     return refuse("--shards (" + std::to_string(shards) + ") exceeds --cells (" +
                   std::to_string(cells) + "); cells are the unit of parallelism");
   }
-  if (shards == 0 && args.given("batch")) {
-    return refuse("--batch tunes the sharded runner's window batching; it "
-                  "requires --shards K");
-  }
   CampusScaleConfig config;
-  config.engine = kScaleEngines.at(engine);
   config.cells = cells;
   config.portables = portables;
   config.seed = std::uint64_t(args.count("seed"));
@@ -834,33 +823,20 @@ int run_campus_scale_cmd(Args& args, ObsSession& obs) {
   config.metrics = obs.registry_or_null();
   config.profiler = obs.profiler_or_null();
   config.progress = obs.progress_or_null();
-
-  if (shards > 0) {
-    config.shards = shards;
-    config.batch = args.count("batch");
-    config.tracer = obs.tracer_or_null();
-    const CampusScaleResult r = run_campus_scale_sharded(config);
-    // No dispatch count here: stdout must stay byte-identical across batch
-    // sizes (dispatches vary; windows and boundary messages do not).
-    std::cout << "engine=sharded cells=" << cells << " portables=" << portables
-              << " events=" << r.events << " windows=" << r.windows
-              << " boundary=" << r.boundary_messages
-              << " handoffs=" << r.handoffs << " admits=" << r.handoff_admitted
-              << " drops=" << r.handoff_dropped << " blocked=" << r.new_blocked
-              << " departed=" << r.departures
-              << " bytes/portable=" << stats::fmt(r.bytes_per_portable, 1)
-              << '\n';
-    return obs.finish("campus_scale", obs.registry.snapshot(),
-                      obs.want_profile() ? &r.profile : nullptr);
-  }
-
-  const CampusScaleResult r = run_campus_scale(config);
-  std::cout << "engine=" << engine << " cells=" << cells << " portables=" << portables
-            << " events=" << r.events << " handoffs=" << r.handoffs
+  config.shards = shards;
+  config.batch = args.count("batch");
+  config.tracer = obs.tracer_or_null();
+  const CampusScaleResult r = run_campus_scale_sharded(config);
+  // No dispatch count here: stdout must stay byte-identical across batch
+  // sizes (dispatches vary; windows and boundary messages do not).
+  std::cout << "engine=sharded cells=" << cells << " portables=" << portables
+            << " events=" << r.events << " windows=" << r.windows
+            << " boundary=" << r.boundary_messages << " handoffs=" << r.handoffs
             << " admits=" << r.handoff_admitted << " drops=" << r.handoff_dropped
             << " blocked=" << r.new_blocked << " departed=" << r.departures
             << " bytes/portable=" << stats::fmt(r.bytes_per_portable, 1) << '\n';
-  return obs.finish("campus_scale", obs.registry.snapshot());
+  return obs.finish("campus_scale", obs.registry.snapshot(),
+                    obs.want_profile() ? &r.profile : nullptr);
 }
 
 /// Shared serve/drive service-shape flags -> ServiceConfig; nullopt after a
@@ -1172,7 +1148,7 @@ std::vector<Command> build_commands() {
            number("progress", "0"),
        }},
       {"campus-scale",
-       "the grid campus at scale; --shards K runs it on the sharded runner",
+       "the grid campus at scale: one sharded-runner domain per cell, --shards workers",
        run_campus_scale_cmd,
        {
            count("cells", "100").echoed(),
@@ -1180,8 +1156,7 @@ std::vector<Command> build_commands() {
            number("duration", "3600").echoed(1),
            number("tick", "5").echoed(2),
            count("seed", "5").echoed(),
-           choice("engine", choices_of(kScaleEngines), "soa").echoed(),
-           count("shards", "0").echoed(0, sharded),
+           count("shards", "1").echoed(),
            count("batch", "0").echoed(0, batched),
            toggle("profile"),
            number("progress", "0"),

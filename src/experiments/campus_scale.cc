@@ -1,3 +1,6 @@
+// The grid campus's inputs: the scale_grid_floorplan map and the generated
+// class-schedule day (scale_workload.h) that run_campus_scale_sharded
+// executes (campus_scale_sharded.cc).
 #include "experiments/campus_scale.h"
 
 #include <algorithm>
@@ -8,13 +11,6 @@
 #include <vector>
 
 #include "experiments/scale_workload.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/progress.h"
-#include "prediction/cell_classifier.h"
-#include "prediction/predictor.h"
-#include "profiles/profile_server.h"
-#include "reservation/directory.h"
 #include "sim/random.h"
 #include "workload/class_schedule.h"
 #include "workload/connection_mix.h"
@@ -22,452 +18,8 @@
 namespace imrm::experiments {
 
 namespace {
-
 using net::CellId;
-using net::PortableId;
-
 constexpr std::uint32_t kNoCell = CellId::invalid().value();
-
-using Milestone = detail::ScaleMilestone;
-constexpr std::size_t kMilestonesPerPortable = detail::kScaleMilestonesPerPortable;
-
-struct Mover {
-  std::uint32_t to;
-  std::uint32_t portable;
-  std::uint32_t from;
-  bool operator<(const Mover& o) const {
-    return to != o.to ? to < o.to : portable < o.portable;
-  }
-};
-
-class ScaleSim {
- public:
-  explicit ScaleSim(const CampusScaleConfig& config)
-      : cfg_(config),
-        map_(scale_grid_floorplan(config.cells)),
-        side_(detail::scale_grid_side(config.cells)),
-        server_(net::ZoneId{0}),
-        predictor_(map_, server_) {
-    for (const mobility::Cell& cell : map_.cells()) {
-      directory_.add_cell(cell.id, cfg_.cell_capacity_bps);
-    }
-    if (cfg_.metrics) directory_.bind_metrics(*cfg_.metrics);
-
-    obs_slot_.assign(map_.size(), -1);
-    for (CellId room : map_.cells_of_class(mobility::CellClass::kMeetingRoom)) {
-      obs_slot_[room.value()] = int(room_obs_.size());
-      room_obs_.emplace_back();
-    }
-
-    const std::size_t n = cfg_.portables;
-    current_.assign(n, kNoCell);
-    prev_.assign(n, kNoCell);
-    target_.assign(n, kNoCell);
-    connected_.assign(n, 0);
-    alive_.assign(n, 0);
-    cursor_.assign(n, 0);
-    last_reserved_.assign(n, kNoCell);
-    occupancy_.assign(map_.size(), 0);
-
-    const double tick_s = std::max(cfg_.tick.to_seconds(), 1e-3);
-    n_ticks_ = std::size_t(cfg_.duration.to_seconds() / tick_s) + 1;
-    buckets_.resize(n_ticks_);
-
-    generate_workload();
-  }
-
-  CampusScaleResult run() {
-    prof_on_ = cfg_.profiler != nullptr && cfg_.profiler->enabled();
-    const std::uint64_t run0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-    obs::ProgressMeter* progress = cfg_.progress;
-    for (std::size_t t = 0; t < n_ticks_; ++t) {
-      run_tick(t);
-      if (progress != nullptr && progress->armed()) {
-        progress->maybe_emit(double(t + 1) / double(n_ticks_), r_.events);
-      }
-    }
-    if (prof_on_) loop_ns_ = obs::Profiler::now_ns() - run0;
-    // End-of-sim flush: force the remaining milestones (ascending portable
-    // id, deterministic) so every portable departs — connections released,
-    // classifier eviction executed — even when clamped times land on the
-    // final tick.
-    const double end = cfg_.duration.to_seconds();
-    const sim::SimTime end_t = sim::SimTime::seconds(end);
-    for (std::uint32_t p = 0; p < cfg_.portables; ++p) {
-      if (alive_[p] != 2) fire_milestones(p, end, end_t);
-    }
-    return finish();
-  }
-
- private:
-  // --- workload generation (engine-independent and shared with the sharded
-  // --- engine, so every engine sees the exact same milestone arena and
-  // --- demands; see scale_workload.h) -------------------------------------
-  void generate_workload() {
-    detail::ScaleWorkload w =
-        detail::generate_scale_workload(cfg_, map_, &server_);
-    home_ = std::move(w.home);
-    room_ = std::move(w.room);
-    demand_ = std::move(w.demand);
-    arena_ = std::move(w.arena);
-    // Each portable's first wakeup is its appear milestone; run_tick sorts
-    // the due list, so bucket fill order is immaterial.
-    for (std::uint32_t p = 0; p < cfg_.portables; ++p) {
-      schedule_at(p, arena_[p * kMilestonesPerPortable].time, /*after_tick=*/0);
-    }
-  }
-
-  void schedule_at(std::uint32_t portable, double when, std::size_t after_tick) {
-    if (after_tick >= n_ticks_) return;  // past the horizon; the flush handles it
-    const double tick_s = std::max(cfg_.tick.to_seconds(), 1e-3);
-    // Ceil: the wakeup tick must not precede the milestone it serves.
-    std::size_t idx = std::size_t(std::ceil(when / tick_s));
-    idx = std::clamp(idx, after_tick, n_ticks_ - 1);
-    buckets_[idx].push_back(portable);
-  }
-
-  // --- per-tick processing -------------------------------------------------
-  void run_tick(std::size_t t) {
-    ++r_.ticks;
-    std::vector<std::uint32_t> due = std::move(buckets_[t]);
-    if (due.empty()) return;
-    std::sort(due.begin(), due.end());
-    const double now = double(t) * cfg_.tick.to_seconds();
-    const sim::SimTime now_t = sim::SimTime::seconds(now);
-
-    // Phase A: fire due milestones and collect movement intents. Only the
-    // scheduled portables are touched — O(active movers), never O(M).
-    movers_.clear();
-    for (const std::uint32_t p : due) {
-      fire_milestones(p, now, now_t);
-      if (alive_[p] == 0) {  // not appeared yet; wait for its first milestone
-        schedule_next_milestone(p, t);
-        continue;
-      }
-      if (alive_[p] == 2) continue;  // departed
-      if (current_[p] != target_[p]) {
-        movers_.push_back({route_next(current_[p], target_[p]), p, current_[p]});
-      } else {
-        schedule_next_milestone(p, t);
-      }
-    }
-    if (movers_.empty()) return;
-
-    // Phase B: one dispatcher pass over the movers, grouped per destination
-    // cell — the canonical admission order both engines share.
-    std::sort(movers_.begin(), movers_.end());
-    std::size_t i = 0;
-    while (i < movers_.size()) {
-      std::size_t j = i;
-      while (j < movers_.size() && movers_[j].to == movers_[i].to) ++j;
-      process_destination_group(i, j, t, now_t);
-      i = j;
-    }
-  }
-
-  void fire_milestones(std::uint32_t p, double now, sim::SimTime now_t) {
-    Milestone* m = &arena_[p * kMilestonesPerPortable];
-    while (alive_[p] != 2 && cursor_[p] < kMilestonesPerPortable &&
-           m[cursor_[p]].time <= now) {
-      const Milestone& ms = m[cursor_[p]];
-      ++cursor_[p];
-      ++r_.events;
-      switch (ms.kind) {
-        case Milestone::kAppear: {
-          alive_[p] = 1;
-          current_[p] = home_[p];
-          prev_[p] = kNoCell;
-          target_[p] = gateway_of(room_[p]);
-          ++occupancy_[home_[p]];
-          reservation::CellBandwidth& account = directory_.at(CellId{home_[p]});
-          const std::uint64_t a0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-          const bool ok = account.admit_new(PortableId{p}, demand_[p]);
-          if (prof_on_) {
-            admission_ns_ += obs::Profiler::now_ns() - a0;
-            ++admission_calls_;
-          }
-          connected_[p] = ok ? 1 : 0;
-          if (ok && account.active_connections() == 1) ++busy_cells_;
-          ok ? ++r_.new_admitted : ++r_.new_blocked;
-          mix_outcome(0x11, p, home_[p], ok);
-          break;
-        }
-        case Milestone::kEnter:
-          target_[p] = room_[p];
-          break;
-        case Milestone::kLeave:
-          target_[p] = home_[p];
-          break;
-        case Milestone::kDepart: {
-          const std::uint32_t cur = current_[p];
-          if (connected_[p]) release_connection(p, cur);
-          cancel_stale_reservation(p, kNoCell);
-          if (obs_slot_[cur] >= 0) {
-            room_obs_[obs_slot_[cur]].record_exit(PortableId{p}, now_t,
-                                                  /*pass_through=*/false);
-          }
-          const int slot = obs_slot_[room_[p]];
-          if (slot >= 0) room_obs_[slot].record_final_departure(PortableId{p});
-          --occupancy_[cur];
-          // Clear the position so the naive engine's roster scan agrees
-          // with the maintained occupancy counts.
-          current_[p] = kNoCell;
-          target_[p] = kNoCell;
-          alive_[p] = 2;
-          ++r_.departures;
-          mix_outcome(0x44, p, cur, true);
-          break;
-        }
-      }
-    }
-  }
-
-  void schedule_next_milestone(std::uint32_t p, std::size_t t) {
-    if (cursor_[p] >= kMilestonesPerPortable) return;
-    schedule_at(p, arena_[p * kMilestonesPerPortable + cursor_[p]].time, t + 1);
-  }
-
-  void process_destination_group(std::size_t begin, std::size_t end, std::size_t t,
-                                 sim::SimTime now_t) {
-    const std::uint32_t to = movers_[begin].to;
-    // kSoa fetches the destination account and observation slot once per
-    // group; kNaive re-derives its picture per mover below.
-    reservation::CellBandwidth& dest = directory_.at(CellId{to});
-    const int dest_obs = obs_slot_[to];
-
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t p = movers_[i].portable;
-      const std::uint32_t from = movers_[i].from;
-
-      // Destination occupancy before admission + busy-cell count: the SoA
-      // engine reads its O(1) bookkeeping; the naive engine rescans the
-      // whole roster and every cell account, the pre-SoA way. Both are the
-      // same integers and both feed the outcome hash.
-      std::uint64_t occ_before;
-      std::uint64_t busy;
-      if (cfg_.engine == ScaleEngine::kSoa) {
-        occ_before = occupancy_[to];
-        busy = busy_cells_;
-      } else {
-        // Literal pre-SoA portables_in: scan the whole roster, materialize
-        // and sort the resident list, then read its size.
-        naive_residents_.clear();
-        for (std::uint32_t q = 0; q < std::uint32_t(current_.size()); ++q) {
-          if (current_[q] == to) naive_residents_.push_back(q);
-        }
-        std::sort(naive_residents_.begin(), naive_residents_.end());
-        occ_before = naive_residents_.size();
-        busy = 0;
-        directory_.for_each_cell([&busy](CellId, const reservation::CellBandwidth& cell) {
-          busy += cell.active_connections() > 0;
-        });
-      }
-
-      bool admitted = false;
-      if (connected_[p]) {
-        const std::uint64_t a0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-        release_connection(p, from);
-        admitted = dest.admit_handoff(PortableId{p}, demand_[p]);
-        if (prof_on_) {
-          admission_ns_ += obs::Profiler::now_ns() - a0;
-          ++admission_calls_;
-        }
-        if (admitted) {
-          connected_[p] = 1;
-          ++r_.handoff_admitted;
-          if (dest.active_connections() == 1) ++busy_cells_;
-        } else {
-          ++r_.handoff_dropped;
-        }
-      }
-      {
-        const std::uint64_t c0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-        cancel_stale_reservation(p, to);
-        if (prof_on_) reservation_ns_ += obs::Profiler::now_ns() - c0;
-      }
-
-      --occupancy_[from];
-      ++occupancy_[to];
-      const std::uint32_t prev2 = prev_[p];
-      prev_[p] = from;
-      current_[p] = to;
-      ++r_.handoffs;
-      ++r_.events;
-
-      server_.record_handoff(PortableId{p}, CellId{prev2}, CellId{from}, CellId{to});
-      if (obs_slot_[from] >= 0) {
-        room_obs_[obs_slot_[from]].record_exit(PortableId{p}, now_t,
-                                               /*pass_through=*/prev2 != to);
-      }
-      if (dest_obs >= 0) room_obs_[dest_obs].record_entry(PortableId{p}, now_t);
-
-      // Advance reservation on the admission path: predict the next cell
-      // from the (now cache-resident) profiles and park bandwidth there.
-      if (connected_[p]) {
-        const std::uint64_t p0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-        const prediction::Prediction pred =
-            predictor_.predict(PortableId{p}, CellId{from}, CellId{to});
-        if (prof_on_) {
-          prediction_ns_ += obs::Profiler::now_ns() - p0;
-          ++prediction_calls_;
-        }
-        if (pred.next_cell && directory_.has(*pred.next_cell)) {
-          const std::uint64_t rs0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-          directory_.at(*pred.next_cell).reserve_for(PortableId{p}, demand_[p]);
-          if (prof_on_) {
-            reservation_ns_ += obs::Profiler::now_ns() - rs0;
-            ++reservation_calls_;
-          }
-          last_reserved_[p] = pred.next_cell->value();
-          ++r_.reservations_placed;
-        }
-      }
-
-      mix_outcome(0x22, p, (std::uint64_t(from) << 20) | to, admitted);
-      mix(occ_before);
-      mix(busy);
-
-      if (current_[p] == target_[p]) {
-        schedule_next_milestone(p, t);
-      } else if (t + 1 < n_ticks_) {
-        buckets_[t + 1].push_back(p);  // keep walking next tick
-      }
-    }
-  }
-
-  void release_connection(std::uint32_t p, std::uint32_t cell) {
-    reservation::CellBandwidth& account = directory_.at(CellId{cell});
-    account.release(PortableId{p});
-    connected_[p] = 0;
-    if (account.active_connections() == 0 && busy_cells_ > 0) --busy_cells_;
-  }
-
-  /// Drops the advance reservation left in a cell the portable is no longer
-  /// headed to. A reservation in `arrived` was consumed by admit_handoff.
-  void cancel_stale_reservation(std::uint32_t p, std::uint32_t arrived) {
-    const std::uint32_t held = last_reserved_[p];
-    if (held == kNoCell) return;
-    if (held != arrived) directory_.at(CellId{held}).cancel_reservation(PortableId{p});
-    last_reserved_[p] = kNoCell;
-  }
-
-  // --- routing on the grid (shared with the sharded engine) ----------------
-  std::uint32_t route_next(std::uint32_t from, std::uint32_t to) const {
-    return detail::route_next(side_, from, to);
-  }
-  std::uint32_t gateway_of(std::uint32_t room) const {
-    return detail::gateway_of(side_, room);
-  }
-
-  // --- outcome digest ------------------------------------------------------
-  void mix(std::uint64_t v) {
-    hash_ ^= v + 0x9e3779b97f4a7c15ULL + (hash_ << 6) + (hash_ >> 2);
-  }
-  void mix_outcome(std::uint64_t tag, std::uint32_t p, std::uint64_t detail, bool ok) {
-    mix((tag << 56) | (std::uint64_t(p) << 24) | (ok ? 1 : 0));
-    mix(detail);
-  }
-
-  // --- reporting -----------------------------------------------------------
-  std::size_t state_bytes() const {
-    std::size_t total = directory_.memory_bytes() + server_.memory_bytes();
-    for (const prediction::CellObservations& obs : room_obs_) {
-      total += obs.memory_bytes();
-    }
-    total += home_.capacity() * sizeof(std::uint32_t) * 5;  // home/room/current/prev/target
-    total += last_reserved_.capacity() * sizeof(std::uint32_t);
-    total += demand_.capacity() * sizeof(double);
-    total += connected_.capacity() + alive_.capacity() + cursor_.capacity();
-    total += arena_.capacity() * sizeof(Milestone);
-    total += occupancy_.capacity() * sizeof(std::uint32_t);
-    total += buckets_.capacity() * sizeof(std::vector<std::uint32_t>);
-    for (const auto& bucket : buckets_) {
-      total += bucket.capacity() * sizeof(std::uint32_t);
-    }
-    return total;
-  }
-
-  CampusScaleResult finish() {
-    r_.outcome_hash = hash_;
-    r_.state_bytes = state_bytes();
-    r_.bytes_per_portable =
-        cfg_.portables ? double(r_.state_bytes) / double(cfg_.portables) : 0.0;
-    if (obs::Registry* reg = cfg_.metrics) {
-      reg->counter("scale.events").add(r_.events);
-      reg->counter("scale.ticks").add(r_.ticks);
-      reg->counter("scale.handoffs").add(r_.handoffs);
-      reg->counter("scale.new.admitted").add(r_.new_admitted);
-      reg->counter("scale.new.blocked").add(r_.new_blocked);
-      reg->counter("scale.handoff.admitted").add(r_.handoff_admitted);
-      reg->counter("scale.handoff.dropped").add(r_.handoff_dropped);
-      reg->counter("scale.reservations").add(r_.reservations_placed);
-      reg->counter("scale.departures").add(r_.departures);
-      reg->gauge("scale.state_bytes").set(double(r_.state_bytes));
-      reg->gauge("scale.bytes_per_portable").set(r_.bytes_per_portable);
-      reg->gauge("sim.time_seconds").set(cfg_.duration.to_seconds());
-      reg->counter("sim.events_fired").add(r_.events);
-    }
-    if (prof_on_) {
-      // The tick loop splits into the paper's four resource-management
-      // phases; whatever the fine-grained probes did not claim (milestone
-      // firing, routing, occupancy bookkeeping, observation records) is the
-      // mobility share.
-      obs::Profiler& prof = *cfg_.profiler;
-      const std::uint64_t claimed =
-          admission_ns_ + prediction_ns_ + reservation_ns_;
-      prof.record(prof.intern("scale.mobility"),
-                  loop_ns_ - std::min(claimed, loop_ns_), r_.ticks);
-      prof.record(prof.intern("scale.admission"), admission_ns_, admission_calls_);
-      prof.record(prof.intern("scale.prediction"), prediction_ns_, prediction_calls_);
-      prof.record(prof.intern("scale.reservation"), reservation_ns_,
-                  reservation_calls_);
-    }
-    return r_;
-  }
-
-  CampusScaleConfig cfg_;
-  mobility::CellMap map_;
-  std::size_t side_;
-  reservation::ReservationDirectory directory_;
-  profiles::ProfileServer server_;
-  prediction::ThreeLevelPredictor predictor_;
-
-  // SoA portable state, indexed by portable id.
-  std::vector<std::uint32_t> home_, room_, current_, prev_, target_;
-  std::vector<double> demand_;
-  std::vector<std::uint8_t> connected_;
-  std::vector<std::uint8_t> alive_;  // 0 unborn, 1 active, 2 departed
-  std::vector<std::uint8_t> cursor_;
-  std::vector<std::uint32_t> last_reserved_;
-  std::vector<Milestone> arena_;  // stride kMilestonesPerPortable per portable
-
-  // O(1) bookkeeping the SoA engine reads; the naive engine recomputes.
-  std::vector<std::uint32_t> occupancy_;
-  std::uint64_t busy_cells_ = 0;
-
-  // Meeting-room observations for the cell classifier (bounded by S2's
-  // final-departure eviction).
-  std::vector<int> obs_slot_;
-  std::vector<prediction::CellObservations> room_obs_;
-
-  // Tick-indexed wakeup calendar; each live portable has exactly one
-  // pending wakeup.
-  std::size_t n_ticks_ = 0;
-  std::vector<std::vector<std::uint32_t>> buckets_;
-  std::vector<Mover> movers_;
-  std::vector<std::uint32_t> naive_residents_;  // kNaive's scratch roster scan
-
-  std::uint64_t hash_ = 0x6a09e667f3bcc908ULL;
-  CampusScaleResult r_;
-
-  // Wall-clock phase accounting (ISSUE 7); all zero-cost unless prof_on_.
-  bool prof_on_ = false;
-  std::uint64_t loop_ns_ = 0;
-  std::uint64_t admission_ns_ = 0, admission_calls_ = 0;
-  std::uint64_t prediction_ns_ = 0, prediction_calls_ = 0;
-  std::uint64_t reservation_ns_ = 0, reservation_calls_ = 0;
-};
-
 }  // namespace
 
 namespace detail {
@@ -478,8 +30,7 @@ std::size_t scale_grid_side(std::size_t cells) {
 }
 
 ScaleWorkload generate_scale_workload(const CampusScaleConfig& cfg,
-                                      const mobility::CellMap& map,
-                                      profiles::ProfileServer* calendar) {
+                                      const mobility::CellMap& map) {
   ScaleWorkload w;
   const std::size_t n = cfg.portables;
   w.home.assign(n, kNoCell);
@@ -529,7 +80,6 @@ ScaleWorkload generate_scale_workload(const CampusScaleConfig& cfg,
       meeting.start = sim::SimTime::seconds(periods[pi].first);
       meeting.stop = sim::SimTime::seconds(periods[pi].second);
       meeting.attendees = members.size();
-      if (calendar != nullptr) calendar->calendar(rooms[ri]).book(meeting);
 
       workload::ClassScheduleConfig schedule;
       schedule.meeting = meeting;
@@ -604,11 +154,6 @@ mobility::CellMap scale_grid_floorplan(std::size_t cells) {
   }
   assert(map.neighbor_relation_valid());
   return map;
-}
-
-CampusScaleResult run_campus_scale(const CampusScaleConfig& config) {
-  ScaleSim sim(config);
-  return sim.run();
 }
 
 }  // namespace imrm::experiments

@@ -1,36 +1,13 @@
-// Campus-at-scale harness (ISSUE 6 tentpole): a grid campus of N cells and
-// M portables driven through class-schedule workloads, built to measure how
-// the SoA/arena data layout scales — events/s and bytes-per-portable at up
-// to 1000 cells x 100k portables.
-//
-// Two engines run the SAME deterministic workload through the SAME admission
-// order (movers sorted by (destination cell, portable id) each tick):
-//
-//   kSoa   — the shipping layout: dense id-indexed arrays, per-cell resident
-//            counts maintained in O(1), batched per-destination-cell handoff
-//            groups, predictor/profile lookups on the admission path served
-//            from cache-resident flat tables. A mobility tick costs
-//            O(active movers).
-//   kNaive — the pre-SoA access pattern, kept as an honest baseline: every
-//            mover re-derives destination occupancy by scanning the full
-//            portable roster (O(M)) and re-derives the busy-cell picture by
-//            sweeping every cell account (O(N)), the way map-based policy
-//            refresh used to.
-//
-// Both engines fold the same integer observations (occupancy before
-// admission, admission outcome, busy-cell count) into `outcome_hash`, so a
-// test can assert the layouts are behaviorally identical while the clock
-// shows the complexity gap.
-// A third front end, run_campus_scale_sharded (ISSUE 10), executes the same
-// generated workload as one sim::ShardedRunner domain per cell: milestones
-// fire in per-cell tick handlers, walkers travel as boundary messages with
-// one-tick latency, and admission/reservation state is cell-local. It is its
-// own oracle — byte-identical across any shard/batch count (the runner's
-// contract), but deliberately NOT decision-identical with the monolithic
-// engines: global state the monolith consults on the admission path (the
-// ThreeLevelPredictor, the busy-cell census) has no partition-invariant
-// cell-local equivalent, so the sharded engine reserves along the walking
-// route instead of along predicted mobility (see DESIGN.md).
+// The grid campus at scale: N cells on a scale_grid_floorplan grid and M
+// portables on a generated class-schedule day (scale_workload.h), run by one
+// engine, run_campus_scale_sharded (campus_scale_sharded.cc). Each cell is a
+// sim::ShardedRunner domain. Milestones fire in per-cell tick handlers,
+// walkers travel as boundary messages with one tick of latency, and admission
+// and reservation state is cell-local. The engine is its own oracle: every
+// output is byte-identical for any shard or batch count (the runner's
+// contract). Advance reservations follow the walking route, not the paper's
+// three-level prediction, which reads state no single cell owns (see
+// DESIGN.md "The sharded grid campus").
 #pragma once
 
 #include <cstddef>
@@ -48,8 +25,6 @@ class Tracer;
 
 namespace imrm::experiments {
 
-enum class ScaleEngine { kNaive, kSoa };
-
 struct CampusScaleConfig {
   std::size_t cells = 100;
   std::size_t portables = 1000;
@@ -58,24 +33,23 @@ struct CampusScaleConfig {
   sim::Duration tick = sim::Duration::seconds(5);
   double cell_capacity_bps = 1.6e6;
   std::uint64_t seed = 5;
-  ScaleEngine engine = ScaleEngine::kSoa;
-  /// Optional metric registry: scale.* counters, resv.* admission telemetry,
-  /// scale.bytes_* gauges, and the sim.time_seconds / sim.events_fired pair
-  /// the CLI report reads.
+  /// Optional metric registry: scale.* counters and gauges, the runner's
+  /// shard.windows / shard.boundary_messages, and the sim.time_seconds /
+  /// sim.events_fired pair the CLI report reads.
   obs::Registry* metrics = nullptr;
-  /// Optional wall-clock attribution (ISSUE 7): the tick loop is split into
-  /// scale.mobility / scale.admission / scale.prediction / scale.reservation
-  /// phases recorded once per run. Observation-only — decisions, the outcome
-  /// hash, and all metrics are identical with profiling on or off.
+  /// Optional wall-clock attribution: shard lanes and dispatch/window
+  /// histograms land in CampusScaleResult::profile. Observation-only —
+  /// decisions, the outcome hash, and all metrics are identical with
+  /// profiling on or off.
   obs::Profiler* profiler = nullptr;
-  /// Optional stderr heartbeat, polled once per tick (the sharded engine
-  /// polls once per coordinator dispatch, with straggler attribution).
+  /// Optional stderr heartbeat, polled once per coordinator dispatch, with
+  /// straggler attribution.
   obs::ProgressMeter* progress = nullptr;
-  /// Sharded-engine knobs (run_campus_scale_sharded only; the monolithic
-  /// engines ignore all three). `shards` is the worker-thread count —
-  /// execution only, results are byte-identical for any value. `batch` is
-  /// windows per coordinator dispatch (0 = adaptive), equally result-
-  /// invariant. `tracer` receives the runner's wall lanes when profiling.
+  /// Execution knobs. `shards` is the worker-thread count (0 = all hardware
+  /// threads) — execution only, results are byte-identical for any value.
+  /// `batch` is windows per coordinator dispatch (0 = adaptive), equally
+  /// result-invariant. `tracer` receives the runner's wall lanes when
+  /// profiling.
   std::size_t shards = 1;
   std::size_t batch = 0;
   obs::Tracer* tracer = nullptr;
@@ -91,45 +65,37 @@ struct CampusScaleResult {
   std::uint64_t handoff_dropped = 0;
   std::uint64_t reservations_placed = 0;
   std::uint64_t departures = 0;
-  /// Heap footprint of all live state (directory, profiles, classifier
-  /// observations, SoA arrays, milestone arena, scheduler buckets).
+  /// Heap footprint of all live state: the generated workload, the per-cell
+  /// states, their resident rows and reservation tables.
   std::size_t state_bytes = 0;
   double bytes_per_portable = 0.0;
-  /// Order-sensitive digest of every admission decision; equal across
-  /// engines iff they made identical decisions in identical order. (The
-  /// sharded engine folds per-cell digests in cell order — comparable across
-  /// shard/batch counts, not with the monolithic engines.)
+  /// Order-sensitive digest of every admission decision: per-cell digests
+  /// folded in cell order, so equal across shard/batch counts.
   std::uint64_t outcome_hash = 0;
-  /// Sharded-engine execution totals (zero for the monolithic engines).
-  /// `windows` and `boundary_messages` are batch/shard-invariant;
-  /// `dispatches` is a pure execution statistic (varies with `batch` and the
+  /// Runner execution totals. `windows` and `boundary_messages` are
+  /// batch/shard-invariant; `dispatches` is a pure execution statistic (varies with `batch` and the
   /// adaptive controller) and must never feed golden outputs.
   std::uint64_t windows = 0;
   std::uint64_t dispatches = 0;
   std::uint64_t boundary_messages = 0;
-  /// Wall-clock attribution (sharded engine, only when config.profiler was
-  /// enabled): shard lanes, dispatch/window histograms. Quarantined from
-  /// `outcome_hash` and the metric counters.
+  /// Wall-clock attribution (only when config.profiler was enabled): shard
+  /// lanes, dispatch/window histograms. Quarantined from `outcome_hash` and
+  /// the metric counters.
   obs::ProfileSnapshot profile;
 };
 
-/// Builds the grid floorplan the scale harness runs on: side = ceil(sqrt(N))
+/// Builds the grid floorplan the grid campus runs on: side = ceil(sqrt(N))
 /// columns, every third row a corridor (horizontal edges on row 0 only, the
 /// backbone), other rows offices/meeting rooms/cafeterias, vertical edges
 /// everywhere. Deterministic; exposed for tests.
 [[nodiscard]] mobility::CellMap scale_grid_floorplan(std::size_t cells);
 
-[[nodiscard]] CampusScaleResult run_campus_scale(const CampusScaleConfig& config);
-
 /// The grid campus executed through sim::ShardedRunner: one domain per cell
 /// (the runner's contiguous worker-block assignment is the cell→shard
 /// partitioner), window = config.tick, every cross-cell interaction — a
 /// walking portable, an advance reservation, a stale-reservation cancel — a
-/// boundary message with one-tick latency. config.engine must be kSoa
-/// (kNaive's whole-roster rescans are meaningless without global state; the
-/// CLI rejects the combination). Deterministic and byte-identical for any
-/// (shards, batch); config.metrics additionally receives the runner's
-/// shard.windows / shard.boundary_messages counters.
+/// boundary message with one-tick latency. Deterministic and byte-identical
+/// for any (shards, batch).
 [[nodiscard]] CampusScaleResult run_campus_scale_sharded(
     const CampusScaleConfig& config);
 

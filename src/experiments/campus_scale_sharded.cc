@@ -1,5 +1,5 @@
-// Sharded campus-at-scale engine (ISSUE 10): the grid campus of
-// campus_scale.cc executed through sim::ShardedRunner, one domain per cell.
+// The grid campus engine: the scale_grid_floorplan day (campus_scale.cc)
+// executed through sim::ShardedRunner, one domain per cell.
 //
 // Execution model
 //   - Every cell is a runner domain; the conservative window equals the
@@ -12,22 +12,20 @@
 //     on the grid route as a message carrying its migrating Row state. The
 //     arrival callback performs handoff admission, fires any milestones that
 //     came due in flight, and either settles the portable as a resident or
-//     forwards it another hop — one hop per tick, as in the monolith.
+//     forwards it another hop — one hop per tick.
 //   - Admission state is cell-local: each cell keeps its own
-//     allocated/connections account plus a FlatMap of advance reservations,
-//     instead of the monolith's global ReservationDirectory. Advance
-//     reservations are routed, not predicted: on admitting a handoff the
-//     cell parks bandwidth two hops further along the walking route (far
-//     enough ahead that the reservation message outruns the portable), and
-//     stale reservations are cancelled by message on the next arrival or at
-//     departure.
+//     allocated/connections account plus a FlatMap of advance reservations;
+//     no directory spans cells. Advance reservations are routed, not
+//     predicted: on admitting a handoff the cell parks bandwidth two hops
+//     further along the walking route (far enough ahead that the
+//     reservation message outruns the portable), and stale reservations are
+//     cancelled by message on the next arrival or at departure.
 //
 // Determinism: all mutable state is per-cell, every cross-cell effect rides
 // the runner's canonically-ordered boundary messages, and the outcome digest
 // folds per-cell hashes in cell-id order — so every output (outcome_hash,
 // counters, metrics JSON) is byte-identical for any shard count and any
-// batch size. The engine is its own oracle; it is NOT decision-identical
-// with the monolithic engines (see campus_scale.h).
+// batch size. The engine is its own oracle (see campus_scale.h).
 #include "experiments/campus_scale.h"
 
 #include <algorithm>
@@ -47,7 +45,7 @@ namespace imrm::experiments {
 namespace {
 
 constexpr std::uint32_t kNoCell = net::CellId::invalid().value();
-constexpr std::uint64_t kHashSeed = 0x6a09e667f3bcc908ULL;  // as the monolith
+constexpr std::uint64_t kHashSeed = 0x6a09e667f3bcc908ULL;
 constexpr std::size_t kStride = detail::kScaleMilestonesPerPortable;
 
 void mix(std::uint64_t& h, std::uint64_t v) {
@@ -77,7 +75,7 @@ class ShardedScaleSim {
       : cfg_(config),
         map_(scale_grid_floorplan(config.cells)),
         side_(detail::scale_grid_side(config.cells)),
-        workload_(detail::generate_scale_workload(config, map_, nullptr)),
+        workload_(detail::generate_scale_workload(config, map_)),
         runner_(sim::ShardedRunner::Config{
             config.cells, config.shards, config.tick, config.batch,
             config.profiler, config.tracer, config.progress}) {

@@ -1,19 +1,13 @@
-// Shared deterministic workload for the campus-at-scale engines.
+// The grid campus's generated day (campus_scale.h): every portable gets a
+// home office, a meeting room, one class period, a connection-bandwidth
+// demand, and four milestones (appear, enter room, leave room, depart) laid
+// out stride-4 in one arena. Generation is a pure function of (config,
+// floorplan): one sim::Rng(seed) stream consumed in a fixed order.
 //
-// The monolithic tick engines (campus_scale.cc, ISSUE 6) and the sharded
-// per-cell engine (campus_scale_sharded.cc, ISSUE 10) run the SAME
-// class-schedule day: every portable gets a home office, a meeting room, one
-// class period, a connection-bandwidth demand, and four milestones (appear,
-// enter room, leave room, depart) laid out stride-4 in one arena.
-// Generation is a pure function of (config, floorplan): one sim::Rng(seed)
-// stream consumed in a fixed order, whether or not the optional
-// ProfileServer calendar is booked — so engines sharing this workload differ
-// only in how they execute it, never in what day they simulate.
-//
-// The grid-routing helpers live here too: both engines walk portables along
-// identical scale_grid_floorplan paths (columns vertically, row 0 as the
-// horizontal backbone), and the sharded engine routes its advance
-// reservations with the same function.
+// The grid-routing helpers live here too: portables walk
+// scale_grid_floorplan paths (columns vertically, row 0 as the horizontal
+// backbone), and the engine routes its advance reservations with the same
+// function.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +15,6 @@
 #include <vector>
 
 #include "mobility/floorplan.h"
-
-namespace imrm::profiles {
-class ProfileServer;
-}  // namespace imrm::profiles
 
 namespace imrm::experiments {
 struct CampusScaleConfig;
@@ -56,13 +46,9 @@ struct ScaleWorkload {
   }
 };
 
-/// Generates the day. When `calendar` is non-null every (room, period)
-/// meeting is also booked there — the monolith's predictor reads it; the
-/// sharded engine passes nullptr. The RNG draw sequence is identical either
-/// way (booking draws nothing).
+/// Generates the day.
 [[nodiscard]] ScaleWorkload generate_scale_workload(
-    const CampusScaleConfig& config, const mobility::CellMap& map,
-    profiles::ProfileServer* calendar);
+    const CampusScaleConfig& config, const mobility::CellMap& map);
 
 /// Grid side length used by scale_grid_floorplan: ceil(sqrt(cells)).
 [[nodiscard]] std::size_t scale_grid_side(std::size_t cells);

@@ -115,13 +115,4 @@ void MobilityManager::restore_state(sim::CheckpointReader& r) {
   }
 }
 
-std::size_t MobilityManager::memory_bytes() const {
-  std::size_t total = portables_.capacity() * sizeof(Portable) +
-                      residents_by_cell_.capacity() * sizeof(std::vector<PortableId>);
-  for (const auto& bucket : residents_by_cell_) {
-    total += bucket.capacity() * sizeof(PortableId);
-  }
-  return total;
-}
-
 }  // namespace imrm::mobility

@@ -81,9 +81,6 @@ class MobilityManager {
     return portables_in(cell).size();
   }
 
-  /// Estimated heap footprint of the roster and resident index in bytes.
-  [[nodiscard]] std::size_t memory_bytes() const;
-
   void on_handoff(HandoffListener listener) { listeners_.push_back(std::move(listener)); }
 
   /// Registers the mobility.handoffs counter; every move() increments it.

@@ -58,11 +58,6 @@ class CellObservations {
   [[nodiscard]] std::size_t resident_entries() const {
     return visits_by_user_.size() + entered_at_.size();
   }
-  /// Estimated heap footprint in bytes.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return activity_.capacity() * sizeof(double) + visits_by_user_.memory_bytes() +
-           entered_at_.memory_bytes() + departed_top_.capacity() * sizeof(std::size_t);
-  }
   [[nodiscard]] double mean_dwell_seconds() const;
   [[nodiscard]] double pass_through_fraction() const;
   /// Fraction of visits made by the top `k` users.

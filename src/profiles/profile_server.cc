@@ -98,20 +98,6 @@ void ProfileServer::refresh_on_static(net::PortableId id) {
   ++traffic_.refreshes;
 }
 
-std::size_t ProfileServer::memory_bytes() const {
-  std::size_t total =
-      portables_.capacity() * sizeof(std::optional<PortableProfile>) +
-      cells_.capacity() * sizeof(std::optional<CellProfile>) +
-      calendars_.capacity() * sizeof(std::optional<BookingCalendar>);
-  for (const auto& slot : portables_) {
-    if (slot.has_value()) total += slot->memory_bytes();
-  }
-  for (const auto& slot : cells_) {
-    if (slot.has_value()) total += slot->memory_bytes();
-  }
-  return total;
-}
-
 void ProfileServer::save_state(sim::CheckpointWriter& w) const {
   std::uint64_t portable_count = 0;
   for (const auto& slot : portables_) portable_count += slot.has_value();

@@ -89,10 +89,6 @@ class ProfileServer final : public ProfileSource {
   [[nodiscard]] const CacheTraffic& traffic() const { return traffic_; }
   [[nodiscard]] net::ZoneId zone() const { return zone_; }
 
-  /// Estimated heap footprint of the profile store in bytes (the profiles
-  /// and calendars; the revision counters are not counted).
-  [[nodiscard]] std::size_t memory_bytes() const;
-
   // --- checkpoint/restore (ISSUE 4) ---------------------------------------
   // Serializes portable/cell profile histories and the cache-traffic
   // counters in ascending-id order (the dense layout's natural iteration),

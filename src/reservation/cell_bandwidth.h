@@ -113,11 +113,6 @@ class CellBandwidth {
     return connections_.contains(portable.value());
   }
 
-  /// Estimated heap footprint of the per-portable tables in bytes.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return reserved_for_.memory_bytes() + connections_.memory_bytes();
-  }
-
   /// Capacity available to a brand-new connection right now.
   [[nodiscard]] qos::BitsPerSecond free_for_new() const {
     return capacity_ - allocated_ - reserved_total();

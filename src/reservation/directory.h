@@ -93,17 +93,6 @@ class ReservationDirectory {
     }
   }
 
-  /// Estimated heap footprint in bytes: the cell array plus every cell's
-  /// per-portable tables.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t total = cells_.capacity() * sizeof(CellBandwidth) +
-                        present_.capacity() / 8;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (present_[i]) total += cells_[i].memory_bytes();
-    }
-    return total;
-  }
-
   // --- checkpoint/restore (ISSUE 4) ---------------------------------------
   // Cells are written in sorted-id order; restore requires the same cell set
   // to already exist (the harness constructor re-adds them from its config)

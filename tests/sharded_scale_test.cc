@@ -1,12 +1,12 @@
-// run_campus_scale_sharded (ISSUE 10 tentpole): the grid campus executed as
-// one ShardedRunner domain per cell. The engine is its own oracle — the
-// contract under test is byte-identity of every result field and of the
-// exported metrics JSON across all (shards, batch) pairs, not agreement
-// with the monolithic engines (see campus_scale.h for why the decision
-// streams differ).
+// run_campus_scale_sharded: the grid campus executed as one ShardedRunner
+// domain per cell. The engine is its own oracle — the contract under test is
+// byte-identity of every result field and of the exported metrics JSON
+// across all (shards, batch) pairs, plus metrics that agree with the result
+// at every grid size. campus_scale_test covers the floorplan and workload.
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -16,9 +16,9 @@
 namespace imrm::experiments {
 namespace {
 
-CampusScaleConfig small_config() {
+CampusScaleConfig small_config(std::size_t cells = 25) {
   CampusScaleConfig config;
-  config.cells = 25;
+  config.cells = cells;
   config.portables = 200;
   config.duration = sim::Duration::seconds(1200);
   config.tick = sim::Duration::seconds(5);
@@ -28,21 +28,57 @@ CampusScaleConfig small_config() {
 
 struct Outcome {
   CampusScaleResult result;
+  obs::Snapshot metrics;
   std::string metrics_json;
 };
 
-Outcome run(std::size_t shards, std::size_t batch) {
+Outcome run(std::size_t shards, std::size_t batch, std::size_t cells = 25) {
   obs::Registry registry;
-  CampusScaleConfig config = small_config();
+  CampusScaleConfig config = small_config(cells);
   config.shards = shards;
   config.batch = batch;
   config.metrics = &registry;
   Outcome out;
   out.result = run_campus_scale_sharded(config);
+  out.metrics = registry.snapshot();
   std::ostringstream os;
-  registry.snapshot().write_json(os);
+  out.metrics.write_json(os);
   out.metrics_json = os.str();
   return out;
+}
+
+/// The exported counters and gauges carry exactly the result's totals.
+void expect_metrics_match_result(const Outcome& out, const std::string& label) {
+  const CampusScaleResult& r = out.result;
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"scale.events", r.events},
+      {"scale.ticks", r.ticks},
+      {"scale.handoffs", r.handoffs},
+      {"scale.new.admitted", r.new_admitted},
+      {"scale.new.blocked", r.new_blocked},
+      {"scale.handoff.admitted", r.handoff_admitted},
+      {"scale.handoff.dropped", r.handoff_dropped},
+      {"scale.reservations", r.reservations_placed},
+      {"scale.departures", r.departures},
+      {"sim.events_fired", r.events},
+      {"shard.windows", r.windows},
+      {"shard.boundary_messages", r.boundary_messages},
+  };
+  for (const auto& [name, value] : counters) {
+    const obs::CounterSample* c = out.metrics.counter(name);
+    ASSERT_NE(c, nullptr) << name << " " << label;
+    EXPECT_EQ(c->value, value) << name << " " << label;
+  }
+  const std::pair<const char*, double> gauges[] = {
+      {"scale.state_bytes", double(r.state_bytes)},
+      {"scale.bytes_per_portable", r.bytes_per_portable},
+      {"sim.time_seconds", small_config().duration.to_seconds()},
+  };
+  for (const auto& [name, value] : gauges) {
+    const obs::GaugeSample* g = out.metrics.gauge(name);
+    ASSERT_NE(g, nullptr) << name << " " << label;
+    EXPECT_DOUBLE_EQ(g->value, value) << name << " " << label;
+  }
 }
 
 TEST(ShardedScale, ByteIdenticalAcrossShardAndBatchCounts) {
@@ -74,16 +110,24 @@ TEST(ShardedScale, ByteIdenticalAcrossShardAndBatchCounts) {
       // shard.boundary_messages but deliberately NOT dispatches) must render
       // to the same bytes.
       EXPECT_EQ(got.metrics_json, base.metrics_json) << label;
+      expect_metrics_match_result(got, label);
     }
   }
 }
 
 TEST(ShardedScale, EveryPortableAppearsAndDeparts) {
-  const Outcome out = run(2, 0);
-  EXPECT_EQ(out.result.departures, small_config().portables);
-  // Every departure was preceded by an appear-admission attempt.
-  EXPECT_EQ(out.result.new_admitted + out.result.new_blocked,
-            small_config().portables);
+  for (const std::size_t cells : {2u, 3u, 10u, 25u, 50u, 100u, 1000u}) {
+    const std::string label = std::to_string(cells) + " cells";
+    const Outcome out = run(2, 0, cells);
+    EXPECT_EQ(out.result.departures, small_config().portables) << label;
+    // Every departure was preceded by an appear-admission attempt.
+    EXPECT_EQ(out.result.new_admitted + out.result.new_blocked,
+              small_config().portables)
+        << label;
+    EXPECT_GT(out.result.handoffs, 0u) << label;
+    EXPECT_GT(out.result.bytes_per_portable, 0.0) << label;
+    expect_metrics_match_result(out, label);
+  }
 }
 
 TEST(ShardedScale, DispatchesVaryWithBatchButNeverLeak) {

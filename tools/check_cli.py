@@ -68,9 +68,6 @@ CASES = [
      "--replications", "3", "--threads", "2", "--seed", "3"],
     ["faults", "--faults-start", "5", "--replications", "1"],
     ["faults", "--faults-start", "5", "--replications", "2", "--fork", "1"],
-    ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600"],
-    ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
-     "--engine", "naive", "--tick", "2", "--seed", "3"],
     ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
      "--shards", "2"],
     ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
@@ -89,9 +86,6 @@ PROFILED = [
     ["maxmin"],
     ["campus", "--replications", "2", "--attendees", "8", "--squatters", "2"],
     ["campus", "--shards", "2", "--cells", "8", "--portables", "4", "--hours", "1"],
-    ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600"],
-    ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
-     "--engine", "naive"],
     ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
      "--shards", "2"],
     ["drive", "--duration", "2"],

@@ -6,7 +6,9 @@ Two sweeps through scenario_cli, each with identical scenario flags:
   * the corridor campus ("campus --shards K") at K in {1, 2, 4, 8}, and
   * the grid campus ("campus-scale --shards K --batch B") over the full
     batch {1, 8, 64, auto} x K {1, 2, 4, 8} matrix, so window batching is
-    pinned as an execution knob that can never leak into results.
+    pinned as an execution knob that can never leak into results, plus the
+    bare invocation with neither flag, so the default path is pinned to
+    the same bytes.
 
 Every run in a sweep must produce:
 
@@ -40,19 +42,19 @@ SWEEPS = [
     ("campus-scale",
      ["campus-scale", "--cells", "25", "--portables", "120",
       "--duration", "900", "--tick", "5", "--seed", "7"],
-     [(k, b) for k in SHARDS for b in BATCHES]),
+     [(None, None)] + [(k, b) for k in SHARDS for b in BATCHES]),
 ]
 
 
 def run(cli, flags, shards, batch, metrics_path):
-    cmd = [cli] + flags + ["--shards", str(shards),
-                           "--metrics-json", str(metrics_path)]
+    cmd = [cli] + flags + ["--metrics-json", str(metrics_path)]
+    if shards is not None:
+        cmd += ["--shards", str(shards)]
     if batch is not None:
         cmd += ["--batch", str(batch)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
-        print(f"FAIL: --shards {shards} --batch {batch} "
-              f"exited {proc.returncode}")
+        print(f"FAIL: `{' '.join(cmd[1:])}` exited {proc.returncode}")
         print(proc.stderr)
         sys.exit(1)
     return proc.stdout
@@ -79,8 +81,8 @@ def sweep(cli, name, flags, points):
         tmp = Path(tmp)
         golden_line = golden_md5 = None
         for shards, batch in points:
-            tag = f"shards={shards}" + ("" if batch is None
-                                        else f" batch={batch or 'auto'}")
+            tag = ("default" if shards is None else f"shards={shards}") + (
+                "" if batch is None else f" batch={batch or 'auto'}")
             metrics_path = tmp / f"s{shards}b{batch}.json"
             line = run(cli, flags, shards, batch, metrics_path)
             digest = metrics_md5(metrics_path)

@@ -19,9 +19,10 @@
 #        serve = tsan over the `serve`-labelled tests only — the SPSC ring's
 #        acquire/release handshake and the two-thread wall-pacing service
 #        loop (ISSUE 8).
-#        scale = asan+ubsan over the `scale`-labelled tests only — the
-#        campus-at-scale SoA hot path (flat maps, milestone arena, batched
-#        handoff groups), where an indexing bug would smear silently.
+#        scale = asan+ubsan over the `scale`-labelled tests only — the grid
+#        campus engine (milestone arena, per-cell resident rows and
+#        reservation flat maps, swap-pop resident removal), where an
+#        indexing bug would smear silently.
 #        adapt = asan+ubsan over the `adapt`-labelled tests only — the
 #        closed adaptation loop (ISSUE 9): the dual token-bucket shaper's
 #        per-flow counter arithmetic, the controller's window harvesting,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "maxmin/bridge.h"
 
@@ -83,7 +84,9 @@ PortableId NetworkEnvironment::add_portable(CellId start,
 bool NetworkEnvironment::open_connection(PortableId portable,
                                          const qos::QosRequest& request,
                                          Direction direction) {
-  assert(!sessions_.contains(portable));
+  if (sessions_.contains(portable)) {
+    throw std::invalid_argument("open_connection: portable already has a connection");
+  }
   const CellId cell = mobility_.portable(portable).current_cell;
   const auto route = route_for(cell, direction);
   if (!route) {
@@ -115,6 +118,7 @@ bool NetworkEnvironment::open_connection(PortableId portable,
   ++stats_.connections_opened;
 
   Session& stored = sessions_.at(portable);
+  note_session_dwell(portable);
   if (mobility_.classify(portable) == qos::MobilityClass::kMobile) {
     place_advance_reservation(portable, stored);
   }
@@ -134,7 +138,9 @@ void NetworkEnvironment::teardown_session(PortableId portable, Session& session)
 
 void NetworkEnvironment::close_connection(PortableId portable) {
   const auto it = sessions_.find(portable);
-  assert(it != sessions_.end());
+  if (it == sessions_.end()) {
+    throw std::invalid_argument("close_connection: portable has no connection");
+  }
   teardown_session(portable, it->second);
   sessions_.erase(it);
   adapt();
@@ -213,6 +219,7 @@ bool NetworkEnvironment::handoff(PortableId portable, CellId to) {
     return false;
   }
   session.connection = *admitted;
+  note_session_dwell(portable);
   place_advance_reservation(portable, session);
   rebuild_multicast(portable, session);
   adapt();
@@ -256,18 +263,30 @@ void NetworkEnvironment::rebuild_multicast(PortableId portable, Session& session
 
 void NetworkEnvironment::adapt() {
   // Refresh static/mobile classes on the live connections (portables that
-  // sat still past T_th join the adaptable set), then solve max-min.
-  for (auto& [portable, session] : sessions_) {
-    if (!session.connection.is_valid()) continue;
-    network_->set_mobility(session.connection, mobility_.classify(portable));
+  // sat still past T_th join the adaptable set), then solve max-min. The
+  // scan is skipped while even the longest dwell is short of T_th: then
+  // every session classifies mobile and every connection already is.
+  if (simulator_->now() - min_entered_ >= mobility_.classifier().threshold()) {
+    min_entered_ = sim::SimTime::infinity();
+    for (auto& [portable, session] : sessions_) {
+      if (!session.connection.is_valid()) continue;
+      network_->set_mobility(session.connection, mobility_.classify(portable));
+      min_entered_ = std::min(min_entered_, mobility_.portable(portable).entered_cell);
+    }
   }
   maxmin::resolve_conflicts(*network_, /*static_only=*/true);
   ++stats_.conflict_resolutions;
 }
 
+void NetworkEnvironment::note_session_dwell(PortableId portable) {
+  min_entered_ = std::min(min_entered_, mobility_.portable(portable).entered_cell);
+}
+
 bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest& request) {
   const auto it = sessions_.find(portable);
-  assert(it != sessions_.end());
+  if (it == sessions_.end()) {
+    throw std::invalid_argument("renegotiate: portable has no connection");
+  }
   Session& session = it->second;
   const CellId cell = mobility_.portable(portable).current_cell;
   const auto route = route_for(cell, session.direction);
@@ -288,22 +307,34 @@ bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest&
   if (admitted) {
     session.connection = *admitted;
     session.request = request;
+    note_session_dwell(portable);
     rebuild_multicast(portable, session);
     adapt();
     return true;
   }
-  // Roll back: the old request fit before the teardown, so it fits now.
+  // Roll back. The old request fit when it was admitted, but a link may
+  // have lost capacity since; then the connection is gone for good.
   auto restored = network_->admit(src, dst, *route, old_request,
                                   mobility_.classify(portable), config_.scheduler);
-  assert(restored.has_value());
+  if (!restored) {
+    teardown_session(portable, session);
+    sessions_.erase(it);
+    adapt();
+    return false;
+  }
   session.connection = *restored;
+  note_session_dwell(portable);
   return false;
 }
 
 qos::BitsPerSecond NetworkEnvironment::allocated(PortableId portable) const {
+  const net::ConnectionId connection = connection_of(portable);
+  return connection.is_valid() ? network_->connection(connection).allocated : 0.0;
+}
+
+net::ConnectionId NetworkEnvironment::connection_of(PortableId portable) const {
   const auto it = sessions_.find(portable);
-  if (it == sessions_.end() || !it->second.connection.is_valid()) return 0.0;
-  return network_->connection(it->second.connection).allocated;
+  return it == sessions_.end() ? net::ConnectionId::invalid() : it->second.connection;
 }
 
 }  // namespace imrm::core

@@ -94,9 +94,11 @@ class NetworkEnvironment {
   /// Opens a connection between the backbone server and the portable
   /// (downlink: server -> portable; uplink: portable -> server), running
   /// full Table 2 admission over the routed path (wired hops + the wireless
-  /// cell link). Returns false when admission rejects.
+  /// cell link). Returns false when admission rejects. Throws
+  /// std::invalid_argument when the portable already has a connection.
   bool open_connection(PortableId portable, const qos::QosRequest& request,
                        Direction direction = Direction::kDownlink);
+  /// Throws std::invalid_argument when the portable has no connection.
   void close_connection(PortableId portable);
 
   /// Handoff with re-routing: tears the old path down, admits the new path
@@ -111,6 +113,9 @@ class NetworkEnvironment {
   /// Application-initiated renegotiation (Section 5.3: "the network
   /// essentially treats it as a new connection request"): try to move the
   /// connection to new bounds; on failure the old connection stays intact.
+  /// If the old bounds no longer fit either (a link lost capacity since),
+  /// the session is torn down and false returned. Throws
+  /// std::invalid_argument when the portable has no connection.
   bool renegotiate(PortableId portable, const qos::QosRequest& request);
 
   // ---- introspection ----------------------------------------------------
@@ -122,6 +127,8 @@ class NetworkEnvironment {
     return sessions_.contains(portable);
   }
   [[nodiscard]] qos::BitsPerSecond allocated(PortableId portable) const;
+  /// The portable's live connection, or invalid when it has none.
+  [[nodiscard]] net::ConnectionId connection_of(PortableId portable) const;
   [[nodiscard]] net::LinkId wireless_link(CellId cell) const {
     return wireless_link_of_.at(cell.value());
   }
@@ -154,6 +161,9 @@ class NetworkEnvironment {
   void cancel_advance_reservation(PortableId portable, Session& session);
   void rebuild_multicast(PortableId portable, Session& session);
   void teardown_session(PortableId portable, Session& session);
+  /// Lowers min_entered_ to `portable`'s cell entry time; called whenever
+  /// its session connection is (re-)admitted.
+  void note_session_dwell(PortableId portable);
 
   mobility::CellMap map_;
   sim::Simulator* simulator_;
@@ -170,6 +180,11 @@ class NetworkEnvironment {
   std::vector<net::NodeId> air_of_;            // per cell id: the cell's radio side
   std::vector<net::LinkId> wireless_link_of_;  // per cell id (downlink BS -> air)
   std::unordered_map<PortableId, Session> sessions_;
+  // At most the earliest entered_cell among the session portables since
+  // adapt() last rescanned (moves only raise entered_cell). classify() is
+  // `now - entered_cell >= T_th` and rounding is monotone, so while
+  // `now - min_entered_ < T_th` no session portable is static.
+  sim::SimTime min_entered_ = sim::SimTime::infinity();
   BackboneStats stats_;
 };
 

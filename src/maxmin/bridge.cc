@@ -6,6 +6,7 @@ namespace imrm::maxmin {
 
 ExtractedProblem extract_problem(const net::NetworkState& network, bool static_only) {
   ExtractedProblem out;
+  if (static_only && network.static_connection_count() == 0) return out;
 
   // Problem index per link id, in first-appearance order; kUnseen until then.
   constexpr LinkIndex kUnseen = std::numeric_limits<LinkIndex>::max();
@@ -35,6 +36,7 @@ ExtractedProblem extract_problem(const net::NetworkState& network, bool static_o
 
 std::vector<double> resolve_conflicts(net::NetworkState& network, bool static_only) {
   const ExtractedProblem extracted = extract_problem(network, static_only);
+  if (extracted.connection_order.empty()) return {};
   const WaterfillResult solved = waterfill(extracted.problem);
   for (std::size_t i = 0; i < extracted.connection_order.size(); ++i) {
     const net::ConnectionId cid = extracted.connection_order[i];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace imrm::net {
 
@@ -10,27 +11,34 @@ void LinkState::add_connection(ConnectionId id, qos::BandwidthRange bounds,
   assert(bounds.valid());
   assert(allocated >= bounds.b_min && allocated <= bounds.b_max);
   assert(buffer >= 0.0);
-  const auto [it, inserted] = shares_.emplace(id, Share{bounds, allocated, buffer});
+  const bool inserted = shares_.insert(id.value(), Share{bounds, allocated, buffer});
   assert(inserted && "connection already on link");
-  (void)it;
+  (void)inserted;
   sum_b_min_ += bounds.b_min;
   buffer_reserved_ += buffer;
 }
 
 void LinkState::remove_connection(ConnectionId id) {
-  const auto it = shares_.find(id);
-  assert(it != shares_.end());
-  sum_b_min_ -= it->second.bounds.b_min;
+  const Share* share = shares_.find(id.value());
+  assert(share != nullptr);
+  sum_b_min_ -= share->bounds.b_min;
   if (sum_b_min_ < 0.0) sum_b_min_ = 0.0;  // absorb float drift
-  buffer_reserved_ -= it->second.buffer;
+  buffer_reserved_ -= share->buffer;
   if (buffer_reserved_ < 0.0) buffer_reserved_ = 0.0;
-  shares_.erase(it);
+  shares_.erase(id.value());
+}
+
+const LinkState::Share& LinkState::share(ConnectionId id) const {
+  const Share* share = shares_.find(id.value());
+  if (share == nullptr) throw std::out_of_range("connection is not on this link");
+  return *share;
 }
 
 void LinkState::set_allocated(ConnectionId id, qos::BitsPerSecond allocated) {
-  auto& share = shares_.at(id);
-  assert(allocated >= share.bounds.b_min - 1e-9 && allocated <= share.bounds.b_max + 1e-9);
-  share.allocated = std::clamp(allocated, share.bounds.b_min, share.bounds.b_max);
+  Share* share = shares_.find(id.value());
+  if (share == nullptr) throw std::out_of_range("connection is not on this link");
+  assert(allocated >= share->bounds.b_min - 1e-9 && allocated <= share->bounds.b_max + 1e-9);
+  share->allocated = std::clamp(allocated, share->bounds.b_min, share->bounds.b_max);
 }
 
 void LinkState::release_advance(qos::BitsPerSecond amount) {
@@ -40,14 +48,14 @@ void LinkState::release_advance(qos::BitsPerSecond amount) {
 
 qos::BitsPerSecond LinkState::sum_allocated() const {
   qos::BitsPerSecond total = 0.0;
-  for (const auto& [id, share] : shares_) total += share.allocated;
+  for_each_share([&total](ConnectionId, const Share& share) { total += share.allocated; });
   return total;
 }
 
 std::vector<ConnectionId> LinkState::connection_ids() const {
   std::vector<ConnectionId> ids;
   ids.reserve(shares_.size());
-  for (const auto& [id, share] : shares_) ids.push_back(id);
+  for_each_share([&ids](ConnectionId id, const Share&) { ids.push_back(id); });
   std::sort(ids.begin(), ids.end());  // deterministic iteration for sim runs
   return ids;
 }

@@ -3,12 +3,12 @@
 // (b_resv,l) made on behalf of predicted handoffs.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "net/ids.h"
 #include "qos/admission.h"
 #include "qos/flow_spec.h"
+#include "sim/flat_map.h"
 
 namespace imrm::net {
 
@@ -32,12 +32,13 @@ class LinkState {
                       qos::BitsPerSecond allocated, qos::Bits buffer = 0.0);
   void remove_connection(ConnectionId id);
   [[nodiscard]] bool has_connection(ConnectionId id) const {
-    return shares_.contains(id);
+    return shares_.contains(id.value());
   }
 
   /// Re-points a connection's allocation within its bounds (adaptation).
   void set_allocated(ConnectionId id, qos::BitsPerSecond allocated);
-  [[nodiscard]] const Share& share(ConnectionId id) const { return shares_.at(id); }
+  /// Throws std::out_of_range when the connection is not on this link.
+  [[nodiscard]] const Share& share(ConnectionId id) const;
 
   /// Advance reservation pool b_resv,l.
   void reserve_advance(qos::BitsPerSecond amount) { advance_reserved_ += amount; }
@@ -67,8 +68,13 @@ class LinkState {
   [[nodiscard]] qos::Bits buffer_capacity() const { return buffer_capacity_; }
   [[nodiscard]] qos::Bits buffer_reserved() const { return buffer_reserved_; }
 
-  [[nodiscard]] const std::unordered_map<ConnectionId, Share>& shares() const {
-    return shares_;
+  /// Visits every (connection, share) pair in unspecified order; `fn` must
+  /// not add or remove connections on this link.
+  template <typename Fn>
+  void for_each_share(Fn&& fn) const {
+    shares_.for_each([&fn](ConnectionId::underlying id, const Share& share) {
+      fn(ConnectionId{id}, share);
+    });
   }
   [[nodiscard]] std::vector<ConnectionId> connection_ids() const;
 
@@ -86,7 +92,9 @@ class LinkState {
   qos::BitsPerSecond advance_reserved_ = 0.0;
   qos::BitsPerSecond sum_b_min_ = 0.0;
   qos::Bits buffer_reserved_ = 0.0;
-  std::unordered_map<ConnectionId, Share> shares_;
+  // Keyed by ConnectionId::value(): one flat probe per admit/teardown
+  // instead of a heap node.
+  sim::FlatMap<ConnectionId::underlying, Share> shares_;
 };
 
 }  // namespace imrm::net

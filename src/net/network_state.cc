@@ -40,6 +40,7 @@ std::optional<ConnectionId> NetworkState::admit(NodeId src, NodeId dst, Route ro
       id, Connection{id, src, dst, std::move(route), request, mobility,
                      last_result_.allocated_bandwidth});
   ids_.push_back(id);  // ids are issued in ascending order
+  if (mobility == qos::MobilityClass::kStatic) ++static_count_;
   return id;
 }
 
@@ -47,6 +48,7 @@ void NetworkState::teardown(ConnectionId id) {
   const auto it = connections_.find(id);
   assert(it != connections_.end());
   for (LinkId lid : it->second.route) link(lid).remove_connection(id);
+  if (it->second.mobility == qos::MobilityClass::kStatic) --static_count_;
   connections_.erase(it);
   ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), id));
 }

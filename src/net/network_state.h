@@ -54,7 +54,10 @@ class NetworkState {
   /// Updates the connection's static/mobile class (re-classification after
   /// the T_th dwell changes who participates in adaptation).
   void set_mobility(ConnectionId id, qos::MobilityClass mobility) {
-    connections_.at(id).mobility = mobility;
+    Connection& conn = connections_.at(id);
+    if (conn.mobility == qos::MobilityClass::kStatic) --static_count_;
+    if (mobility == qos::MobilityClass::kStatic) ++static_count_;
+    conn.mobility = mobility;
   }
 
   [[nodiscard]] const Connection& connection(ConnectionId id) const {
@@ -66,6 +69,8 @@ class NetworkState {
   [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
   /// Live connection ids, ascending. Invalidated by admit and teardown.
   [[nodiscard]] const std::vector<ConnectionId>& connection_ids() const { return ids_; }
+  /// Live connections of class kStatic: how many max-min adaptation moves.
+  [[nodiscard]] std::size_t static_connection_count() const { return static_count_; }
 
   [[nodiscard]] const qos::AdmissionResult& last_result() const { return last_result_; }
 
@@ -74,6 +79,7 @@ class NetworkState {
   std::vector<LinkState> links_;
   std::unordered_map<ConnectionId, Connection> connections_;
   std::vector<ConnectionId> ids_;  // keys of connections_, ascending
+  std::size_t static_count_ = 0;  // connections_ whose class is kStatic
   qos::AdmissionResult last_result_;
   ConnectionId::underlying next_connection_ = 0;
 };

@@ -17,6 +17,11 @@ struct Overloaded : Ts... {
 template <class... Ts>
 Overloaded(Ts...) -> Overloaded<Ts...>;
 
+// Index of the p99 sample among `filled` sorted ones.
+std::size_t p99_rank(std::size_t filled) {
+  return std::min(filled - 1, std::size_t(double(filled) * 0.99));
+}
+
 }  // namespace
 
 obs::HistogramSpec latency_histogram_spec() {
@@ -39,9 +44,7 @@ mobility::CellMap service_cell_map(std::size_t cells) {
 // ---- OverloadGovernor ----------------------------------------------------
 
 OverloadGovernor::OverloadGovernor(const SloConfig& slo)
-    : slo_(slo), window_(std::max<std::size_t>(slo.latency_window, 8), 0.0) {
-  scratch_.reserve(window_.size());
-}
+    : slo_(slo), window_(std::max<std::size_t>(slo.latency_window, 8), 0.0) {}
 
 bool OverloadGovernor::admit(std::size_t queue_depth) {
   if (shedding_) {
@@ -57,7 +60,7 @@ bool OverloadGovernor::admit(std::size_t queue_depth) {
     shedding_ = true;
     return false;
   }
-  if (fresh_ >= kMinFreshSamples && p99_us_ > slo_.p99_target_us) {
+  if (fresh_ >= kMinFreshSamples && over_target_) {
     shedding_ = true;
     return false;
   }
@@ -65,25 +68,24 @@ bool OverloadGovernor::admit(std::size_t queue_depth) {
 }
 
 void OverloadGovernor::observe_latency(double us) {
+  if (filled_ == window_.size() && window_[next_] > slo_.p99_target_us) --above_;
+  if (us > slo_.p99_target_us) ++above_;
   window_[next_] = us;
   next_ = (next_ + 1) % window_.size();
   filled_ = std::min(filled_ + 1, window_.size());
   ++fresh_;
-  if (++since_refresh_ >= kRefreshInterval) refresh_p99();
+  if (++since_refresh_ >= kRefreshInterval) {
+    since_refresh_ = 0;
+    over_target_ = above_ >= filled_ - p99_rank(filled_);
+  }
 }
 
-void OverloadGovernor::refresh_p99() {
-  since_refresh_ = 0;
-  if (filled_ == 0) {
-    p99_us_ = 0.0;
-    return;
-  }
-  scratch_.assign(window_.begin(), window_.begin() + std::ptrdiff_t(filled_));
-  const std::size_t rank =
-      std::min(filled_ - 1, std::size_t(double(filled_) * 0.99));
-  std::nth_element(scratch_.begin(), scratch_.begin() + std::ptrdiff_t(rank),
-                   scratch_.end());
-  p99_us_ = scratch_[rank];
+double OverloadGovernor::window_p99_us() const {
+  if (filled_ == 0) return 0.0;
+  std::vector<double> samples(window_.begin(), window_.begin() + std::ptrdiff_t(filled_));
+  const std::size_t rank = p99_rank(filled_);
+  std::nth_element(samples.begin(), samples.begin() + std::ptrdiff_t(rank), samples.end());
+  return samples[rank];
 }
 
 // ---- AdmissionService ----------------------------------------------------

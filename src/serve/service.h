@@ -59,6 +59,12 @@ struct SloConfig {
 /// Shed-with-retry-after governor. Deterministic: the p99 estimate refreshes
 /// every kRefreshInterval observations (not on a wall timer), so virtual-
 /// pacing runs reproduce shed decisions bit-exactly.
+///
+/// The decision needs only whether p99 > target, and the rank-th smallest
+/// of `filled` samples exceeds the target exactly when at least
+/// filled - rank samples do. So the window keeps a running count of samples
+/// above the target, and a refresh costs O(1); admission never selects the
+/// p99 value itself.
 class OverloadGovernor {
  public:
   static constexpr std::size_t kRefreshInterval = 32;
@@ -81,20 +87,21 @@ class OverloadGovernor {
   void observe_latency(double us);
 
   [[nodiscard]] bool shedding() const { return shedding_; }
-  [[nodiscard]] double window_p99_us() const { return p99_us_; }
+  /// The p99 of the samples now in the window (0 when empty), selected on
+  /// demand in O(window). Right after a refresh it is the value the
+  /// decision compared against the target.
+  [[nodiscard]] double window_p99_us() const;
   [[nodiscard]] const SloConfig& slo() const { return slo_; }
 
  private:
-  void refresh_p99();
-
   SloConfig slo_;
   std::vector<double> window_;  // ring; newest overwrites oldest
-  std::vector<double> scratch_;  // refresh_p99's selection buffer, window-sized
   std::size_t next_ = 0;
   std::size_t filled_ = 0;
+  std::size_t above_ = 0;  // window samples > p99_target_us
   std::size_t fresh_ = 0;  // observations since the last shed-mode exit
   std::size_t since_refresh_ = 0;
-  double p99_us_ = 0.0;
+  bool over_target_ = false;  // window p99 > p99_target_us at the last refresh
   bool shedding_ = false;
 };
 
@@ -150,7 +157,6 @@ class AdmissionService {
   [[nodiscard]] const ServiceStats& stats() const { return stats_; }
   [[nodiscard]] bool shutdown_requested() const { return shutdown_; }
   [[nodiscard]] bool shedding() const { return governor_.shedding(); }
-  [[nodiscard]] double window_p99_us() const { return governor_.window_p99_us(); }
   [[nodiscard]] std::size_t queue_depth() const {
     return queue_.size() + (virtual_busy_ ? 1 : 0);
   }

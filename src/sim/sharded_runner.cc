@@ -132,7 +132,8 @@ std::uint64_t ShardedRunner::run_until(SimTime horizon) {
   while (min_next != SimTime::infinity() && min_next <= horizon) {
     // The earliest event anywhere is at min_next, so every event fired this
     // window has time >= min_next and every message it posts delivers at
-    // >= min_next + window — strictly after the window. Idle stretches skip
+    // >= min_next + window — the window end or later, never into a
+    // destination's past (see the file header). Idle stretches skip
     // ahead in one hop. The target depends only on event times and the
     // horizon, never on the worker count or batch size, so window
     // boundaries are invariant across both.

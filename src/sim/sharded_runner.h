@@ -18,10 +18,14 @@
 //     event time across every domain (idle domains skip ahead for free);
 //  2. exchange: cross-domain messages posted during the window are gathered
 //     from per-source outboxes and injected into their destination queues.
-// A message posted while a domain executes an event at time t is delivered
-// at t + latency with latency >= window, hence strictly after the window
-// end: no domain can ever receive a message into its past, for any worker
-// count.
+// A message posted while a domain executes an event at time t >= T is
+// delivered at t + latency >= T + window: at the window end or later, never
+// before it. It can land exactly on the window end: run_until fires events
+// *at* its horizon, and the grid posts with latency == window. The
+// destination has then already run its own events for that instant, so the
+// message is injected at the destination's current time and runs after
+// them, with same-instant messages in exchange order. For any worker count,
+// no domain ever receives a message into its past.
 //
 // What ISSUE 10 changes is *who synchronizes where*, not the window
 // sequence. ISSUE 5 paid a full coordinator round trip (mutex + two condvar

@@ -106,11 +106,11 @@ TEST(FullSystem, HalfDayCampusUnderFading) {
   for (const auto& cell : env.map().cells()) {
     const auto& link = env.network().link(env.wireless_link(cell.id));
     double allocated = 0.0;
-    for (const auto& [id, share] : link.shares()) {
+    link.for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
       EXPECT_GE(share.allocated, share.bounds.b_min - 1e-6);
       EXPECT_LE(share.allocated, share.bounds.b_max + 1e-6);
       allocated += share.allocated;
-    }
+    });
     EXPECT_LE(allocated, link.capacity() + 1e-6) << cell.name;
     EXPECT_GE(link.advance_reserved(), -1e-6);
   }

@@ -4,7 +4,14 @@
 // adaptation across the network, and renegotiation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <stdexcept>
+
 #include "core/network_environment.h"
+#include "maxmin/bridge.h"
 #include "mobility/floorplan.h"
 
 namespace imrm::core {
@@ -276,6 +283,292 @@ TEST_F(NetworkEnvironmentTest, WiredBottleneckAlsoChecked) {
   const auto p = env_->add_portable(cells_.d);
   EXPECT_FALSE(env_->open_connection(p, stream_request(kbps(64), kbps(128))));
   EXPECT_EQ(env_->stats().connections_blocked, 1u);
+}
+
+// ---- preconditions hold in every build type ---------------------------------
+
+TEST_F(NetworkEnvironmentTest, OpenOnPortableWithConnectionThrows) {
+  const auto p = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  const std::size_t connections = env_->network().connection_count();
+  EXPECT_THROW(env_->open_connection(p, stream_request(kbps(128), kbps(256))),
+               std::invalid_argument);
+  // Nothing was admitted, so no bandwidth leaked onto D's wireless link.
+  EXPECT_EQ(env_->network().connection_count(), connections);
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.d)).sum_b_min(),
+                   kbps(64));
+  env_->close_connection(p);
+  EXPECT_EQ(env_->network().connection_count(), 0u);
+}
+
+TEST_F(NetworkEnvironmentTest, CloseWithoutConnectionThrows) {
+  const auto p = env_->add_portable(cells_.d);
+  EXPECT_THROW(env_->close_connection(p), std::invalid_argument);
+}
+
+TEST_F(NetworkEnvironmentTest, RenegotiateWithoutConnectionThrows) {
+  const auto p = env_->add_portable(cells_.d);
+  EXPECT_THROW(env_->renegotiate(p, stream_request(kbps(64), kbps(128))),
+               std::invalid_argument);
+  EXPECT_EQ(env_->network().connection_count(), 0u);
+}
+
+TEST_F(NetworkEnvironmentTest, RenegotiateWhoseRollbackNoLongerFitsTearsDown) {
+  const auto p = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(512), kbps(512))));
+  // D's air collapses below the admitted minimum: neither the new bounds
+  // nor the old ones fit any more.
+  env_->network_mut().link(env_->wireless_link(cells_.d)).set_capacity(kbps(100));
+  EXPECT_FALSE(env_->renegotiate(p, stream_request(kbps(1024), kbps(1024))));
+  EXPECT_FALSE(env_->has_connection(p));
+  EXPECT_EQ(env_->connection_of(p), net::ConnectionId::invalid());
+  // The session is gone with its multicast branches and reservations.
+  EXPECT_EQ(env_->network().connection_count(), 0u);
+  for (const auto& cell : env_->map().cells()) {
+    const auto& link = env_->network().link(env_->wireless_link(cell.id));
+    EXPECT_DOUBLE_EQ(link.advance_reserved(), 0.0) << cell.name;
+    EXPECT_DOUBLE_EQ(link.sum_b_min(), 0.0) << cell.name;
+  }
+  // The portable can open again once the air recovers.
+  env_->network_mut().link(env_->wireless_link(cells_.d)).set_capacity(qos::mbps(1.6));
+  EXPECT_TRUE(env_->open_connection(p, stream_request(kbps(512), kbps(512))));
+}
+
+// ---- gated reclassification oracle ------------------------------------------
+
+// Live connections of class kStatic, ascending.
+std::vector<net::ConnectionId> static_ids(const net::NetworkState& network) {
+  std::vector<net::ConnectionId> ids;
+  for (const net::ConnectionId c : network.connection_ids()) {
+    if (network.connection(c).mobility == qos::MobilityClass::kStatic) ids.push_back(c);
+  }
+  return ids;
+}
+
+// The first instant at which classify() calls a portable that entered its
+// cell at `entered` static, found by stepping ulps from entered + T_th.
+double first_static_instant(double entered, double threshold) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double t = entered + threshold;
+  while (t - entered < threshold) t = std::nextafter(t, kInf);
+  while (std::nextafter(t, -kInf) - entered >= threshold) t = std::nextafter(t, -kInf);
+  return t;
+}
+
+TEST_F(NetworkEnvironmentTest, PromotedAtTheFirstInstantClassifySaysStatic) {
+  // An entry time for which rounding makes the portable static strictly
+  // before entered + T_th: adapt()'s dwell gate must open for it then.
+  const double threshold = config_.static_threshold.to_seconds();
+  double entered = 1.0;
+  while (first_static_instant(entered, threshold) >= entered + threshold) entered += 0.013;
+  ASSERT_LT(entered, threshold / 2);
+  const double first = first_static_instant(entered, threshold);
+
+  const auto p = env_->add_portable(cells_.c);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(1024))));
+  simulator_.run_until(SimTime::seconds(entered));
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  simulator_.run_until(SimTime::seconds(std::nextafter(first, 0.0)));
+  env_->adapt();
+  EXPECT_EQ(env_->mobility().classify(p), qos::MobilityClass::kMobile);
+  EXPECT_TRUE(static_ids(env_->network()).empty());
+  EXPECT_EQ(env_->network().static_connection_count(), 0u);
+  simulator_.run_until(SimTime::seconds(first));
+  env_->adapt();
+  ASSERT_EQ(env_->mobility().classify(p), qos::MobilityClass::kStatic);
+  EXPECT_EQ(static_ids(env_->network()),
+            std::vector<net::ConnectionId>{env_->connection_of(p)});
+  EXPECT_EQ(env_->network().static_connection_count(), 1u);
+  EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(1024));
+}
+
+// {session connection of p : classify(p) is static}, ascending.
+std::vector<net::ConnectionId> brute_force_static(NetworkEnvironment& env,
+                                                  const std::vector<PortableId>& portables) {
+  std::vector<net::ConnectionId> ids;
+  for (const PortableId p : portables) {
+    const net::ConnectionId c = env.connection_of(p);
+    if (c.is_valid() && env.mobility().classify(p) == qos::MobilityClass::kStatic) {
+      ids.push_back(c);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// adapt() as a full scan: reclassify every session, then max-min.
+void full_scan_adapt(NetworkEnvironment& env, const std::vector<PortableId>& portables) {
+  for (const PortableId p : portables) {
+    const net::ConnectionId c = env.connection_of(p);
+    if (c.is_valid()) env.network_mut().set_mobility(c, env.mobility().classify(p));
+  }
+  maxmin::resolve_conflicts(env.network_mut(), /*static_only=*/true);
+}
+
+qos::QosRequest oracle_request(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> lo(16.0, 160.0);
+  std::uniform_real_distribution<double> factor(1.0, 8.0);
+  const double b_min = lo(rng);
+  return stream_request(kbps(b_min), kbps(b_min * factor(rng)));
+}
+
+// Drives `tested` and an identical twin with the same random workload for
+// `thresholds` dwell thresholds of simulated time. The twin's state after
+// every adapting step is replaced by a full-scan reclassification plus
+// resolve_conflicts, which is what adapt() computed before its dwell gate;
+// `tested` must agree with it exactly.
+void run_reclassification_oracle(std::uint64_t seed, Duration threshold, double thresholds,
+                                 double steps_per_threshold) {
+  BackboneConfig config;
+  config.static_threshold = threshold;
+  sim::Simulator sim_tested;
+  sim::Simulator sim_twin;
+  NetworkEnvironment tested(mobility::fig4_environment(), sim_tested, config);
+  NetworkEnvironment twin(mobility::fig4_environment(), sim_twin, config);
+  std::mt19937_64 rng(seed);
+
+  std::vector<mobility::CellId> cells;
+  for (const auto& cell : tested.map().cells()) cells.push_back(cell.id);
+  std::vector<PortableId> portables;
+  for (int i = 0; i < 18; ++i) {
+    const mobility::CellId start = cells[rng() % cells.size()];
+    portables.push_back(tested.add_portable(start));
+    ASSERT_EQ(twin.add_portable(start), portables.back());
+  }
+
+  std::size_t checks = 0;
+  std::size_t static_seen = 0;
+  std::size_t static_moves = 0;
+  std::size_t boundary_adapts = 0;
+  std::size_t rollbacks = 0;
+  const SimTime end = SimTime::seconds(threshold.to_seconds() * thresholds);
+  std::exponential_distribution<double> gap(steps_per_threshold / threshold.to_seconds());
+  for (int step = 0; sim_tested.now() < end; ++step) {
+    // Advance time: usually a random gap, sometimes none, sometimes to a
+    // connected portable's exact static_at(), one ulp either side, or the
+    // first instant classify() calls it static.
+    SimTime t = sim_tested.now();
+    const PortableId pick = portables[rng() % portables.size()];
+    const bool to_boundary = rng() % 4 == 0 && tested.has_connection(pick);
+    if (to_boundary) {
+      const mobility::Portable& portable = tested.mobility().portable(pick);
+      double at = tested.mobility().classifier().static_at(portable).to_seconds();
+      const int side = int(rng() % 4);
+      if (side == 1) at = std::nextafter(at, -std::numeric_limits<double>::infinity());
+      if (side == 2) at = std::nextafter(at, std::numeric_limits<double>::infinity());
+      if (side == 3) {
+        at = first_static_instant(portable.entered_cell.to_seconds(),
+                                  threshold.to_seconds());
+      }
+      t = std::max(t, SimTime::seconds(at));
+    } else if (rng() % 5 != 0) {
+      t = t + Duration::seconds(gap(rng));
+    }
+    sim_tested.run_until(t);
+    sim_twin.run_until(t);
+
+    const std::uint64_t before = tested.stats().conflict_resolutions;
+    const PortableId p = to_boundary ? pick : portables[rng() % portables.size()];
+    const auto& neighbors = tested.map().cell(tested.mobility().portable(p).current_cell).neighbors;
+    const mobility::CellId next = neighbors[rng() % neighbors.size()];
+    const int op = to_boundary ? 5 : int(rng() % 7);
+    switch (op) {
+      case 0:
+        if (!tested.has_connection(p)) {
+          const qos::QosRequest r = oracle_request(rng);
+          const Direction d = rng() % 2 ? Direction::kDownlink : Direction::kUplink;
+          ASSERT_EQ(tested.open_connection(p, r, d), twin.open_connection(p, r, d));
+        }
+        break;
+      case 1:
+        if (tested.has_connection(p)) {
+          tested.close_connection(p);
+          twin.close_connection(p);
+        }
+        break;
+      case 2:
+        ASSERT_EQ(tested.handoff(p, next), twin.handoff(p, next));
+        break;
+      case 3:
+        if (tested.has_connection(p)) {
+          // Every other renegotiation asks for more than the air may have.
+          const qos::QosRequest r =
+              rng() % 2 ? oracle_request(rng) : stream_request(kbps(800), kbps(1600));
+          const bool moved_bounds = tested.renegotiate(p, r);
+          ASSERT_EQ(twin.renegotiate(p, r), moved_bounds);
+          if (!moved_bounds && tested.has_connection(p)) ++rollbacks;
+        }
+        break;
+      case 4: {  // a move behind the environment's back, connection live
+        const net::ConnectionId c = tested.connection_of(p);
+        if (c.is_valid() && tested.network().connection(c).mobility ==
+                                qos::MobilityClass::kStatic) {
+          ++static_moves;
+        }
+        tested.mobility().move(p, next);
+        twin.mobility().move(p, next);
+        break;
+      }
+      case 5:
+        boundary_adapts += to_boundary ? 1 : 0;
+        tested.adapt();
+        twin.adapt();
+        break;
+      default: {  // the air fades or recovers somewhere
+        const mobility::CellId cell = cells[rng() % cells.size()];
+        const qos::BitsPerSecond capacity =
+            qos::mbps(std::uniform_real_distribution<double>(0.3, 1.6)(rng));
+        tested.network_mut().link(tested.wireless_link(cell)).set_capacity(capacity);
+        twin.network_mut().link(twin.wireless_link(cell)).set_capacity(capacity);
+        tested.adapt();
+        twin.adapt();
+        break;
+      }
+    }
+    ASSERT_EQ(tested.network().connection_ids(), twin.network().connection_ids())
+        << "seed " << seed << " step " << step;
+    if (tested.stats().conflict_resolutions == before) continue;
+
+    full_scan_adapt(twin, portables);
+    ++checks;
+    const std::vector<net::ConnectionId> expected = brute_force_static(tested, portables);
+    ASSERT_EQ(static_ids(tested.network()), expected)
+        << "seed " << seed << " step " << step << " t=" << t.to_seconds();
+    ASSERT_EQ(tested.network().static_connection_count(), expected.size());
+    static_seen += expected.size();
+    for (const net::ConnectionId c : tested.network().connection_ids()) {
+      ASSERT_EQ(tested.network().connection(c).mobility,
+                twin.network().connection(c).mobility);
+      ASSERT_EQ(tested.network().connection(c).allocated,
+                twin.network().connection(c).allocated)
+          << "seed " << seed << " step " << step << " connection " << c.value();
+    }
+  }
+  // The workload reached every path it is meant to check.
+  EXPECT_GT(checks, 200u) << "seed " << seed;
+  EXPECT_GT(static_seen, 0u) << "seed " << seed;
+  EXPECT_GT(static_moves, 0u) << "seed " << seed;
+  EXPECT_GT(boundary_adapts, 10u) << "seed " << seed;
+  EXPECT_GT(rollbacks, 0u) << "seed " << seed;
+}
+
+TEST(ReclassificationOracle, DwellGateMatchesFullScan) {
+  // T_th = 2 s over six simulated minutes.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    run_reclassification_oracle(seed, Duration::seconds(2.0), 180.0, 5.0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ReclassificationOracle, DwellGateMatchesFullScanAtDefaultThreshold) {
+  // The default 3 min T_th over 72 minutes. For entry times below about
+  // T_th / 2, `now - entered >= T_th` can turn true an ulp before
+  // `now >= entered + T_th` does (for T_th = 2 s it never does); the gate
+  // uses the same subtraction as classify(), so it opens on that ulp too.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    run_reclassification_oracle(seed, Duration::minutes(3), 24.0, 40.0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,111 @@ TEST(OverloadGovernor, ShedExitResetsFreshnessGuard) {
     governor.observe_latency(5000.0);
   }
   EXPECT_FALSE(governor.admit(0));
+}
+
+// The governor as it was before the running count: a full nth_element
+// selection of the window's p99 at every refresh, compared on admit. Kept
+// verbatim as the oracle for the O(1) decision and the on-demand p99.
+class NthElementGovernor {
+ public:
+  explicit NthElementGovernor(const SloConfig& slo)
+      : slo_(slo), window_(std::max<std::size_t>(slo.latency_window, 8), 0.0) {}
+
+  bool admit(std::size_t queue_depth) {
+    if (shedding_) {
+      if (queue_depth > slo_.queue_capacity / 2) return false;
+      shedding_ = false;
+      fresh_ = 0;
+    }
+    if (queue_depth >= slo_.queue_capacity) {
+      shedding_ = true;
+      return false;
+    }
+    if (fresh_ >= OverloadGovernor::kMinFreshSamples && p99_us_ > slo_.p99_target_us) {
+      shedding_ = true;
+      return false;
+    }
+    return true;
+  }
+
+  void observe_latency(double us) {
+    window_[next_] = us;
+    next_ = (next_ + 1) % window_.size();
+    filled_ = std::min(filled_ + 1, window_.size());
+    ++fresh_;
+    if (++since_refresh_ >= OverloadGovernor::kRefreshInterval) refresh_p99();
+  }
+
+  [[nodiscard]] bool shedding() const { return shedding_; }
+  [[nodiscard]] double window_p99_us() const { return p99_us_; }
+
+ private:
+  void refresh_p99() {
+    since_refresh_ = 0;
+    std::vector<double> scratch(window_.begin(), window_.begin() + std::ptrdiff_t(filled_));
+    const std::size_t rank = std::min(filled_ - 1, std::size_t(double(filled_) * 0.99));
+    std::nth_element(scratch.begin(), scratch.begin() + std::ptrdiff_t(rank), scratch.end());
+    p99_us_ = scratch[rank];
+  }
+
+  SloConfig slo_;
+  std::vector<double> window_;
+  std::size_t next_ = 0;
+  std::size_t filled_ = 0;
+  std::size_t fresh_ = 0;
+  std::size_t since_refresh_ = 0;
+  double p99_us_ = 0.0;
+  bool shedding_ = false;
+};
+
+TEST(OverloadGovernor, MatchesNthElementReference) {
+  // Latency phases around a 1000 µs target: mostly under, mostly over, and
+  // pinned exactly at the target (p99 == target must not shed). Queue depth
+  // random-walks through shed/recover cycles. Windows of 8, 9 and 512 cover
+  // the ring wrapping early, an odd size and a long partly filled stretch.
+  for (const std::size_t window : {std::size_t(8), std::size_t(9), std::size_t(512)}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SloConfig slo = small_slo();
+      slo.latency_window = window;
+      OverloadGovernor governor(slo);
+      NthElementGovernor reference(slo);
+      std::mt19937_64 rng(seed * 1000 + window);
+      std::size_t depth = 0;
+      int phase = 0;
+      std::size_t latency_sheds = 0;  // entered shed mode below capacity
+      for (int step = 0; step < 6000; ++step) {
+        if (rng() % 400 == 0) phase = int(rng() % 3);
+        if (rng() % 3 == 0) {
+          const std::size_t step_size = 1 + rng() % 4;
+          depth = rng() % 2 ? depth + step_size : depth - std::min(depth, step_size);
+          depth = std::min<std::size_t>(depth, slo.queue_capacity + 4);
+        }
+        const bool was_shedding = reference.shedding();
+        const bool admitted = reference.admit(depth);
+        if (!was_shedding && !admitted && depth < slo.queue_capacity) ++latency_sheds;
+        ASSERT_EQ(governor.admit(depth), admitted)
+            << "window " << window << " seed " << seed << " step " << step;
+        ASSERT_EQ(governor.shedding(), reference.shedding());
+
+        const double target = slo.p99_target_us;
+        double latency = 0.0;
+        switch (rng() % 4 == 0 ? int(rng() % 3) : phase) {
+          case 0: latency = double(rng() % 1000); break;        // at or under
+          case 1: latency = target + double(rng() % 4000); break;  // at or over
+          default: latency = rng() % 2 ? target : double(rng() % 2000); break;
+        }
+        governor.observe_latency(latency);
+        reference.observe_latency(latency);
+        // The reference's p99 is frozen between refreshes; the governor's is
+        // the live window's, so they meet right after each refresh.
+        if ((step + 1) % OverloadGovernor::kRefreshInterval == 0) {
+          ASSERT_EQ(governor.window_p99_us(), reference.window_p99_us())
+              << "window " << window << " seed " << seed << " step " << step;
+        }
+      }
+      EXPECT_GT(latency_sheds, 0u) << "window " << window << " seed " << seed;
+    }
+  }
 }
 
 // ---- single-request service behaviour ------------------------------------

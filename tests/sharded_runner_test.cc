@@ -32,6 +32,43 @@ TEST(ShardedRunner, DeliversCrossDomainMessagesAtTheRequestedTime) {
   EXPECT_DOUBLE_EQ(delivered_at[0], 13.0);
 }
 
+// latency == window lands a message exactly on the window end. run_until
+// fires events *at* its horizon, so the destination has already run its own
+// events for that instant (including ones they chained at zero delay); the
+// message runs after them at the same time, never earlier, and
+// same-instant messages run in exchange order: source domain, then posting
+// order.
+TEST(ShardedRunner, MessageAtTheWindowEndRunsAfterThatInstantsLocalEvents) {
+  for (const std::size_t workers : {std::size_t(1), std::size_t(2)}) {
+    ShardedRunner::Config config{/*domains=*/3, workers, /*window=*/Duration::millis(10)};
+    ShardedRunner runner(config);
+    std::vector<std::string> order;
+    std::vector<double> at_ms;
+    const auto record = [&](const char* what) {
+      order.emplace_back(what);
+      at_ms.push_back(runner.domain(1).now().to_millis());
+    };
+    runner.domain(1).at(SimTime::millis(10), [&] {
+      record("local");
+      runner.domain(1).after(Duration::zero(), [&] { record("local-chained"); });
+    });
+    runner.domain(2).at(SimTime::zero(), [&] {
+      runner.post(2, 1, Duration::millis(10), [&] { record("from-2"); });
+    });
+    runner.domain(0).at(SimTime::zero(), [&] {
+      runner.post(0, 1, Duration::millis(10), [&] { record("from-0a"); });
+      runner.post(0, 1, Duration::millis(10), [&] { record("from-0b"); });
+    });
+    runner.run_until(SimTime::seconds(1.0));
+    EXPECT_EQ(order, (std::vector<std::string>{"local", "local-chained", "from-0a",
+                                               "from-0b", "from-2"}))
+        << "workers " << workers;
+    ASSERT_EQ(at_ms.size(), 5u);
+    for (const double t : at_ms) EXPECT_EQ(t, 10.0) << "workers " << workers;
+    EXPECT_EQ(runner.stats().boundary_messages, 3u);
+  }
+}
+
 TEST(ShardedRunner, SetupTimePostsAreDeliveredBeforeTheFirstWindow) {
   ShardedRunner::Config config{2, 1, Duration::millis(5)};
   ShardedRunner runner(config);

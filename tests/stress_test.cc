@@ -39,11 +39,11 @@ class StressCampaign : public ::testing::TestWithParam<int> {
       // Every allocation sits within its connection's bounds and the link's
       // allocations are feasible.
       double allocated = 0.0;
-      for (const auto& [id, share] : link.shares()) {
+      link.for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
         EXPECT_GE(share.allocated, share.bounds.b_min - 1e-6);
         EXPECT_LE(share.allocated, share.bounds.b_max + 1e-6);
         allocated += share.allocated;
-      }
+      });
       EXPECT_LE(allocated, link.capacity() + 1e-6) << cell.name;
     }
   }
@@ -128,7 +128,9 @@ TEST_P(StressCampaign, WirelessCapacityCollapseIsSurvivable) {
   link.set_capacity(qos::mbps(0.4));
   env.adapt();
   double allocated = 0.0;
-  for (const auto& [id, share] : link.shares()) allocated += share.allocated;
+  link.for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
+    allocated += share.allocated;
+  });
   // The guaranteed minima may exceed a collapsed link (that is what
   // renegotiation is for), but adaptation must not allocate *excess* beyond
   // the collapsed capacity.

@@ -28,9 +28,11 @@
 #        per-flow counter arithmetic, the controller's window harvesting,
 #        and the campus loop's packet lambdas that capture per-stream state.
 #        netpath = asan+ubsan over the `netpath` and `serve` labels — the
-#        routed network path (memoized Router trees, NetworkState's id index,
-#        multicast setup, max-min extraction) and the admission service on
-#        top of it. Router hands out references into a memo that is reset
+#        routed network path (memoized Router trees, NetworkState's id
+#        index, LinkState's flat share tables, multicast setup, max-min
+#        extraction, gated reclassification, the randomized stress
+#        campaign) and the admission service on top of it. Router hands
+#        out references into a memo that is reset
 #        when the topology grows; a dangling one would corrupt routes
 #        silently, which is what asan catches.
 #        campus = asan+ubsan over the `campus` label — the campus-day path:

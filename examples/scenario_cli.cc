@@ -74,6 +74,13 @@ class Args;
 /// When a row's config echo applies, judged on the parsed flags.
 using Condition = bool (*)(const Args&);
 
+/// One mode of a command, judged on the parsed flags: campus runs the day,
+/// or the sharded corridor under --shards K.
+struct Mode {
+  Condition holds;
+  const char* name;
+};
+
 /// One row of a command's flag table.
 struct Flag {
   std::string name;
@@ -82,12 +89,20 @@ struct Flag {
   std::string choices;   // kChoice: the allowed values, '|'-separated
   int echo = -1;         // config echo: -1 = none, else decimals for numbers
   Condition condition = nullptr;  // echo only when this holds
+  const Mode* mode = nullptr;     // the only mode that takes the flag
 
   /// The same row, echoed into the config block (numbers to `decimals`).
   [[nodiscard]] Flag echoed(int decimals = 0, Condition when = nullptr) const {
     Flag row = *this;
     row.echo = decimals;
     row.condition = when;
+    return row;
+  }
+  /// The same row, taken only in mode `m`: given in another mode it is
+  /// refused, and it is never echoed there.
+  [[nodiscard]] Flag in(const Mode& m) const {
+    Flag row = *this;
+    row.mode = &m;
     return row;
   }
 };
@@ -189,13 +204,16 @@ std::string type_name(const Flag& row) {
   return "";
 }
 
-/// The report's config block: every echoed row whose condition holds, in
-/// table order. tools/bench_compare.py keys trajectory entries on it.
+/// The report's config block: every echoed row whose mode and condition
+/// hold, in table order. It names the workload a report measured.
 std::vector<std::pair<std::string, std::string>> config_echo(const std::vector<Flag>& table,
                                                              const Args& args) {
   std::vector<std::pair<std::string, std::string>> config;
   for (const Flag& row : table) {
-    if (row.echo < 0 || (row.condition != nullptr && !row.condition(args))) continue;
+    if (row.echo < 0 || (row.mode != nullptr && !row.mode->holds(args)) ||
+        (row.condition != nullptr && !row.condition(args))) {
+      continue;
+    }
     std::string value = args.text(row.name);
     if (row.kind == Kind::kCount) value = stats::fmt(double(args.count(row.name)), 0);
     if (row.kind == Kind::kNumber || row.kind == Kind::kProbability) {
@@ -211,11 +229,14 @@ bool sharded(const Args& a) { return a.count("shards") > 0; }
 bool batched(const Args& a) { return a.count("batch") > 0; }
 bool unsharded(const Args& a) { return !sharded(a); }
 bool faulted(const Args& a) { return a.number("faults") > 0.0; }
-bool day_faulted(const Args& a) { return unsharded(a) && faulted(a); }
 bool adapting(const Args& a) { return a.on("adapt-loop"); }
 bool warm_barrier(const Args& a) { return a.number("faults-start") > 0.0; }
 bool trace_arrivals(const Args& a) { return a.text("arrivals") == "trace"; }
 bool over_socket(const Args& a) { return a.text("transport") == "socket"; }
+
+// The modes of campus.
+const Mode kDay{unsharded, "the campus day, without --shards"};
+const Mode kCorridor{sharded, "the sharded corridor, with --shards K"};
 
 int refuse(const std::string& message) {
   std::cerr << "scenario_cli: " << message << '\n';
@@ -545,20 +566,7 @@ obs::AdaptationBlock make_adaptation_block(const CampusDayConfig& config,
 }
 
 int run_campus_cmd(Args& args, ObsSession& obs) {
-  if (sharded(args)) {
-    if (adapting(args)) {
-      return refuse("--adapt-loop runs the single-process campus day; it does not "
-                    "support --shards");
-    }
-    return run_campus_sharded_cmd(args, obs);
-  }
-  if (args.given("batch")) {
-    return refuse("--batch tunes the sharded runner's window batching; it "
-                  "requires --shards K");
-  }
-  if (args.given("progress")) {
-    return refuse("invalid --progress: only campus --shards K reports progress");
-  }
+  if (sharded(args)) return run_campus_sharded_cmd(args, obs);
 
   const std::size_t replications = args.count("replications");
   if (replications == 0) {
@@ -1122,30 +1130,30 @@ std::vector<Command> build_commands() {
        "corridor",
        run_campus_cmd,
        {
-           probability("faults", "0").echoed(4, day_faulted),
-           count("fault-retries", "3").echoed(0, day_faulted),
-           choice("policy", choices_of(kCampusPolicies), "dispatcher").echoed(0, unsharded),
-           count("attendees", "40").echoed(0, unsharded),
-           count("squatters", "10").echoed(0, unsharded),
-           count("cells", "24").echoed(0, sharded),
+           probability("faults", "0").echoed(4, faulted).in(kDay),
+           count("fault-retries", "3").echoed(0, faulted).in(kDay),
+           choice("policy", choices_of(kCampusPolicies), "dispatcher").echoed().in(kDay),
+           count("attendees", "40").echoed().in(kDay),
+           count("squatters", "10").echoed().in(kDay),
+           count("cells", "24").echoed().in(kCorridor),
            count("shards", "0").echoed(0, sharded),
-           count("batch", "0").echoed(0, batched),
-           count("portables", "8").echoed(0, sharded),
+           count("batch", "0").echoed(0, batched).in(kCorridor),
+           count("portables", "8").echoed().in(kCorridor),
            count("seed", "5").echoed(),
-           count("replications", "1").echoed(0, unsharded),
-           number("hours", "4").echoed(2, sharded),
-           toggle("adapt-loop").echoed(0, adapting),
-           count("adapt-flows", "4").echoed(0, adapting),
-           probability("adapt-fault", "0.8").echoed(4, adapting),
-           number("adapt-fault-start", "60").echoed(1, adapting),
-           number("adapt-fault-stop", "100").echoed(1, adapting),
-           number("hop-ms", "5"),
-           count("threads", "0"),
-           number("checkpoint-at", "60"),
-           path("checkpoint-out"),
-           path("checkpoint-in"),
+           count("replications", "1").echoed().in(kDay),
+           number("hours", "4").echoed(2).in(kCorridor),
+           toggle("adapt-loop").echoed(0, adapting).in(kDay),
+           count("adapt-flows", "4").echoed(0, adapting).in(kDay),
+           probability("adapt-fault", "0.8").echoed(4, adapting).in(kDay),
+           number("adapt-fault-start", "60").echoed(1, adapting).in(kDay),
+           number("adapt-fault-stop", "100").echoed(1, adapting).in(kDay),
+           number("hop-ms", "5").in(kCorridor),
+           count("threads", "0").in(kDay),
+           number("checkpoint-at", "60").in(kDay),
+           path("checkpoint-out").in(kDay),
+           path("checkpoint-in").in(kDay),
            toggle("profile"),
-           number("progress", "0"),
+           number("progress", "0").in(kCorridor),
        }},
       {"campus-scale",
        "the grid campus at scale: one sharded-runner domain per cell, --shards workers",
@@ -1254,6 +1262,12 @@ std::optional<Args> parse_flags(const Command& command, int argc, char** argv, i
       return reject("invalid " + token + " value '" + value + "' (expected " + expected + ")");
     }
     args.set(name, value, true);
+  }
+  // A flag the chosen mode ignores is refused, not silently dropped.
+  for (const Flag& row : command.flags) {
+    if (row.mode != nullptr && args.given(row.name) && !row.mode->holds(args)) {
+      return reject("invalid --" + row.name + " (it applies only to " + row.mode->name + ")");
+    }
   }
   return args;
 }

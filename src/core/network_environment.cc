@@ -230,8 +230,8 @@ void NetworkEnvironment::place_advance_reservation(PortableId portable, Session&
   cancel_advance_reservation(portable, session);
   const prediction::Prediction p = predictor_->predict(mobility_.portable(portable));
   if (!p.next_cell.has_value()) return;
-  network_->link(wireless_link_of_[p.next_cell->value()])
-      .reserve_advance(session.request.bandwidth.b_min);
+  session.reserved_bps = session.request.bandwidth.b_min;
+  network_->link(wireless_link_of_[p.next_cell->value()]).reserve_advance(session.reserved_bps);
   session.reserved_in = *p.next_cell;
   ++stats_.reservations_placed;
 }
@@ -240,7 +240,7 @@ void NetworkEnvironment::cancel_advance_reservation(PortableId portable, Session
   (void)portable;
   if (!session.reserved_in.is_valid()) return;
   network_->link(wireless_link_of_[session.reserved_in.value()])
-      .release_advance(session.request.bandwidth.b_min);
+      .release_advance(session.reserved_bps);
   session.reserved_in = CellId::invalid();
 }
 

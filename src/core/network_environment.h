@@ -153,6 +153,9 @@ class NetworkEnvironment {
     Direction direction = Direction::kDownlink;
     net::MulticastTree multicast;
     CellId reserved_in = CellId::invalid();
+    /// The amount reserved in `reserved_in`: the b_min of the request at
+    /// placement, which a later renegotiation does not move.
+    qos::BitsPerSecond reserved_bps = 0.0;
   };
 
   void build_topology();

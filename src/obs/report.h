@@ -4,8 +4,8 @@
 // examples/scenario_cli --metrics-json) emits after a run: which scenario
 // ran with which configuration, how long it took in wall and simulated
 // time, the event throughput, and the full metrics snapshot. Downstream
-// tooling (bench/run_benchmarks.sh, tools/validate_report.py) keys on
-// schema_version, so bump it on any breaking layout change.
+// tooling (tools/validate_report.py and the tools/check_*.py contract
+// tests) keys on schema_version, so bump it on any breaking layout change.
 #pragma once
 
 #include <cstdint>

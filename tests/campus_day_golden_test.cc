@@ -102,6 +102,18 @@ std::string golden_text() {
   faulty.faults.max_attempts = 2;
   os << ",\n";
   day_entry(os, "dispatcher-seed7-n40-faults", faulty);
+  // The historical benchmark day (`scenario_cli campus --attendees 20
+  // --squatters 6 --seed 5`), clean and with --faults 0.2.
+  CampusDayConfig pinned;
+  pinned.attendees = 20;
+  pinned.squatters = 6;
+  pinned.seed = 5;
+  os << ",\n";
+  day_entry(os, "dispatcher-seed5-n20-sq6", pinned);
+  pinned.faults.model = fault::LinkFaultModel::bernoulli_loss(0.2);
+  pinned.faults.max_attempts = 3;
+  os << ",\n";
+  day_entry(os, "dispatcher-seed5-n20-sq6-faults0.2", pinned);
   os << "\n]\n";
   return os.str();
 }

@@ -50,20 +50,21 @@ void grid_entry(std::ostream& os, const char* name, std::size_t cells,
   os << "}";
 }
 
-/// The corridor campus (`scenario_cli campus --shards 1 --cells 12
-/// --portables 4 --hours 1 --seed 9`): the runner's other client, whose
-/// probes and leases travel several hops. Its exchanges are sparse (one
-/// message each at this size); the grid points above are the ones whose
-/// batches arrive out of delivery order (about one in six).
-void corridor_entry(std::ostream& os) {
+/// One corridor campus (`scenario_cli campus --shards 1 --cells C
+/// --portables P --hours H --seed S`): the runner's other client, whose
+/// probes and leases travel several hops. At 12 cells its exchanges are
+/// sparse (one message each); the grid points are the ones whose batches
+/// arrive out of delivery order (about one in six).
+void corridor_entry(std::ostream& os, const char* name, std::size_t cells,
+                    std::size_t portables_per_cell, double hours, std::uint64_t seed) {
   ShardedCampusConfig config;
-  config.cells = 12;
+  config.cells = cells;
   config.shards = 1;
-  config.portables_per_cell = 4;
-  config.horizon = sim::SimTime::hours(1.0);
-  config.seed = 9;
+  config.portables_per_cell = portables_per_cell;
+  config.horizon = sim::SimTime::hours(hours);
+  config.seed = seed;
   const ShardedCampusResult r = run_sharded_campus(config);
-  os << "  {\"point\": \"corridor-12x4-1h-seed9\", \"events\": " << r.events_fired
+  os << "  {\"point\": \"" << name << "\", \"events\": " << r.events_fired
      << ", \"windows\": " << r.windows
      << ", \"boundary_messages\": " << r.boundary_messages << ",\n   \"metrics\": ";
   r.metrics.write_json(os);
@@ -81,7 +82,22 @@ std::string golden_text() {
   os << ",\n";
   grid_entry(os, "grid-100x10000-tick0.7-900s-seed3", 100, 10000, 900.0, 0.7, 3);
   os << ",\n";
-  corridor_entry(os);
+  corridor_entry(os, "corridor-12x4-1h-seed9", 12, 4, 1.0, 9);
+  // The historical benchmark points: the corridor day at 32 cells x 32
+  // portables over 4 h, and the grid curve over {10,100,1000} cells x
+  // {1k,10k,100k} portables for one day at a 5 s tick, seed 5. The
+  // 100x10000 point is also perfbench's pinned grid workload.
+  os << ",\n";
+  corridor_entry(os, "corridor-32x32-4h-seed11", 32, 32, 4.0, 11);
+  for (const std::size_t cells : {std::size_t(10), std::size_t(100), std::size_t(1000)}) {
+    for (const std::size_t portables :
+         {std::size_t(1000), std::size_t(10000), std::size_t(100000)}) {
+      const std::string name =
+          "grid-" + std::to_string(cells) + "x" + std::to_string(portables) + "-seed5";
+      os << ",\n";
+      grid_entry(os, name.c_str(), cells, portables, 3600.0, 5.0, 5);
+    }
+  }
   os << "\n]\n";
   return os.str();
 }

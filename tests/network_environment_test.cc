@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -196,6 +197,21 @@ TEST_F(NetworkEnvironmentTest, CloseReleasesEverything) {
   for (const auto& cell : env_->map().cells()) {
     EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cell.id)).advance_reserved(),
                      0.0);
+  }
+}
+
+TEST_F(NetworkEnvironmentTest, RenegotiatedSessionReleasesTheReservationItPlaced) {
+  const auto p = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(128), kbps(256))));
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  ASSERT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.a)).advance_reserved(),
+                   kbps(128));
+  // A smaller b_min after the reservation was placed: closing must release
+  // the 128 kb/s reserved, not the 64 kb/s now requested.
+  ASSERT_TRUE(env_->renegotiate(p, stream_request(kbps(64), kbps(256))));
+  env_->close_connection(p);
+  for (std::uint32_t l = 0; l < env_->network().link_count(); ++l) {
+    EXPECT_EQ(env_->network().link(net::LinkId{l}).advance_reserved(), 0.0) << "link " << l;
   }
 }
 

@@ -5,10 +5,10 @@ Three checks against one scenario_cli binary:
 
   1. golden — every deterministic invocation in CASES must reproduce the
      report's `config` block (keys, values, order and which keys are
-     present) and its stdout exactly as stored in
-     tests/golden/cli_golden.json. The config block is the fingerprint
-     tools/bench_compare.py keys trajectory entries on, so a flag-table
-     change must leave it byte-identical.
+     present), its stdout and the report fields REPORT_FIELDS names for it
+     exactly as stored in tests/golden/cli_golden.json. The config block
+     names the workload a report measured, so a flag-table change must
+     leave it byte-identical.
   2. profile — every invocation in PROFILED, run with --profile 1, must
      write a non-empty `profile` block: the modes that keep the flag honour
      it (the others refuse it with exit 2).
@@ -33,6 +33,16 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "cli_gold
 # A three-event arrival trace, written next to each run as arrivals.trace.
 TRACE = "0.00 admit 0 0\n0.01 admit 1 1\n0.02 handoff 0 1\n"
 
+# The closed adaptation loop's pinned quiet day, and an 8-variant faults
+# sweep on a slow-converging campus topology (run cold and forked from one
+# warm checkpoint): the historical benchmark invocations.
+ADAPT_DAY = ["campus", "--adapt-loop", "1", "--attendees", "0", "--squatters", "0",
+             "--seed", "5"]
+FAULTS_SWEEP = ["faults", "--topology", "campus", "--cells", "12", "--conns", "48",
+                "--faults-start", "60", "--stop", "0.5", "--drop", "0.2", "--flaps",
+                "2", "--crashes", "1", "--replications", "8", "--threads", "1",
+                "--seed", "3"]
+
 CASES = [
     ["classroom"],
     ["classroom", "--size", "20", "--policy", "brute-force", "--passby", "6",
@@ -51,8 +61,7 @@ CASES = [
      "--seed", "2", "--faults", "0.1", "--fault-retries", "2"],
     ["campus", "--replications", "3", "--threads", "2", "--seed", "4",
      "--attendees", "12", "--squatters", "3"],
-    ["campus", "--adapt-loop", "1", "--attendees", "0", "--squatters", "0",
-     "--seed", "5"],
+    ADAPT_DAY,
     ["campus", "--adapt-loop", "1", "--adapt-flows", "2", "--adapt-fault", "0.5",
      "--adapt-fault-start", "30", "--adapt-fault-stop", "50", "--attendees", "4",
      "--squatters", "0"],
@@ -68,6 +77,8 @@ CASES = [
      "--replications", "3", "--threads", "2", "--seed", "3"],
     ["faults", "--faults-start", "5", "--replications", "1"],
     ["faults", "--faults-start", "5", "--replications", "2", "--fork", "1"],
+    FAULTS_SWEEP,
+    FAULTS_SWEEP + ["--fork", "1"],
     ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
      "--shards", "2"],
     ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
@@ -79,6 +90,15 @@ CASES = [
     ["drive", "--transport", "ring", "--pacing", "virtual", "--arrivals", "trace",
      "--trace-in", "arrivals.trace", "--cells", "8"],
 ]
+
+# Report fields pinned besides `config`, per invocation: the adaptation
+# loop's renegotiation counts, breach windows, shaper bits and grant
+# trajectory, and the whole metrics object of both faults sweeps.
+REPORT_FIELDS = {
+    tuple(ADAPT_DAY): ("events_fired", "adaptation"),
+    tuple(FAULTS_SWEEP): ("events_fired", "metrics"),
+    tuple(FAULTS_SWEEP + ["--fork", "1"]): ("events_fired", "metrics"),
+}
 
 # Invocations that accept --profile 1 must write a non-empty profile block;
 # the other modes refuse the flag (pinned by scenario_cli_rejects_* ctests).
@@ -101,7 +121,7 @@ def fail(message):
 
 
 def run_report(cli, args, tmp):
-    """(finished process, report as nested key/value pair lists) of one run."""
+    """(finished process, report text) of one run."""
     (tmp / "arrivals.trace").write_text(TRACE)
     report = tmp / "report.json"
     report.unlink(missing_ok=True)
@@ -109,13 +129,19 @@ def run_report(cli, args, tmp):
                           capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
         fail(f"`{' '.join(args)}` exited {proc.returncode}\n{proc.stderr}")
-    return proc, dict(json.loads(report.read_text(), object_pairs_hook=list))
+    return proc, report.read_text()
 
 
 def run_case(cli, args, tmp):
-    proc, report = run_report(cli, args, tmp)
-    config = [list(pair) for pair in report["config"]]
-    return {"args": args, "config": config, "stdout": proc.stdout}
+    proc, text = run_report(cli, args, tmp)
+    # The config block as key/value pairs, so its key order is compared too.
+    config = dict(json.loads(text, object_pairs_hook=list))["config"]
+    case = {"args": args, "config": [list(pair) for pair in config],
+            "stdout": proc.stdout}
+    report = json.loads(text)
+    for field in REPORT_FIELDS.get(tuple(args), ()):
+        case[field] = report[field]
+    return case
 
 
 def golden_text(cli, tmp):
@@ -136,21 +162,21 @@ def check_golden(cli, tmp):
              "rewrite it with --write-golden")
     for expected in want:
         got = run_case(cli, expected["args"], tmp)
-        for field in ("config", "stdout"):
-            if got[field] != expected[field]:
+        for field in sorted(set(got) | set(expected)):
+            if got.get(field) != expected.get(field):
                 fail(f"`{' '.join(expected['args'])}` {field} differs from "
-                     f"{GOLDEN.name}:\n  want {expected[field]!r}\n"
-                     f"  got  {got[field]!r}")
+                     f"{GOLDEN.name}:\n  want {expected.get(field)!r}\n"
+                     f"  got  {got.get(field)!r}")
     print(f"OK: {len(want)} invocations match {GOLDEN.name}")
 
 
 def check_profiles(cli, tmp):
     for args in PROFILED:
-        proc, report = run_report(cli, args + ["--profile", "1"], tmp)
+        proc, text = run_report(cli, args + ["--profile", "1"], tmp)
         if "compiled out" in proc.stderr:
             print("SKIP: profiling is compiled out of this build (IMRM_PROFILING=OFF)")
             return
-        profile = dict(report.get("profile") or [])
+        profile = json.loads(text).get("profile") or {}
         if not profile.get("phases"):
             fail(f"`{' '.join(args)} --profile 1` wrote no profile phases")
     print(f"OK: {len(PROFILED)} --profile 1 runs write a profile block")

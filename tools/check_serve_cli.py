@@ -11,11 +11,14 @@ Four checks, each against the schema-v3 `service` report block:
   3. socket — a real `serve` process driven by a separate `drive --transport
      socket` process; the driver's --shutdown 1 must terminate the server,
      and both sides' reports must validate;
-  4. decision golden — `drive --rate 2500 --seed 7` must reproduce the
-     `service` and `metrics` objects stored in
+  4. decision golden — each run in GOLDEN_RUNS must reproduce the `service`
+     and `metrics` objects stored at its place in
      tests/golden/serve_drive_golden.json byte for byte, so a change that
      alters any admission, handoff or latency outcome of the service path
-     fails here rather than only against a twin run of itself.
+     fails here rather than only against a twin run of itself. Every run
+     must account for each offered request (offered = processed + shed +
+     unanswered), and the 7500 req/s run, past the service's virtual
+     capacity, must shed.
 
 A change meant to move decisions replaces the golden with golden_text()'s
 output for the new binary.
@@ -32,7 +35,12 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 VALIDATE = TOOLS / "validate_report.py"
 GOLDEN = TOOLS.parent / "tests" / "golden" / "serve_drive_golden.json"
-GOLDEN_ARGS = ["drive", "--rate", "2500", "--seed", "7"]
+# A half-load drive, and an overloaded one whose bounded queue makes the
+# governor shed deterministically.
+OVERLOAD_ARGS = ["drive", "--transport", "ring", "--pacing", "virtual", "--rate", "7500",
+                 "--duration", "5", "--portables", "64", "--cells", "16", "--seed", "11",
+                 "--queue-cap", "16"]
+GOLDEN_RUNS = [["drive", "--rate", "2500", "--seed", "7"], OVERLOAD_ARGS]
 
 
 def fail(message):
@@ -161,28 +169,41 @@ def check_socket(cli, tmp):
 
 
 def golden_text(cli, tmp):
-    """The `service` and `metrics` objects of the golden drive, serialized
-    canonically (sorted keys, shortest round-trip floats)."""
-    path = tmp / "golden_drive.json"
-    run(cli, GOLDEN_ARGS + ["--metrics-json", str(path)])
-    validate(path)
-    report = json.loads(path.read_text())
-    pinned = {field: report[field] for field in ("service", "metrics")}
-    return json.dumps(pinned, indent=1, sort_keys=True) + "\n"
+    """A list of the `service` and `metrics` objects of each golden drive, in
+    GOLDEN_RUNS order, each serialized canonically (sorted keys, shortest
+    round-trip floats)."""
+    points = []
+    for args in GOLDEN_RUNS:
+        path = tmp / "golden_drive.json"
+        run(cli, args + ["--metrics-json", str(path)])
+        validate(path)
+        report = json.loads(path.read_text())
+        pinned = {field: report[field] for field in ("service", "metrics")}
+        points.append(json.dumps(pinned, indent=1, sort_keys=True))
+    return "[\n" + ",\n".join(points) + "\n]\n"
 
 
 def check_golden(cli, tmp):
     actual = golden_text(cli, tmp)
+    got = dict(zip(map(" ".join, GOLDEN_RUNS), json.loads(actual)))
+    for run_line, point in got.items():
+        service = point["service"]
+        if service["offered"] != (service["processed"] + service["shed"] +
+                                  service["unanswered"]):
+            fail(f"`{run_line}`: offered != processed + shed + unanswered")
+    if got[" ".join(OVERLOAD_ARGS)]["service"]["shed"] == 0:
+        fail(f"`{' '.join(OVERLOAD_ARGS)}` shed nothing: the governor did not engage")
     expected = GOLDEN.read_text()
     if actual != expected:
-        got = json.loads(actual)
-        want = json.loads(expected)
-        diff = [f"{field}.{key}" for field in want
-                for key in sorted(set(want[field]) | set(got[field]))
-                if want[field].get(key) != got[field].get(key)]
-        fail(f"`{' '.join(GOLDEN_ARGS)}` no longer matches {GOLDEN.name}; "
+        diff = []
+        for run_line, point in zip(got, json.loads(expected)):
+            for field, values in point.items():
+                have = got[run_line][field]
+                diff += [f"{run_line}: {field}.{key}" for key in sorted(set(values) | set(have))
+                         if values.get(key) != have.get(key)]
+        fail(f"the golden drives no longer match {GOLDEN.name}; "
              f"differing entries: {diff}")
-    print(f"OK: service drive matches {GOLDEN.name} byte for byte")
+    print(f"OK: {len(GOLDEN_RUNS)} service drives match {GOLDEN.name} byte for byte")
 
 
 def main():

@@ -10,6 +10,9 @@ Two sweeps through scenario_cli, each with identical scenario flags:
     bare invocation with neither flag, so the default path is pinned to
     the same bytes.
 
+Each sweep also repeats one K=2 run with --profile 1: the profiler only
+reads clocks, so it must never move a simulation result.
+
 Every run in a sweep must produce:
 
   * identical stdout summary lines (events, windows, boundary messages,
@@ -34,24 +37,25 @@ from pathlib import Path
 SHARDS = [1, 2, 4, 8]
 BATCHES = [1, 8, 64, 0]  # 0 = adaptive controller
 
+PROFILED = ["--shards", "2", "--profile", "1"]
+
+# (name, scenario flags, the execution flags of each run; the first run is
+# the sweep's reference).
 SWEEPS = [
     ("campus",
      ["campus", "--cells", "12", "--portables", "4", "--hours", "1",
       "--seed", "9"],
-     [(k, None) for k in SHARDS]),
+     [["--shards", str(k)] for k in SHARDS] + [PROFILED]),
     ("campus-scale",
      ["campus-scale", "--cells", "25", "--portables", "120",
       "--duration", "900", "--tick", "5", "--seed", "7"],
-     [(None, None)] + [(k, b) for k in SHARDS for b in BATCHES]),
+     [[]] + [["--shards", str(k), "--batch", str(b)]
+             for k in SHARDS for b in BATCHES] + [PROFILED]),
 ]
 
 
-def run(cli, flags, shards, batch, metrics_path):
-    cmd = [cli] + flags + ["--metrics-json", str(metrics_path)]
-    if shards is not None:
-        cmd += ["--shards", str(shards)]
-    if batch is not None:
-        cmd += ["--batch", str(batch)]
+def run(cli, flags, execution, metrics_path):
+    cmd = [cli] + flags + execution + ["--metrics-json", str(metrics_path)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
         print(f"FAIL: `{' '.join(cmd[1:])}` exited {proc.returncode}")
@@ -80,11 +84,13 @@ def sweep(cli, name, flags, points):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         golden_line = golden_md5 = None
-        for shards, batch in points:
-            tag = ("default" if shards is None else f"shards={shards}") + (
-                "" if batch is None else f" batch={batch or 'auto'}")
-            metrics_path = tmp / f"s{shards}b{batch}.json"
-            line = run(cli, flags, shards, batch, metrics_path)
+        for i, execution in enumerate(points):
+            tag = " ".join(execution) or "default"
+            metrics_path = tmp / f"run{i}.json"
+            line = run(cli, flags, execution, metrics_path)
+            if "--profile" in execution:
+                # The profile table follows the summary line.
+                line = line.splitlines(keepends=True)[0]
             digest = metrics_md5(metrics_path)
             print(f"{name}: {tag} md5={digest}")
             if golden_line is None:
@@ -110,7 +116,8 @@ def main() -> int:
     cli = sys.argv[1]
     ok = all(sweep(cli, name, flags, points)
              for name, flags, points in SWEEPS)
-    print("OK: metrics byte-identical across shard and batch counts"
+    print("OK: metrics byte-identical across shard and batch counts and "
+          "with --profile 1"
           if ok else "FAILED")
     return 0 if ok else 1
 

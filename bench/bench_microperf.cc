@@ -58,6 +58,36 @@ void BM_EventQueueScheduleCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleCancelChurn)->Arg(1000)->Arg(10000);
 
+void BM_EventQueueEqualTimeFanIn(benchmark::State& state) {
+  // The grid's pattern: a few pending tick instants with many events each.
+  // Every event re-arms one period later, so each of the kInstants pending
+  // instants holds n / kInstants events and nearly every pop is followed by
+  // another event at the same time.
+  const int n = int(state.range(0));
+  constexpr int kInstants = 4;
+  constexpr double kRounds = 16.0;
+  struct Rearm {
+    sim::Simulator* simulator;
+    void operator()() const {
+      const sim::SimTime next = simulator->now() + sim::Duration::seconds(1.0);
+      if (next.to_seconds() <= kRounds) simulator->at(next, *this);
+    }
+  };
+  std::int64_t fired = 0;
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    for (int i = 0; i < n; ++i) {
+      simulator.at(sim::SimTime::seconds(double(i % kInstants) / kInstants),
+                   Rearm{&simulator});
+    }
+    const std::uint64_t count = simulator.run();
+    benchmark::DoNotOptimize(count);
+    fired += std::int64_t(count);
+  }
+  state.SetItemsProcessed(fired);
+}
+BENCHMARK(BM_EventQueueEqualTimeFanIn)->Arg(1000)->Arg(10000);
+
 void BM_AdmissionPipeline(benchmark::State& state) {
   qos::QosRequest request;
   request.bandwidth = {qos::kbps(256), qos::kbps(1024)};

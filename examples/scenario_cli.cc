@@ -586,6 +586,18 @@ int run_campus_cmd(Args& args, ObsSession& obs) {
     return refuse("invalid --profile: a single campus day records no profile "
                   "phases; profile a --replications sweep or a --shards run");
   }
+  // Flags that only a sub-mode of the day reads are refused, not ignored.
+  if (replications == 1 && args.given("threads")) {
+    return refuse("--threads applies to a --replications sweep; give --replications > 1 "
+                  "or drop --threads");
+  }
+  if (!adapting(args)) {
+    for (const char* flag : {"adapt-flows", "adapt-fault", "adapt-fault-start", "adapt-fault-stop"}) {
+      if (args.given(flag)) {
+        return refuse("--" + std::string(flag) + " applies only with --adapt-loop 1");
+      }
+    }
+  }
 
   CampusDayConfig config;
   config.attendees = args.count("attendees");

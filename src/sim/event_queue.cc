@@ -18,55 +18,93 @@ void EventQueue::release_slot(std::uint32_t slot) {
     ++retired_slots_;
     return;
   }
-  m.link = free_head_;
-  free_head_ = slot;
+  m.next = free_slot_;
+  free_slot_ = slot;
 }
 
 EventId EventQueue::schedule(SimTime at, Callback cb) {
   const std::uint32_t slot = acquire_slot();
   slots_[slot] = std::move(cb);
-  return push_entry(at, slot);
+  return enqueue(at, slot);
 }
 
-EventId EventQueue::push_entry(SimTime at, std::uint32_t slot) {
-  assert(slot <= kSlotMask && "slot index space exhausted");
+EventId EventQueue::enqueue(SimTime at, std::uint32_t slot) {
+  assert(slot <= kIndexMask && "slot index space exhausted");
   assert(next_seq_ < (1ull << 40) && "sequence space exhausted");
-  heap_.push_back(make_key(encode_time(at), next_seq_++, slot));
-  sift_up(heap_.size() - 1);  // also records the slot's heap position
+  const std::uint64_t time_bits = encode_time(at);
+  const std::uint64_t seq = next_seq_++;
+  SlotMeta& m = meta_[slot];
+  m.next = kNone;
+  OpenEntry& open = open_[open_index(time_bits)];
+  if (open.bucket != kNone && open.time_bits == time_bits) {
+    // The newest bucket for this instant: append to its FIFO.
+    Bucket& b = buckets_[open.bucket];
+    m.prev = b.tail;
+    m.bucket = open.bucket;
+    meta_[b.tail].next = slot;
+    b.tail = slot;
+  } else {
+    // Open a new bucket; it becomes the newest for this instant, so any
+    // older bucket of the same time stops receiving appends.
+    const std::uint32_t bucket = acquire_bucket();
+    buckets_[bucket].head = buckets_[bucket].tail = slot;
+    m.prev = kNone;
+    m.bucket = bucket;
+    open = {time_bits, bucket};
+    heap_.push_back(make_key(time_bits, seq, bucket));
+    sift_up(heap_.size() - 1);  // also records the bucket's heap position
+  }
   ++stats_.scheduled;
-  if (heap_.size() > stats_.peak_pending) stats_.peak_pending = heap_.size();
-  return (EventId(meta_[slot].generation) << 32) | slot;
+  if (++pending_ > stats_.peak_pending) stats_.peak_pending = pending_;
+  return (EventId(m.generation) << 32) | slot;
 }
 
 void EventQueue::cancel(EventId id) {
-  const std::uint32_t slot = std::uint32_t(id) & kSlotMask;
+  const std::uint32_t slot = std::uint32_t(id) & kIndexMask;
   const std::uint32_t generation = std::uint32_t(id >> 32);
   if (slot >= slots_.size() || meta_[slot].generation != generation ||
-      (std::uint32_t(id) & ~kSlotMask) != 0) {
+      (std::uint32_t(id) & ~kIndexMask) != 0) {
     return;
   }
-  const std::size_t pos = meta_[slot].link;
-  assert(pos < heap_.size() && key_slot(heap_[pos]) == slot);
-  remove_heap_entry(pos);
+  const SlotMeta& m = meta_[slot];
+  Bucket& b = buckets_[m.bucket];
+  if (m.prev == kNone && m.next == kNone) {
+    close_bucket(m.bucket, key_time_bits(heap_[b.pos]));
+  } else {
+    (m.prev == kNone ? b.head : meta_[m.prev].next) = m.next;
+    (m.next == kNone ? b.tail : meta_[m.next].prev) = m.prev;
+  }
   release_slot(slot);
+  --pending_;
   ++stats_.cancelled;
 }
 
 EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty() && "pop() on empty EventQueue");
   const HeapKey top = heap_.front();
-  const std::uint32_t slot = key_slot(top);
+  const std::uint32_t bucket = key_bucket(top);
+  const std::uint32_t slot = buckets_[bucket].head;
+  const std::uint32_t next = meta_[slot].next;
+  if (next == kNone) {
+    close_bucket(bucket, key_time_bits(top));
+  } else {
+    // The bucket keeps its heap key: its first seq still orders it before
+    // every newer bucket of the same instant.
+    buckets_[bucket].head = next;
+    meta_[next].prev = kNone;
+  }
   Fired fired{key_time(top), std::move(slots_[slot])};
   release_slot(slot);
-  // Remove the root: move the last entry in and sift it down (never up).
-  const HeapKey last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_.front() = last;
-    meta_[key_slot(last)].link = 0;
-    sift_down(0);
-  }
+  --pending_;
   return fired;
+}
+
+void EventQueue::close_bucket(std::uint32_t bucket, std::uint64_t time_bits) {
+  OpenEntry& open = open_[open_index(time_bits)];
+  if (open.bucket == bucket) open.bucket = kNone;
+  remove_heap_entry(buckets_[bucket].pos);
+  buckets_[bucket].head = free_bucket_;
+  free_bucket_ = bucket;
 }
 
 void EventQueue::remove_heap_entry(std::size_t pos) {
@@ -74,10 +112,12 @@ void EventQueue::remove_heap_entry(std::size_t pos) {
   heap_.pop_back();
   if (pos == heap_.size()) return;
   heap_[pos] = last;
-  meta_[key_slot(last)].link = std::uint32_t(pos);
-  // The moved-in entry may belong above or below its new position.
-  sift_up(pos);
-  sift_down(pos);
+  // The moved-in entry belongs either above or below its new position.
+  if (pos > 0 && last < heap_[(pos - 1) / 4]) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
 }
 
 void EventQueue::sift_up(std::size_t pos) {
@@ -87,11 +127,11 @@ void EventQueue::sift_up(std::size_t pos) {
     const HeapKey pk = heap_[parent];
     if (!(key < pk)) break;
     heap_[pos] = pk;
-    meta_[key_slot(pk)].link = std::uint32_t(pos);
+    buckets_[key_bucket(pk)].pos = std::uint32_t(pos);
     pos = parent;
   }
   heap_[pos] = key;
-  meta_[key_slot(key)].link = std::uint32_t(pos);
+  buckets_[key_bucket(key)].pos = std::uint32_t(pos);
 }
 
 void EventQueue::sift_down(std::size_t pos) {
@@ -120,11 +160,11 @@ void EventQueue::sift_down(std::size_t pos) {
     }
     if (!(bk < key)) break;
     heap_[pos] = bk;
-    meta_[key_slot(bk)].link = std::uint32_t(pos);
+    buckets_[key_bucket(bk)].pos = std::uint32_t(pos);
     pos = best;
   }
   heap_[pos] = key;
-  meta_[key_slot(key)].link = std::uint32_t(pos);
+  buckets_[key_bucket(key)].pos = std::uint32_t(pos);
 }
 
 }  // namespace imrm::sim

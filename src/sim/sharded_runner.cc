@@ -14,8 +14,12 @@ constexpr int kBarrierSpinLimit = 64;
 }  // namespace
 
 ShardedRunner::ShardedRunner(const Config& config) : config_(config) {
-  assert(config_.domains >= 1 && "ShardedRunner needs at least one domain");
-  assert(config_.window > Duration::zero() && "window must be positive");
+  if (config_.domains == 0) {
+    throw std::invalid_argument("ShardedRunner needs at least one domain");
+  }
+  if (!(config_.window > Duration::zero())) {
+    throw std::invalid_argument("ShardedRunner window must be positive");
+  }
   sims_.reserve(config_.domains);
   transports_.reserve(config_.domains);
   for (std::size_t d = 0; d < config_.domains; ++d) {

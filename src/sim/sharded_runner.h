@@ -144,6 +144,8 @@ class ShardedRunner {
     std::uint64_t dispatches = 0;
   };
 
+  /// Throws std::invalid_argument when `domains` is 0 or `window` is not
+  /// positive.
   explicit ShardedRunner(const Config& config);
   ~ShardedRunner();
 

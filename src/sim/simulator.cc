@@ -1,7 +1,8 @@
 #include "sim/simulator.h"
 
-#include <cassert>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -18,19 +19,29 @@ void Simulator::collect_metrics(obs::Registry& registry) const {
   registry.gauge("sim.time_seconds").set(now_.to_seconds());
 }
 
+void Simulator::throw_past_event(SimTime t) const {
+  throw std::invalid_argument("Simulator::at: time " + std::to_string(t.to_seconds()) +
+                              " s is before now() = " + std::to_string(now_.to_seconds()) +
+                              " s");
+}
+
 EventId Simulator::every(Duration period, SimTime horizon, EventQueue::Callback cb) {
-  assert(period > Duration::zero());
-  // Shared callback that reschedules itself until the horizon.
+  if (!(period > Duration::zero())) {
+    throw std::invalid_argument("Simulator::every: period must be positive");
+  }
+  // The body lives behind a pointer so the repeater fits the callback's
+  // inline buffer; each firing moves the repeater into its next slot, so
+  // rescheduling costs no reference-count traffic.
   auto shared = std::make_shared<EventQueue::Callback>(std::move(cb));
   struct Repeater {
     Simulator* self;
     Duration period;
     SimTime horizon;
     std::shared_ptr<EventQueue::Callback> body;
-    void operator()() const {
+    void operator()() {
       (*body)();
       const SimTime next = self->now() + period;
-      if (next <= horizon) self->at(next, Repeater{*this});
+      if (next <= horizon) self->at(next, std::move(*this));
     }
   };
   return at(now_ + period, Repeater{this, period, horizon, std::move(shared)});

@@ -4,7 +4,6 @@
 // callbacks, run until a horizon (or until the queue drains), observe state.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <utility>
 
@@ -25,12 +24,13 @@ class Simulator {
   /// Current simulation time. Starts at zero and only moves forward.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `f` at absolute time `at` (must be >= now()). Forwards the
-  /// callable straight into the event queue's slot storage — no intermediate
-  /// Callback temporaries on the hot path.
+  /// Schedules `f` at absolute time `t`. Forwards the callable straight
+  /// into the event queue's slot storage — no intermediate Callback
+  /// temporaries on the hot path. Throws std::invalid_argument when `t` is
+  /// before now(): a past event would run the clock backwards.
   template <typename F>
   EventId at(SimTime t, F&& f) {
-    assert(t >= now_ && "cannot schedule in the past");
+    if (t < now_) [[unlikely]] throw_past_event(t);
     return queue_.schedule(t, std::forward<F>(f));
   }
 
@@ -43,6 +43,7 @@ class Simulator {
   /// Schedules `cb` every `period`, starting at now() + period, until
   /// `horizon`. Returns the id of the *first* occurrence (each firing
   /// reschedules itself, so cancel() only stops the next pending firing).
+  /// Throws std::invalid_argument unless `period` is positive.
   EventId every(Duration period, SimTime horizon, EventQueue::Callback cb);
 
   void cancel(EventId id) { queue_.cancel(id); }
@@ -68,7 +69,7 @@ class Simulator {
   /// statistics and FIFO sequence counter. Call after re-arming any pending
   /// events (their schedule() calls inflate the queue counters; the saved
   /// values already include them). The restored clock makes subsequent at()
-  /// assertions and after() offsets behave exactly as in the original run.
+  /// checks and after() offsets behave exactly as in the original run.
   void restore_core(SimTime now, std::uint64_t fired, const EventQueue::Stats& stats,
                     std::uint64_t next_seq) {
     now_ = now;
@@ -87,6 +88,8 @@ class Simulator {
   void collect_metrics(obs::Registry& registry) const;
 
  private:
+  [[noreturn]] void throw_past_event(SimTime t) const;
+
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
   std::uint64_t fired_ = 0;

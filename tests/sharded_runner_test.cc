@@ -17,6 +17,19 @@
 namespace imrm::sim {
 namespace {
 
+TEST(ShardedRunner, RejectsZeroDomains) {
+  ShardedRunner::Config config{/*domains=*/0, /*workers=*/1,
+                               /*window=*/Duration::millis(10)};
+  EXPECT_THROW(ShardedRunner{config}, std::invalid_argument);
+}
+
+TEST(ShardedRunner, RejectsNonPositiveWindow) {
+  for (const Duration window : {Duration::zero(), Duration::millis(-1)}) {
+    ShardedRunner::Config config{/*domains=*/2, /*workers=*/2, window};
+    EXPECT_THROW(ShardedRunner{config}, std::invalid_argument);
+  }
+}
+
 TEST(ShardedRunner, DeliversCrossDomainMessagesAtTheRequestedTime) {
   ShardedRunner::Config config{/*domains=*/2, /*workers=*/1,
                                /*window=*/Duration::millis(10)};

@@ -2,8 +2,11 @@
 // periodic events, deterministic randomness.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -184,6 +187,147 @@ TEST(EventQueue, SlotStorageBoundedOverLongRuns) {
   }
   EXPECT_EQ(fired, kTotal);
   EXPECT_LE(q.slot_capacity(), kMaxPending);
+  // Each live bucket holds at least one pending event and closed buckets
+  // are recycled, so bucket storage is bounded the same way.
+  EXPECT_LE(q.bucket_capacity(), kMaxPending);
+}
+
+// Differential harness for the time-bucketed queue: every schedule goes
+// through add() so the queue and a std::map<(time, seq)> reference see the
+// same sequence numbers, including schedules made from inside a callback.
+class BucketOracle {
+ public:
+  void add(double at) {
+    const int tag = next_tag_++;
+    const EventId id = q_.schedule(SimTime::seconds(at), [this, tag, at] { on_fire(tag, at); });
+    reference_[{at, seq_++}] = {tag, id};
+  }
+
+  // Pops one event and checks it is the reference's earliest.
+  void pop_and_check() {
+    ASSERT_FALSE(reference_.empty());
+    const auto expected = reference_.begin();
+    const int expected_tag = expected->second.first;
+    const double expected_time = std::get<0>(expected->first);
+    reference_.erase(expected);
+    auto [time, callback] = q_.pop();
+    ASSERT_DOUBLE_EQ(time.to_seconds(), expected_time);
+    callback();
+    ASSERT_FALSE(fired_.empty());
+    ASSERT_EQ(fired_.back(), expected_tag);
+  }
+
+  // Cancels the event at `position` (0 = first, 1 = last, 2 = middle) among
+  // those pending at the instant of the `pick`-th pending event. Returns the
+  // case it exercised: 0 head, 1 tail, 2 middle, 3 the instant's only event.
+  int cancel_at_instant(std::size_t pick, int position) {
+    auto it = reference_.begin();
+    std::advance(it, long(pick % reference_.size()));
+    const double at = std::get<0>(it->first);
+    std::vector<std::tuple<double, std::uint64_t>> same;
+    for (auto e = reference_.lower_bound({at, 0}); e != reference_.end() && std::get<0>(e->first) == at;
+         ++e) {
+      same.push_back(e->first);
+    }
+    int exercised = position;
+    std::size_t victim = 0;
+    if (same.size() == 1) {
+      exercised = 3;
+    } else if (position == 1) {
+      victim = same.size() - 1;
+    } else if (position == 2) {
+      if (same.size() < 3) return -1;
+      victim = same.size() / 2;
+    }
+    q_.cancel(reference_.at(same[victim]).second);
+    reference_.erase(same[victim]);
+    return exercised;
+  }
+
+  void check_sizes() const {
+    ASSERT_EQ(q_.size(), reference_.size());
+    ASSERT_EQ(q_.empty(), reference_.empty());
+    if (reference_.empty()) {
+      ASSERT_TRUE(q_.next_time() == SimTime::infinity());
+    } else {
+      ASSERT_DOUBLE_EQ(q_.next_time().to_seconds(), std::get<0>(reference_.begin()->first));
+    }
+  }
+
+  EventQueue& queue() { return q_; }
+  [[nodiscard]] double now() const { return last_time_; }
+  [[nodiscard]] std::size_t pending() const { return reference_.size(); }
+
+ private:
+  void on_fire(int tag, double at) {
+    fired_.push_back(tag);
+    last_time_ = at;
+    // Every fifth event chains one at the instant being drained, as the
+    // grid's exchange does: it appends to the bucket the pop just took its
+    // head from.
+    if (tag % 5 == 0) add(at);
+  }
+
+  EventQueue q_;
+  // (time, seq) -> (tag, handle) of every pending event.
+  std::map<std::tuple<double, std::uint64_t>, std::pair<int, EventId>> reference_;
+  std::vector<int> fired_;
+  std::uint64_t seq_ = 0;
+  int next_tag_ = 0;
+  double last_time_ = 0.0;
+};
+
+TEST(EventQueue, BucketsMatchReferenceUnderSameInstantChurn) {
+  // Distinct pending instants: 2-4 (heavy same-time churn, every pop but a
+  // bucket's last leaves the heap alone) and 24 (more instants than the
+  // open-bucket table has entries, so same-time buckets coexist).
+  for (const int instants : {2, 3, 4, 24}) {
+    SCOPED_TRACE(instants);
+    BucketOracle oracle;
+    Rng rng(std::uint64_t(700 + instants));
+    std::set<int> cancel_cases;
+    for (int step = 0; step < 20000; ++step) {
+      const double action = rng.uniform();
+      if (action < 0.5 || oracle.pending() == 0) {
+        // Sliding window of tick-aligned instants starting at the current
+        // time: k = 0 lands on the instant being drained.
+        const int k = rng.uniform_int(0, instants - 1);
+        oracle.add(oracle.now() + 0.25 * double(k));
+      } else if (action < 0.7) {
+        const int exercised = oracle.cancel_at_instant(
+            std::size_t(rng.uniform_int(0, 1 << 20)), rng.uniform_int(0, 2));
+        if (exercised >= 0) cancel_cases.insert(exercised);
+      } else {
+        ASSERT_NO_FATAL_FAILURE(oracle.pop_and_check());
+      }
+      ASSERT_NO_FATAL_FAILURE(oracle.check_sizes());
+    }
+    while (oracle.pending() > 0) {
+      ASSERT_NO_FATAL_FAILURE(oracle.pop_and_check());
+      ASSERT_NO_FATAL_FAILURE(oracle.check_sizes());
+    }
+    // Head, tail, middle and only-event cancels were all exercised.
+    EXPECT_EQ(cancel_cases, (std::set<int>{0, 1, 2, 3}));
+    EXPECT_LE(oracle.queue().bucket_capacity(), oracle.queue().slot_capacity());
+  }
+}
+
+TEST(EventQueue, EqualTimesFifoAcrossCoexistingBuckets) {
+  // Evict the open-table entry of t = 1 with many other instants, then
+  // schedule at t = 1 again: the second event opens a second bucket for the
+  // same instant, and the pair must still fire in FIFO order.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(SimTime::seconds(1), [&order] { order.push_back(0); });
+  constexpr int kOthers = 64;
+  for (int i = 0; i < kOthers; ++i) {
+    q.schedule(SimTime::seconds(2.0 + 0.125 * i), [] {});
+  }
+  q.schedule(SimTime::seconds(1), [&order] { order.push_back(1); });
+  q.schedule(SimTime::seconds(1), [&order] { order.push_back(2); });
+  EXPECT_EQ(q.bucket_capacity(), std::size_t(kOthers + 2));
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueue, CancelReleasesCapturedState) {
@@ -323,6 +467,49 @@ TEST(Simulator, EveryRepeatsUntilHorizon) {
   sim.every(Duration::seconds(1), SimTime::seconds(5.5), [&] { ++ticks; });
   sim.run();
   EXPECT_EQ(ticks, 5);  // t = 1..5
+}
+
+TEST(Simulator, EveryReleasesItsBodyAfterTheLastFiring) {
+  // Each firing moves the repeater into its next slot: the body must stay
+  // alive across firings and be released once the horizon stops the chain.
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  std::vector<double> times;
+  sim.every(Duration::seconds(1), SimTime::seconds(3),
+            [&sim, &times, held = std::move(token)] {
+              ++*held;
+              times.push_back(sim.now().to_seconds());
+            });
+  // Same-instant neighbours share the repeater's buckets.
+  for (int t = 1; t <= 3; ++t) sim.at(SimTime::seconds(t), [] {});
+  sim.run_until(SimTime::seconds(2));
+  ASSERT_FALSE(watch.expired());
+  EXPECT_EQ(*watch.lock(), 2);
+  sim.run();
+  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, EveryRejectsNonPositivePeriod) {
+  Simulator sim;
+  EXPECT_THROW(sim.every(Duration::zero(), SimTime::seconds(1), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.every(Duration::seconds(-1), SimTime::seconds(1), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, AtRejectsThePast) {
+  Simulator sim;
+  sim.run_until(SimTime::seconds(5));
+  EXPECT_THROW(sim.at(SimTime::seconds(4), [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.after(Duration::seconds(-1), [] {}), std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.at(SimTime::seconds(5), [] {});  // now() itself is allowed
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 5.0);
 }
 
 TEST(Simulator, StepFiresExactlyOne) {

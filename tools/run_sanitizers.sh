@@ -4,7 +4,7 @@
 # already exposes. Each sanitizer gets its own build tree so the
 # instrumented objects never mix with the regular build (or each other).
 #
-# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|campus|all]
+# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|campus|sim|all]
 #        (default: all)
 #        checkpoint = asan+ubsan over the `checkpoint`-labelled tests only —
 #        the serialization/restore code paths (fast: one instrumented tree,
@@ -42,6 +42,11 @@
 #        and its oracle (reservation_refresh_oracle_test), the
 #        serial-indexed pending event table, its strict checkpoint restore
 #        and the campus golden.
+#        sim = asan+ubsan over the `sim` label — the discrete-event engine
+#        (sim_test, engine_regression_test): the event queue's time buckets
+#        are intrusive FIFOs threaded through slot metadata, with heap
+#        back-pointers and two free lists, where a stale index would fire or
+#        cancel the wrong event silently.
 # Env:   CMAKE_ARGS  extra configure flags (e.g. -DCMAKE_CXX_COMPILER=clang++)
 #        CTEST_ARGS  extra ctest flags (e.g. -R fault)
 #
@@ -81,12 +86,13 @@ case "$which" in
   adapt) run_one asan-adapt "address;undefined" "-L adapt" ;;
   netpath) run_one asan-netpath "address;undefined" "-L netpath|serve" ;;
   campus) run_one asan-campus "address;undefined" "-L campus" ;;
+  sim) run_one asan-sim "address;undefined" "-L sim" ;;
   all)
     run_one asan "address;undefined"
     run_one tsan "thread"
     ;;
   *)
-    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|campus|all]" >&2
+    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|netpath|campus|sim|all]" >&2
     exit 2
     ;;
 esac

@@ -18,6 +18,7 @@
 #include "qos/packet_sim.h"
 #include "reservation/probabilistic.h"
 #include "sim/replication.h"
+#include "sim/sharded_runner.h"
 #include "sim/simulator.h"
 
 using namespace imrm;
@@ -87,6 +88,40 @@ void BM_EventQueueEqualTimeFanIn(benchmark::State& state) {
   state.SetItemsProcessed(fired);
 }
 BENCHMARK(BM_EventQueueEqualTimeFanIn)->Arg(1000)->Arg(10000);
+
+void BM_ShardedExchange(benchmark::State& state, bool rows) {
+  // The grid's boundary pattern: kSources domains each post kPerSource
+  // one-window messages that all reach domain 0 at the same instant. The
+  // callback path costs one queue event per message; the row path drains
+  // the whole fan-in with one.
+  constexpr std::size_t kSources = 64;
+  constexpr int kPerSource = 16;
+  const sim::Duration window = sim::Duration::millis(1.0);
+  sim::ShardedRunner runner(sim::ShardedRunner::Config{kSources + 1, 1, window});
+  std::uint64_t delivered = 0;
+  runner.set_row_handler<std::uint64_t>(
+      [&delivered](std::size_t, const std::uint64_t& v) { delivered += v; });
+  sim::SimTime t = sim::SimTime::zero();
+  for (auto _ : state) {
+    for (std::size_t src = 1; src <= kSources; ++src) {
+      runner.domain(src).at(t, [&runner, &delivered, src, rows, window] {
+        for (int i = 0; i < kPerSource; ++i) {
+          if (rows) {
+            runner.post_row(src, 0, window, std::uint64_t(1));
+          } else {
+            runner.post(src, 0, window, [&delivered] { delivered += 1; });
+          }
+        }
+      });
+    }
+    t = t + window + window;
+    runner.run_until(t);
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(std::int64_t(delivered));
+}
+BENCHMARK_CAPTURE(BM_ShardedExchange, callbacks, false);
+BENCHMARK_CAPTURE(BM_ShardedExchange, rows, true);
 
 void BM_AdmissionPipeline(benchmark::State& state) {
   qos::QosRequest request;

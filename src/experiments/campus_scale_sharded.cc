@@ -9,10 +9,14 @@
 //   - A per-cell tick handler (every tick from 0 through the duration) fires
 //     due milestones for the cell's residents and launches walkers: a
 //     portable whose target differs from its cell is sent to the next cell
-//     on the grid route as a message carrying its migrating Row state. The
-//     arrival callback performs handoff admission, fires any milestones that
-//     came due in flight, and either settles the portable as a resident or
-//     forwards it another hop — one hop per tick.
+//     on the grid route as a hop carrying its migrating Row state. The
+//     arrival performs handoff admission, fires any milestones that came due
+//     in flight, and either settles the portable as a resident or forwards
+//     it another hop — one hop per tick.
+//   - Hops, reservations and cancels travel as one 24-byte Message row
+//     (ShardedRunner::post_row) to a single handler that switches on its
+//     kind; no callback is built per message, and each cell drains the rows
+//     of one instant in one queue event.
 //   - Admission state is cell-local: each cell keeps its own
 //     allocated/connections account plus a FlatMap of advance reservations;
 //     no directory spans cells. Advance reservations are routed, not
@@ -22,7 +26,7 @@
 //     cancelled by message on the next arrival or at departure.
 //
 // Determinism: all mutable state is per-cell, every cross-cell effect rides
-// the runner's canonically-ordered boundary messages, and the outcome digest
+// the runner's canonically-ordered boundary rows, and the outcome digest
 // folds per-cell hashes in cell-id order — so every output (outcome_hash,
 // counters, metrics JSON) is byte-identical for any shard count and any
 // batch size. The engine is its own oracle (see campus_scale.h).
@@ -69,6 +73,19 @@ struct Row {
   std::uint8_t connected = 0;  ///< holds (or, in flight, seeks) bandwidth
 };
 
+/// The one boundary row the grid sends. A hop carries the walker's Row and
+/// the cell it left; a reservation or a cancel reads only row.portable (the
+/// reserved bandwidth is the portable's workload demand) and acts on the
+/// destination cell.
+struct Message {
+  enum Kind : std::uint8_t { kHop, kReserve, kCancel };
+  Row row;
+  std::uint32_t from = kNoCell;
+  Kind kind = kHop;
+};
+static_assert(sizeof(Message) <= sim::ShardedRunner::kRowBytes,
+              "a grid message must fit one boundary row");
+
 class ShardedScaleSim {
  public:
   explicit ShardedScaleSim(const CampusScaleConfig& config)
@@ -87,6 +104,8 @@ class ShardedScaleSim {
       cells_[i].id = std::uint32_t(i);
       cells_[i].sim = &runner_.domain(i);
     }
+    runner_.set_row_handler<Message>(
+        [this](std::size_t cell, const Message& m) { on_message(cell, m); });
     // Every portable starts as an unborn resident of its home cell; the
     // appear milestone activates it in place.
     for (std::uint32_t p = 0; p < cfg_.portables; ++p) {
@@ -217,9 +236,26 @@ class ShardedScaleSim {
       on_cancel(c, row.portable);
       return;
     }
-    runner_.transport(c.id).send(
-        fault::Channel(held), cfg_.tick,
-        [this, held, p = row.portable] { on_cancel(cells_[held], p); });
+    send(c.id, held, Message{Row{row.portable}, c.id, Message::kCancel});
+  }
+
+  void send(std::uint32_t from, std::uint32_t to, const Message& m) {
+    runner_.post_row(from, to, cfg_.tick, m);
+  }
+
+  void on_message(std::size_t cell, const Message& m) {
+    CellState& c = cells_[cell];
+    switch (m.kind) {
+      case Message::kHop:
+        on_arrival(c, m.row, m.from);
+        break;
+      case Message::kReserve:
+        on_reserve(c, m.row.portable, workload_.demand[m.row.portable]);
+        break;
+      case Message::kCancel:
+        on_cancel(c, m.row.portable);
+        break;
+    }
   }
 
   // --- milestone firing ----------------------------------------------------
@@ -269,13 +305,11 @@ class ShardedScaleSim {
     const std::uint32_t next = detail::route_next(side_, c.id, row.target);
     if (row.connected) release(c, workload_.demand[row.portable]);
     --c.occupancy;
-    runner_.transport(c.id).send(
-        fault::Channel(next), cfg_.tick,
-        [this, moving = row, next, from = c.id] { on_arrival(next, moving, from); });
+    send(c.id, next, Message{row, c.id, Message::kHop});
   }
 
-  void on_arrival(std::uint32_t dest, Row row, std::uint32_t from) {
-    CellState& d = cells_[dest];
+  void on_arrival(CellState& d, Row row, std::uint32_t from) {
+    const std::uint32_t dest = d.id;
     const std::uint32_t p = row.portable;
     const double bw = workload_.demand[p];
     ++d.handoffs;
@@ -305,9 +339,7 @@ class ShardedScaleSim {
     const std::uint32_t next = detail::route_next(side_, dest, row.target);
     if (row.connected && next != row.target) {
       const std::uint32_t ahead = detail::route_next(side_, next, row.target);
-      runner_.transport(dest).send(
-          fault::Channel(ahead), cfg_.tick,
-          [this, ahead, p, bw] { on_reserve(cells_[ahead], p, bw); });
+      send(dest, ahead, Message{Row{p}, dest, Message::kReserve});
       row.last_reserved = ahead;
       ++d.reservations_placed;
     }

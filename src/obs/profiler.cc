@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iomanip>
+#include <string>
 
 #include "obs/json.h"
 
@@ -153,6 +154,16 @@ void ProfileSnapshot::write_json(std::ostream& os) const {
       json::write_number(os, span > 0 ? double(lane.idle_ns) / span : 0.0);
       os << ",\"straggler_windows\":";
       json::write_number(os, lane.straggler_windows);
+      os << ",\"domains\":[";
+      json::write_number(os, lane.domain_begin);
+      os << ',';
+      json::write_number(os, lane.domain_end);
+      os << "],\"rows_delivered\":";
+      json::write_number(os, lane.rows_delivered);
+      os << ",\"busiest_domain\":";
+      json::write_number(os, lane.busiest_domain);
+      os << ",\"busiest_domain_rows\":";
+      json::write_number(os, lane.busiest_domain_rows);
       os << '}';
     }
     os << "],\"window_ns\":";
@@ -191,7 +202,8 @@ void ProfileSnapshot::write_table(std::ostream& os) const {
        << boundary_bytes << " envelope bytes)\n";
     os << "  " << std::left << std::setw(8) << "shard" << std::right << std::setw(10)
        << "busy" << std::setw(10) << "barrier" << std::setw(10) << "idle" << std::setw(8)
-       << "busy%" << std::setw(12) << "straggler\n";
+       << "busy%" << std::setw(11) << "straggler" << std::setw(14) << "domains"
+       << std::setw(12) << "rows" << std::setw(20) << "busiest (rows)\n";
     for (std::size_t w = 0; w < shards.size(); ++w) {
       const ShardLaneSample& lane = shards[w];
       const double span =
@@ -203,7 +215,13 @@ void ProfileSnapshot::write_table(std::ostream& os) const {
          << fmt_ns(double(lane.busy_ns)) << std::setw(10)
          << fmt_ns(double(lane.barrier_wait_ns)) << std::setw(10)
          << fmt_ns(double(lane.idle_ns)) << std::setw(8) << pct << std::setw(11)
-         << lane.straggler_windows << '\n';
+         << lane.straggler_windows << std::setw(14)
+         << ('[' + std::to_string(lane.domain_begin) + ',' +
+             std::to_string(lane.domain_end) + ')')
+         << std::setw(12) << lane.rows_delivered << std::setw(20)
+         << (std::to_string(lane.busiest_domain) + " (" +
+             std::to_string(lane.busiest_domain_rows) + ')')
+         << '\n';
     }
     if (window_ns.count > 0) {
       os << "  window wall: p50=" << fmt_ns(window_ns.percentile(0.5))

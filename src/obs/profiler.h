@@ -73,6 +73,15 @@ struct ShardLaneSample {
   /// Dispatches in which this lane was the slowest (the straggler whose
   /// busy time set the burst's wall length).
   std::uint64_t straggler_windows = 0;
+  /// The domains this lane executes, [domain_begin, domain_end), and the
+  /// boundary rows delivered to them over the runner's life. The busiest
+  /// domain is the one with the most delivered rows (the lowest id on a
+  /// tie; domain_begin when no row arrived), so a straggler names its cells.
+  std::uint64_t domain_begin = 0;
+  std::uint64_t domain_end = 0;
+  std::uint64_t rows_delivered = 0;
+  std::uint64_t busiest_domain = 0;
+  std::uint64_t busiest_domain_rows = 0;
 };
 
 /// The wall-clock section of a v2 RunReport: named phase totals plus, for

@@ -13,6 +13,11 @@ namespace {
 constexpr int kBarrierSpinLimit = 64;
 }  // namespace
 
+// Half the callback envelope: the row path's whole point. A wider row type
+// or a fatter header would show up here first.
+static_assert(ShardedRunner::kRowEnvelopeBytes == 40,
+              "a row envelope is deliver time, destination and a 24-byte row");
+
 ShardedRunner::ShardedRunner(const Config& config) : config_(config) {
   if (config_.domains == 0) {
     throw std::invalid_argument("ShardedRunner needs at least one domain");
@@ -27,6 +32,8 @@ ShardedRunner::ShardedRunner(const Config& config) : config_(config) {
     transports_.push_back(std::make_unique<BoundaryTransport>(*this, d));
   }
   outboxes_.resize(config_.domains);
+  row_outboxes_.resize(config_.domains);
+  inboxes_.resize(config_.domains);
 
   std::size_t workers = config_.workers;
   if (workers == 0) {
@@ -55,15 +62,7 @@ ShardedRunner::~ShardedRunner() {
 
 void ShardedRunner::post(std::size_t from, std::size_t to, Duration latency,
                          EventQueue::Callback deliver) {
-  assert(from < sims_.size() && to < sims_.size());
-  // Checked in every build type: a shorter latency would deliver into a
-  // window the destination has already executed, and the destination's
-  // clock would run backwards.
-  if (!(latency >= config_.window)) {
-    throw std::invalid_argument(
-        "ShardedRunner::post: cross-domain latency below the conservative "
-        "window would deliver into an already-executed window");
-  }
+  check_post(from, to, latency);
   outboxes_[from].push_back(
       Envelope{sims_[from]->now() + latency, to, std::move(deliver)});
 }
@@ -304,10 +303,30 @@ void ShardedRunner::export_profile(obs::ProfileSnapshot& out) const {
   out.windows = profiled_windows_;
   out.profiled_wall_ns = profiled_wall_ns_;
   out.boundary_messages = stats_.boundary_messages;
-  out.boundary_bytes = stats_.boundary_messages * sizeof(Envelope);
+  out.boundary_bytes = stats_.boundary_bytes;
+  for (std::size_t w = 0; w < out.shards.size(); ++w) {
+    obs::ShardLaneSample& lane = out.shards[w];
+    lane.domain_begin = block_begin(w);
+    lane.domain_end = block_begin(w + 1);
+    lane.busiest_domain = lane.domain_begin;
+    for (std::size_t d = lane.domain_begin; d < lane.domain_end; ++d) {
+      const std::uint64_t rows = inboxes_[d].delivered;
+      lane.rows_delivered += rows;
+      if (rows > lane.busiest_domain_rows) {
+        lane.busiest_domain = d;
+        lane.busiest_domain_rows = rows;
+      }
+    }
+  }
   out.window_ns = sample_of("window_ns", window_hist_);
   out.messages_per_barrier = sample_of("messages_per_barrier", messages_hist_);
   out.batch_windows = sample_of("batch_windows", batch_hist_);
+}
+
+std::size_t ShardedRunner::row_pool_slots() const {
+  std::size_t total = 0;
+  for (const RowInbox& inbox : inboxes_) total += inbox.slots.size();
+  return total;
 }
 
 std::uint64_t ShardedRunner::events_fired() const {
@@ -317,10 +336,8 @@ std::uint64_t ShardedRunner::events_fired() const {
 }
 
 void ShardedRunner::run_domains(std::size_t worker, SimTime target) {
-  // Contiguous block assignment keeps each worker's domains adjacent in
-  // memory; worker_count_ == 1 degenerates to "worker 0 owns everything".
-  const std::size_t d0 = worker * sims_.size() / worker_count_;
-  const std::size_t d1 = (worker + 1) * sims_.size() / worker_count_;
+  const std::size_t d0 = block_begin(worker);
+  const std::size_t d1 = block_begin(worker + 1);
   if (profile_active_) {
     const std::uint64_t t0 = obs::Profiler::now_ns();
     for (std::size_t d = d0; d < d1; ++d) sims_[d]->run_until(target);
@@ -365,8 +382,63 @@ void ShardedRunner::exchange() {
       sims_[e.to]->at(e.deliver_time, std::move(e.callback));
     }
     stats_.boundary_messages += outbox.size();
+    stats_.boundary_bytes += outbox.size() * kCallbackEnvelopeBytes;
     outbox.clear();
   }
+  // Rows follow in the same walk, grouped into one drain per (destination,
+  // deliver instant); the header proves the grouping keeps the order.
+  for (std::vector<RowEnvelope>& outbox : row_outboxes_) {
+    for (const RowEnvelope& e : outbox) inject_row(e);
+    stats_.boundary_messages += outbox.size();
+    stats_.boundary_bytes += outbox.size() * kRowEnvelopeBytes;
+    outbox.clear();
+  }
+  for (const std::size_t to : open_inboxes_) inboxes_[to].open.clear();
+  open_inboxes_.clear();
+}
+
+void ShardedRunner::inject_row(const RowEnvelope& e) {
+  RowInbox& inbox = inboxes_[e.to];
+  std::uint32_t slot = inbox.free;
+  if (slot != kNoSlot) {
+    inbox.free = inbox.slots[slot].next;
+    inbox.slots[slot] = RowSlot{e.row, kNoSlot};
+  } else {
+    slot = std::uint32_t(inbox.slots.size());
+    inbox.slots.push_back(RowSlot{e.row, kNoSlot});
+  }
+  // Newest first: a destination's rows mostly share the instant of the
+  // drain opened last.
+  for (auto it = inbox.open.rbegin(); it != inbox.open.rend(); ++it) {
+    if (it->time == e.deliver_time) {
+      inbox.slots[it->tail].next = slot;
+      it->tail = slot;
+      return;
+    }
+  }
+  if (inbox.open.empty()) open_inboxes_.push_back(e.to);
+  inbox.open.push_back(OpenDrain{e.deliver_time, slot});
+  sims_[e.to]->at(e.deliver_time,
+                  [this, to = e.to, slot] { drain_rows(to, slot); });
+  ++stats_.row_drains;
+}
+
+void ShardedRunner::drain_rows(std::size_t to, std::uint32_t head) {
+  // Only the exchange grows the pool, and it never runs during a window, so
+  // slot references stay valid while the handler runs.
+  RowInbox& inbox = inboxes_[to];
+  std::uint32_t slot = head;
+  std::uint32_t last = head;
+  std::uint64_t rows = 0;
+  do {
+    row_handler_(to, inbox.slots[slot].row);
+    last = slot;
+    slot = inbox.slots[slot].next;
+    ++rows;
+  } while (slot != kNoSlot);
+  inbox.slots[last].next = inbox.free;
+  inbox.free = head;
+  inbox.delivered += rows;
 }
 
 }  // namespace imrm::sim

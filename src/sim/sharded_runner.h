@@ -50,11 +50,12 @@
 //  * every cross-domain message goes through the outbox/exchange path — even
 //    when source and destination happen to run on the same worker — so the
 //    delivery schedule is identical at K = 1 and K = 8;
-//  * at each exchange, messages are injected in source-domain order, each
-//    source's in posting order; the destination queue's (time, FIFO
-//    sequence) order then executes them in the canonical order (deliver
-//    time, source domain, per-source serial), all of which are
-//    partition-invariant, so equal-time ties break identically for any K;
+//  * at each exchange, callback messages are injected first, in source-domain
+//    order, each source's in posting order; row messages follow in the same
+//    walk. The destination queue's (time, FIFO sequence) order then executes
+//    them in the canonical order (deliver time, path, source domain,
+//    per-source serial), all of which are partition-invariant, so equal-time
+//    ties break identically for any K;
 //  * burst boundaries only decide when the coordinator thread regains
 //    control — the sub-window targets, exchange contents and exchange order
 //    are computed by the same code from the same simulation state whether a
@@ -63,16 +64,43 @@
 // tests/sharded_runner_test.cc and the shard-labeled campus determinism
 // suite assert byte-identical metrics at K in {1, 2, 4, 8} and batch in
 // {1, 8, 64, auto}.
+//
+// Two boundary paths. post(Callback) ships a type-erased callback in an
+// 80-byte envelope and costs one queue event per message; it remains for
+// the corridor day, fault/sharded_convergence and tests. post_row() ships
+// one trivially copyable row (at most kRowBytes) in a 40-byte envelope to
+// the single handler the scenario registered with set_row_handler(); the
+// grid sends all its hops, reservations and cancels this way. For each
+// (destination, deliver instant) that appears in one exchange, the row
+// path schedules exactly one queue event — a *drain* — at the moment that
+// group's first row would have been scheduled as its own event, and the
+// drain runs the group's rows in exchange order.
+//
+// Why the drain keeps the delivery order. One exchange's injections into a
+// destination take a contiguous block of that queue's sequence numbers, and
+// inside the row walk every event scheduled at a destination is a drain for
+// a distinct instant. At instant t the destination therefore runs: its
+// events with seq below the block (local ones, earlier exchanges), then the
+// block's events at t in seq order, then later-scheduled events (including
+// ones the delivered rows chain at zero delay). With one event per row, the
+// block's events at t are exactly the group's rows in exchange order; with a
+// drain, they are the group's drain, which sits at the group's first seq and
+// runs the same rows in the same order. Nothing else lies between them, so
+// the executed sequence is identical, for any worker count and batch size.
+// On such a domain Simulator::events_fired() counts one per drain, not one
+// per row; Stats::boundary_messages keeps counting messages.
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fault/transport.h"
@@ -80,6 +108,7 @@
 #include "obs/progress.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
+#include "sim/inplace_function.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -87,6 +116,30 @@ namespace imrm::sim {
 
 class ShardedRunner {
  public:
+  /// Largest row post_row() carries.
+  static constexpr std::size_t kRowBytes = 24;
+
+ private:
+  struct alignas(8) RowBytes {
+    unsigned char bytes[kRowBytes];
+  };
+  struct Envelope {
+    SimTime deliver_time;
+    std::size_t to = 0;
+    EventQueue::Callback callback;
+  };
+  struct RowEnvelope {
+    SimTime deliver_time;
+    std::size_t to = 0;
+    RowBytes row;
+  };
+
+ public:
+  /// Bytes each boundary message occupies in its source outbox, per path;
+  /// Stats::boundary_bytes sums them over the messages exchanged.
+  static constexpr std::size_t kCallbackEnvelopeBytes = sizeof(Envelope);
+  static constexpr std::size_t kRowEnvelopeBytes = sizeof(RowEnvelope);
+
   /// Chrome-trace pid claimed for the wall-clock shard lanes; pid 1 stays
   /// the simulated-time process (see obs::TraceRecord::pid).
   static constexpr std::uint32_t kShardLanePid = 2;
@@ -106,7 +159,8 @@ class ShardedRunner {
     /// clamped to `domains`. 1 runs inline with no thread pool.
     std::size_t workers = 1;
     /// Conservative window width; must be <= the smallest latency ever
-    /// passed to post(). For the campus this is the corridor hop latency.
+    /// passed to post() or post_row(). For the campus this is the corridor
+    /// hop latency, for the grid the scheduler tick.
     Duration window = Duration::millis(1.0);
     /// Windows executed per coordinator dispatch. 0 (the default) enables
     /// the adaptive controller: start at kAutoBatchMin, double whenever a
@@ -138,6 +192,12 @@ class ShardedRunner {
   struct Stats {
     std::uint64_t windows = 0;            ///< lockstep windows executed
     std::uint64_t boundary_messages = 0;  ///< cross-domain messages delivered
+    /// Outbox bytes of the messages exchanged: kCallbackEnvelopeBytes per
+    /// callback plus kRowEnvelopeBytes per row.
+    std::uint64_t boundary_bytes = 0;
+    /// Queue events the row path scheduled: one drain per (destination,
+    /// deliver instant) of each exchange.
+    std::uint64_t row_drains = 0;
     /// Coordinator dispatches (full-stop barriers with a condvar round
     /// trip). windows / dispatches is the realized batch factor; ISSUE 5
     /// behavior is dispatches == windows.
@@ -167,16 +227,57 @@ class ShardedRunner {
   /// Posts a cross-domain message: `deliver` runs on domain `to`'s simulator
   /// `latency` after domain `from`'s current time. `latency` must be >= the
   /// configured window — that bound is what lets whole windows run without
-  /// intermediate synchronization — and a shorter one throws
-  /// std::invalid_argument in every build type. The throw is recoverable
-  /// only before or between runs: from an event on a pool worker (K > 1)
-  /// nothing catches it and the process terminates, and from an inline run
-  /// (one worker) it leaves run_until partway through a burst, after which
-  /// the runner must not be used again. Always buffered through the
-  /// exchange, never scheduled directly, even for from == to; see the
-  /// determinism contract above.
+  /// intermediate synchronization — and a shorter one, or a `from` or `to`
+  /// that is not a domain, throws std::invalid_argument in every build type.
+  /// The throw is recoverable only before or between runs: from an event on
+  /// a pool worker (K > 1) nothing catches it and the process terminates, and
+  /// from an inline run (one worker) it leaves run_until partway through a
+  /// burst, after which the runner must not be used again. Always buffered
+  /// through the exchange, never scheduled directly, even for from == to;
+  /// see the determinism contract above. Scenarios that send one kind of
+  /// small message should use post_row(), which builds no callback.
   void post(std::size_t from, std::size_t to, Duration latency,
             EventQueue::Callback deliver);
+
+  /// Registers the scenario's boundary row type and the handler that
+  /// receives each row on its destination domain, as handler(domain, row),
+  /// at the row's deliver time. Call it before the first post_row().
+  template <class Row, class Handler>
+  void set_row_handler(Handler handler) {
+    static_assert(std::is_trivially_copyable_v<Row> &&
+                      std::is_default_constructible_v<Row>,
+                  "a boundary row travels by memcpy");
+    static_assert(sizeof(Row) <= kRowBytes && alignof(Row) <= alignof(RowBytes),
+                  "a boundary row must fit RowBytes");
+    row_type_ = &kRowTag<Row>;
+    row_handler_ = [h = std::move(handler)](std::size_t domain, const RowBytes& raw) {
+      Row row;
+      std::memcpy(&row, raw.bytes, sizeof(Row));
+      h(domain, row);
+    };
+  }
+
+  /// Posts `row` from domain `from` to the registered handler on domain
+  /// `to`, `latency` after `from`'s current time. The same checks and
+  /// recovery rules as post() apply; a Row other than the registered type
+  /// throws std::logic_error.
+  template <class Row>
+  void post_row(std::size_t from, std::size_t to, Duration latency, const Row& row) {
+    check_post(from, to, latency);
+    if (row_type_ != &kRowTag<Row>) {
+      throw std::logic_error("ShardedRunner::post_row: Row is not the registered row type");
+    }
+    RowEnvelope& e = row_outboxes_[from].emplace_back();
+    e.deliver_time = sims_[from]->now() + latency;
+    e.to = to;
+    std::memcpy(e.row.bytes, &row, sizeof(Row));
+  }
+
+  /// Row slots allocated across every destination's row pool. A pool grows
+  /// only when all of its slots hold pending rows, so this never exceeds the
+  /// sum over destinations of each one's peak count of injected, undrained
+  /// rows.
+  [[nodiscard]] std::size_t row_pool_slots() const;
 
   /// Runs every domain to `horizon` in lockstep windows. Returns the total
   /// number of events fired across all domains during this call. May be
@@ -189,16 +290,35 @@ class ShardedRunner {
   [[nodiscard]] std::uint64_t events_fired() const;
 
   /// Copies the sharded-execution accounting (per-lane busy/barrier/idle,
-  /// straggler counts, dispatch/window totals, batch histograms) into `out`.
+  /// straggler counts, domain ranges and delivered rows, dispatch/window
+  /// totals, batch histograms) into `out`.
   /// A no-op when the runner never ran with profiling enabled, so `out`
   /// stays empty and the run report carries no profile block.
   void export_profile(obs::ProfileSnapshot& out) const;
 
  private:
-  struct Envelope {
-    SimTime deliver_time;
-    std::size_t to = 0;
-    EventQueue::Callback callback;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+  template <class Row>
+  static constexpr char kRowTag = 0;
+
+  /// One pending row in a destination's pool. The rows of a drain form a
+  /// singly linked list through `next`, and so do the free slots.
+  struct RowSlot {
+    RowBytes row;
+    std::uint32_t next = kNoSlot;
+  };
+  /// A drain opened by the current exchange: its instant and last row.
+  struct OpenDrain {
+    SimTime time;
+    std::uint32_t tail = kNoSlot;
+  };
+  /// Per-destination row state. The serializer fills it during the exchange;
+  /// between exchanges only the worker executing the domain drains it.
+  struct RowInbox {
+    std::vector<RowSlot> slots;
+    std::uint32_t free = kNoSlot;
+    std::vector<OpenDrain> open;  // this exchange's drains, oldest first
+    std::uint64_t delivered = 0;  // rows handed to the handler (profile)
   };
 
   class BoundaryTransport final : public fault::Transport {
@@ -218,7 +338,27 @@ class ShardedRunner {
   void run_burst(std::size_t worker);
   void serialize_sub_window();
   void run_domains(std::size_t worker, SimTime target);
+  /// First domain of worker `worker`'s contiguous block; block_begin(w + 1)
+  /// ends it. Contiguous blocks keep each worker's domains adjacent in
+  /// memory; worker_count_ == 1 gives worker 0 everything.
+  [[nodiscard]] std::size_t block_begin(std::size_t worker) const {
+    return worker * sims_.size() / worker_count_;
+  }
+  void check_post(std::size_t from, std::size_t to, Duration latency) const {
+    if (from >= sims_.size() || to >= sims_.size()) {
+      throw std::invalid_argument("ShardedRunner::post: domain out of range");
+    }
+    // A shorter latency would deliver into a window the destination has
+    // already executed, and the destination's clock would run backwards.
+    if (!(latency >= config_.window)) {
+      throw std::invalid_argument(
+          "ShardedRunner::post: cross-domain latency below the conservative "
+          "window would deliver into an already-executed window");
+    }
+  }
   void exchange();
+  void inject_row(const RowEnvelope& e);
+  void drain_rows(std::size_t to, std::uint32_t head);
   void worker_loop(std::size_t worker);
   void arm_profiling();
   [[nodiscard]] std::size_t next_batch_budget() const;
@@ -235,6 +375,11 @@ class ShardedRunner {
   // only between sub-windows (inside the burst barrier), so no per-message
   // lock.
   std::vector<std::vector<Envelope>> outboxes_;
+  std::vector<std::vector<RowEnvelope>> row_outboxes_;
+  std::vector<RowInbox> inboxes_;
+  std::vector<std::size_t> open_inboxes_;  // destinations with open drains
+  const void* row_type_ = nullptr;
+  InplaceFunction<void(std::size_t, const RowBytes&)> row_handler_;
   Stats stats_;
 
   // Worker pool (only started when min(workers, domains) > 1). Contiguous

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/profiler.h"
 #include "sim/sharded_runner.h"
 #include "sim/time.h"
 
@@ -28,6 +29,65 @@ TEST(ShardedRunner, RejectsNonPositiveWindow) {
     ShardedRunner::Config config{/*domains=*/2, /*workers=*/2, window};
     EXPECT_THROW(ShardedRunner{config}, std::invalid_argument);
   }
+}
+
+struct TestRow {
+  std::uint32_t value = 0;
+};
+
+TEST(ShardedRunner, RejectsOutOfRangeDomain) {
+  ShardedRunner runner(ShardedRunner::Config{2, 1, Duration::millis(5)});
+  int delivered = 0;
+  runner.set_row_handler<TestRow>([&](std::size_t, const TestRow&) { ++delivered; });
+  const Duration latency = Duration::millis(5);
+  const auto deliver = [&delivered] { ++delivered; };
+  EXPECT_THROW(runner.post(0, 2, latency, deliver), std::invalid_argument);
+  EXPECT_THROW(runner.post(2, 0, latency, deliver), std::invalid_argument);
+  EXPECT_THROW(runner.transport(0).send(fault::Channel(7), latency, deliver),
+               std::invalid_argument);
+  EXPECT_THROW(runner.post_row(0, 2, latency, TestRow{}), std::invalid_argument);
+  EXPECT_THROW(runner.post_row(5, 1, latency, TestRow{}), std::invalid_argument);
+  runner.run_until(SimTime::seconds(1.0));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(runner.stats().boundary_messages, 0u);
+}
+
+TEST(ShardedRunner, PostRowRejectsLatencyBelowTheWindowAndUnregisteredRows) {
+  ShardedRunner runner(ShardedRunner::Config{2, 1, Duration::millis(5)});
+  EXPECT_THROW(runner.post_row(0, 1, Duration::millis(5), TestRow{}), std::logic_error)
+      << "no handler registered yet";
+  std::vector<std::uint32_t> got;
+  runner.set_row_handler<TestRow>(
+      [&](std::size_t, const TestRow& row) { got.push_back(row.value); });
+  EXPECT_THROW(runner.post_row(0, 1, Duration::millis(4), TestRow{1}),
+               std::invalid_argument);
+  EXPECT_THROW(runner.post_row(0, 1, Duration::millis(5), 1.0), std::logic_error);
+  runner.post_row(0, 1, Duration::millis(5), TestRow{2});  // == window: fine
+  runner.run_until(SimTime::seconds(1.0));
+  EXPECT_EQ(got, std::vector<std::uint32_t>{2});
+}
+
+// Rows from several sources that reach one domain at one instant share one
+// queue event there, and run in (source domain, posting order).
+TEST(ShardedRunner, RowsAtOneInstantShareOneDrain) {
+  ShardedRunner runner(ShardedRunner::Config{4, 1, Duration::millis(1)});
+  std::vector<std::uint32_t> got;
+  runner.set_row_handler<TestRow>([&](std::size_t to, const TestRow& row) {
+    EXPECT_EQ(to, 0u);
+    EXPECT_EQ(runner.domain(0).now(), SimTime::millis(2));
+    got.push_back(row.value);
+  });
+  for (std::size_t src = 3; src >= 1; --src) {
+    runner.domain(src).at(SimTime::millis(1), [&runner, src] {
+      runner.post_row(src, 0, Duration::millis(1), TestRow{std::uint32_t(10 * src)});
+      runner.post_row(src, 0, Duration::millis(1), TestRow{std::uint32_t(10 * src + 1)});
+    });
+  }
+  runner.run_until(SimTime::seconds(1.0));
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{10, 11, 20, 21, 30, 31}));
+  EXPECT_EQ(runner.stats().boundary_messages, 6u);
+  EXPECT_EQ(runner.stats().row_drains, 1u);
+  EXPECT_EQ(runner.domain(0).events_fired(), 1u);
 }
 
 TEST(ShardedRunner, DeliversCrossDomainMessagesAtTheRequestedTime) {
@@ -411,6 +471,183 @@ TEST(ShardedRunner, ExchangeDeliversInCanonicalOrder) {
       }
     }
   }
+}
+
+// Row-path oracle: the same seeded workload, once with every message sent as
+// a callback (one queue event each) and once as a row (one drain per
+// destination and instant), must give every domain the same log for every
+// worker count and batch size. The workload is built to stress the drain:
+// most messages converge on domain 0, every message lands on a multiple of
+// the window where local events also fire (some chaining a zero-delay
+// follow-up), latencies are one, two or three windows, and each delivery
+// re-posts until its hop budget runs out.
+struct OracleRow {
+  std::uint32_t id = 0;
+  std::uint16_t hop = 0;
+  std::uint16_t origin = 0;
+};
+
+constexpr std::size_t kOracleDomains = 8;
+constexpr int kOracleHops = 5;
+
+std::uint32_t oracle_hash(std::uint32_t id, std::uint32_t hop) {
+  std::uint32_t h = id * 2654435761u ^ (hop + 0x9e3779b9u);
+  h ^= h >> 15;
+  h *= 2246822519u;
+  return h ^ (h >> 13);
+}
+
+std::vector<std::vector<std::string>> oracle_logs(bool rows, std::size_t workers,
+                                                  std::size_t batch) {
+  ShardedRunner runner(
+      ShardedRunner::Config{kOracleDomains, workers, Duration::millis(1), batch});
+  std::vector<std::vector<std::string>> logs(kOracleDomains);
+  const auto send = [&runner, rows](auto& self, std::size_t from,
+                                            const OracleRow& m) -> void {
+    const std::uint32_t h = oracle_hash(m.id, m.hop);
+    const std::size_t to = h % 3 != 0 ? 0 : (h >> 4) % kOracleDomains;
+    const Duration latency = Duration::millis(double(1 + (h >> 8) % 3));
+    if (rows) {
+      runner.post_row(from, to, latency, m);
+    } else {
+      runner.post(from, to, latency, [&self, to, m] { self(to, m); });
+    }
+  };
+  struct Deliver {
+    ShardedRunner* runner;
+    std::vector<std::vector<std::string>>* logs;
+    const decltype(send)* send_fn;
+    void operator()(std::size_t at, const OracleRow& m) const {
+      (*logs)[at].push_back(std::to_string(runner->domain(at).now().to_millis()) + " " +
+                            std::to_string(m.origin) + ":" + std::to_string(m.id) + "#" +
+                            std::to_string(m.hop));
+      if (m.hop >= kOracleHops) return;
+      OracleRow next = m;
+      ++next.hop;
+      (*send_fn)(*this, at, next);
+    }
+  };
+  const Deliver deliver{&runner, &logs, &send};
+  if (rows) {
+    runner.set_row_handler<OracleRow>(
+        [&deliver](std::size_t at, const OracleRow& m) { deliver(at, m); });
+  }
+  std::mt19937 rng(20261018);
+  std::uint32_t next_id = 0;
+  for (std::size_t d = 0; d < kOracleDomains; ++d) {
+    for (int k = 0; k < 40; ++k) {
+      const SimTime at = SimTime::millis(double(rng() % 30));
+      const int posts = int(rng() % 3);
+      const bool chain = rng() % 4 == 0;
+      std::vector<OracleRow> batch_rows;
+      for (int i = 0; i < posts; ++i) {
+        batch_rows.push_back(OracleRow{next_id++, 0, std::uint16_t(d)});
+      }
+      runner.domain(d).at(at, [&runner, &logs, &deliver, &send, d, batch_rows, chain] {
+        logs[d].push_back(std::to_string(runner.domain(d).now().to_millis()) + " local");
+        for (const OracleRow& m : batch_rows) send(deliver, d, m);
+        if (chain) {
+          runner.domain(d).after(Duration::zero(), [&runner, &logs, d] {
+            logs[d].push_back(std::to_string(runner.domain(d).now().to_millis()) +
+                              " chained");
+          });
+        }
+      });
+    }
+  }
+  runner.run_until(SimTime::seconds(1.0));
+  if (rows) {
+    EXPECT_GT(runner.stats().row_drains, 0u);
+    EXPECT_LT(runner.stats().row_drains, runner.stats().boundary_messages)
+        << "no two rows ever shared a drain; the workload misses its point";
+  }
+  return logs;
+}
+
+TEST(ShardedRunner, RowPathMatchesCallbackPath) {
+  const auto reference = oracle_logs(/*rows=*/false, 1, 1);
+  std::size_t delivered = 0;
+  for (const auto& log : reference) delivered += log.size();
+  ASSERT_GT(delivered, 1000u);
+  for (const bool rows : {false, true}) {
+    for (const std::size_t workers : {std::size_t(1), std::size_t(2), std::size_t(4),
+                                        std::size_t(8)}) {
+      for (const std::size_t batch : {std::size_t(1), std::size_t(8), std::size_t(0)}) {
+        EXPECT_EQ(oracle_logs(rows, workers, batch), reference)
+            << "rows=" << rows << " workers=" << workers << " batch=" << batch;
+      }
+    }
+  }
+}
+
+// Steady traffic through the row pools must stop allocating: every slot a
+// pool ever creates held a pending row when it was created, so the pools
+// never hold more slots than the destinations' peak pending rows, however
+// long the run.
+TEST(ShardedRunner, RowPoolBoundedOverLongRuns) {
+  constexpr std::size_t kDomains = 4;
+  constexpr int kTokens = 6;  // rows circulating per domain
+  constexpr std::uint64_t kDeliveries = 400'000;
+  ShardedRunner runner(ShardedRunner::Config{kDomains, 1, Duration::millis(1)});
+  std::vector<std::int64_t> in_flight(kDomains, 0);
+  std::vector<std::int64_t> peak(kDomains, 0);
+  std::uint64_t delivered = 0;
+  std::size_t slots_at_tenth = 0;
+  const auto post = [&](std::size_t from, TestRow row) {
+    const std::size_t to = (from + 1 + row.value % 2) % kDomains;
+    peak[to] = std::max(peak[to], ++in_flight[to]);
+    runner.post_row(from, to, Duration::millis(1 + row.value % 3), TestRow{row.value + 1});
+  };
+  runner.set_row_handler<TestRow>([&](std::size_t at, const TestRow& row) {
+    --in_flight[at];
+    if (++delivered == kDeliveries / 10) slots_at_tenth = runner.row_pool_slots();
+    if (delivered + kDomains * kTokens <= kDeliveries) post(at, row);
+  });
+  for (std::size_t d = 0; d < kDomains; ++d) {
+    for (int k = 0; k < kTokens; ++k) post(d, TestRow{std::uint32_t(d * kTokens + k)});
+  }
+  runner.run_until(SimTime::seconds(1e6));
+  EXPECT_EQ(delivered, kDeliveries);
+  std::int64_t bound = 0;
+  for (const std::int64_t p : peak) bound += p;
+  EXPECT_LE(runner.row_pool_slots(), std::size_t(bound));
+  EXPECT_EQ(runner.row_pool_slots(), slots_at_tenth) << "the pools kept growing";
+}
+
+// boundary_bytes counts what each path really exchanged, and each profile
+// lane names its domains, the rows they received and the busiest of them.
+TEST(ShardedRunner, ProfileCountsEnvelopeBytesAndRowsPerLane) {
+  obs::Profiler profiler;
+  profiler.set_enabled(true);
+  ShardedRunner runner(ShardedRunner::Config{5, 2, Duration::millis(1), 0, &profiler});
+  runner.set_row_handler<TestRow>([](std::size_t, const TestRow&) {});
+  runner.domain(0).at(SimTime::millis(1), [&runner] {
+    for (int i = 0; i < 3; ++i) runner.post(0, 4, Duration::millis(1), [] {});
+    for (const std::size_t to : {1u, 1u, 1u, 3u, 4u}) {
+      runner.post_row(0, to, Duration::millis(2), TestRow{});
+    }
+  });
+  runner.run_until(SimTime::seconds(1.0));
+  static_assert(ShardedRunner::kRowEnvelopeBytes < ShardedRunner::kCallbackEnvelopeBytes);
+  EXPECT_EQ(runner.stats().boundary_messages, 8u);
+  EXPECT_EQ(runner.stats().boundary_bytes,
+            3 * ShardedRunner::kCallbackEnvelopeBytes + 5 * ShardedRunner::kRowEnvelopeBytes);
+  if (!obs::Profiler::compiled_in()) return;
+  obs::ProfileSnapshot p;
+  runner.export_profile(p);
+  EXPECT_EQ(p.boundary_bytes, runner.stats().boundary_bytes);
+  ASSERT_EQ(p.shards.size(), 2u);
+  // Lane 0 executes domains [0, 2), lane 1 [2, 5).
+  EXPECT_EQ(p.shards[0].domain_begin, 0u);
+  EXPECT_EQ(p.shards[0].domain_end, 2u);
+  EXPECT_EQ(p.shards[0].rows_delivered, 3u);
+  EXPECT_EQ(p.shards[0].busiest_domain, 1u);
+  EXPECT_EQ(p.shards[0].busiest_domain_rows, 3u);
+  EXPECT_EQ(p.shards[1].domain_begin, 2u);
+  EXPECT_EQ(p.shards[1].domain_end, 5u);
+  EXPECT_EQ(p.shards[1].rows_delivered, 2u);
+  EXPECT_EQ(p.shards[1].busiest_domain, 3u);  // 3 and 4 tie: lowest id
+  EXPECT_EQ(p.shards[1].busiest_domain_rows, 1u);
 }
 
 }  // namespace

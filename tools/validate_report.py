@@ -169,6 +169,25 @@ def validate_profile(profile):
                 f"{where}: lane fractions must sum to 1 (or all be 0)")
     _expect(sum(l["straggler_windows"] for l in shards) == profile["barriers"],
             "profile: straggler_windows must sum to the barrier count")
+    # Each lane names the contiguous domain block it executes; the blocks
+    # tile [0, domains) in lane order.
+    next_begin = 0
+    for i, lane in enumerate(shards):
+        where = f"profile.shards[{i}]"
+        span = lane.get("domains")
+        _expect(isinstance(span, list) and len(span) == 2
+                and all(_is_count(d) for d in span),
+                f"{where}: domains must be a [begin, end) pair of counts")
+        _expect(span[0] == next_begin and span[1] > span[0],
+                f"{where}: domain blocks must tile the domains in lane order")
+        next_begin = span[1]
+        for key in ("rows_delivered", "busiest_domain", "busiest_domain_rows"):
+            _expect(_is_count(lane.get(key)),
+                    f"{where}: {key} must be a non-negative int")
+        _expect(span[0] <= lane["busiest_domain"] < span[1],
+                f"{where}: busiest_domain lies outside the lane's domains")
+        _expect(lane["busiest_domain_rows"] <= lane["rows_delivered"],
+                f"{where}: busiest_domain_rows exceeds rows_delivered")
     for lane_i, lane in enumerate(shards):
         lane_wall = lane["busy_ns"] + lane["barrier_wait_ns"] + lane["idle_ns"]
         _expect(lane_wall == profile["profiled_wall_ns"],

@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
-// event queue throughput, Table 2 admission, water-filling, advertised-rate
-// recomputation, the distributed protocol end-to-end, the binomial
-// convolution of the probabilistic model, and a full classroom run.
+// event queue throughput, Table 2 admission, one admission-service request,
+// water-filling, advertised-rate recomputation, the distributed protocol
+// end-to-end, the binomial convolution of the probabilistic model, and a
+// full classroom run.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <random>
+#include <vector>
 
 #include "experiments/campus_day.h"
 #include "experiments/classroom.h"
@@ -17,6 +20,9 @@
 #include "qos/admission.h"
 #include "qos/packet_sim.h"
 #include "reservation/probabilistic.h"
+#include "serve/codec.h"
+#include "serve/ring_transport.h"
+#include "serve/service.h"
 #include "sim/replication.h"
 #include "sim/sharded_runner.h"
 #include "sim/simulator.h"
@@ -135,12 +141,72 @@ void BM_AdmissionPipeline(benchmark::State& state) {
       qos::LinkSnapshot{qos::mbps(45), 0.0, qos::mbps(10), 8e6, 0.001});
   const qos::AdmissionPipeline pipeline(qos::Scheduler::kRcsp,
                                         qos::MobilityClass::kStatic);
+  qos::AdmissionResult result;  // reused, as NetworkState::admit does
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.admit(request, route, qos::kbps(100)));
+    pipeline.admit(request, route, result, qos::kbps(100));
+    benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AdmissionPipeline)->Arg(3)->Arg(10);
+
+enum class ServeRequestKind { kAdmit, kHandoff };
+
+// One request through a warmed 16-cell admission service: encode, the ring
+// transport, decode, Table 2 admission with multicast branches and advance
+// reservations, the reply and its decode. `admit` opens a session and closes
+// it again (two requests per iteration, so the service's state does not
+// drift); `handoff` moves one session back and forth between two adjacent
+// cells (one request per iteration). A zero virtual service cost keeps
+// simulated time still, so no portable ever turns static mid-run.
+void BM_ServeRequest(benchmark::State& state, ServeRequestKind kind) {
+  serve::ServiceConfig config;
+  config.virtual_service_cost_us = 0.0;
+  sim::Simulator simulator;
+  serve::AdmissionService service(config, simulator);
+  serve::RingTransport ring;
+  std::vector<std::uint8_t> request;
+  std::vector<std::uint8_t> reply;
+  std::uint64_t id = 0;
+  bool ok = true;
+  const auto call = [&](const serve::Request& body) {
+    serve::encode_request(++id, body, request);
+    ring.client().send_request(request);
+    service.pump_virtual(ring.server());
+    simulator.run();
+    while (ring.client().next_reply(reply, std::chrono::microseconds(0))) {
+      const serve::ReplyFrame frame = serve::decode_reply(reply);
+      ok &= !std::holds_alternative<serve::ErrorReply>(frame.body) &&
+            !std::holds_alternative<serve::ShedReply>(frame.body);
+    }
+  };
+  const qos::QosRequest qos{
+      {qos::kbps(32.0), qos::kbps(128.0)}, 10.0, 10.0, 0.05, {8000.0, 8000.0}};
+  // Background sessions, two per cell, then the benchmarked portable.
+  const std::uint32_t cells = std::uint32_t(config.cells);
+  for (std::uint32_t p = 0; p < 2 * cells; ++p) {
+    call(serve::AdmitRequest{p, p % cells, p % 2 == 1, qos});
+  }
+  const std::uint32_t portable = 2 * cells;
+  if (kind == ServeRequestKind::kHandoff) call(serve::AdmitRequest{portable, 5, false, qos});
+  // Warm every recycled buffer and slot before timing.
+  std::uint32_t cell = 5;
+  const auto one = [&] {
+    if (kind == ServeRequestKind::kAdmit) {
+      call(serve::AdmitRequest{portable, 5, false, qos});
+      call(serve::TeardownRequest{portable});
+    } else {
+      cell = cell == 5 ? 6 : 5;
+      call(serve::HandoffRequest{portable, cell});
+    }
+  };
+  for (int i = 0; i < 1000; ++i) one();
+  for (auto _ : state) one();
+  if (!ok) state.SkipWithError("a request was refused");
+  state.SetItemsProcessed(state.iterations() * (kind == ServeRequestKind::kAdmit ? 2 : 1));
+}
+BENCHMARK_CAPTURE(BM_ServeRequest, admit, ServeRequestKind::kAdmit);
+BENCHMARK_CAPTURE(BM_ServeRequest, handoff, ServeRequestKind::kHandoff);
 
 maxmin::Problem random_problem(int n_links, int n_conns, std::uint64_t seed) {
   std::mt19937_64 rng{seed};

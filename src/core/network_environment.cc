@@ -31,13 +31,17 @@ NetworkEnvironment::NetworkEnvironment(mobility::CellMap map, sim::Simulator& si
 void NetworkEnvironment::build_topology() {
   // Two-level backbone: server - core switch - area switches - base
   // stations - (wireless link) - the cell's radio side.
+  constexpr std::size_t kCellsPerArea = 4;
+  const std::size_t n_areas = (map_.size() + kCellsPerArea - 1) / kCellsPerArea;
+  // One duplex pair per node below the server.
+  const std::size_t nodes = 2 + n_areas + 2 * map_.size();
+  topology_.reserve(nodes, 2 * (nodes - 1));
   server_ = topology_.add_node(net::NodeKind::kHost, "server");
   const net::NodeId core = topology_.add_node(net::NodeKind::kSwitch, "core");
   topology_.add_duplex(server_, core, config_.wired_capacity, config_.wired_buffer);
 
-  constexpr std::size_t kCellsPerArea = 4;
   std::vector<net::NodeId> areas;
-  const std::size_t n_areas = (map_.size() + kCellsPerArea - 1) / kCellsPerArea;
+  areas.reserve(n_areas);
   for (std::size_t a = 0; a < n_areas; ++a) {
     const net::NodeId sw =
         topology_.add_node(net::NodeKind::kSwitch, "area-" + std::to_string(a));
@@ -64,11 +68,11 @@ void NetworkEnvironment::build_topology() {
   }
 }
 
-std::optional<net::Route> NetworkEnvironment::route_for(CellId cell,
-                                                        Direction direction) const {
+bool NetworkEnvironment::route_for(CellId cell, Direction direction,
+                                   net::Route& route) const {
   return direction == Direction::kDownlink
-             ? router_->shortest_path(server_, air_of_.at(cell.value()))
-             : router_->shortest_path(air_of_.at(cell.value()), server_);
+             ? router_->shortest_path(server_, air_of_.at(cell.value()), route)
+             : router_->shortest_path(air_of_.at(cell.value()), server_, route);
 }
 
 PortableId NetworkEnvironment::add_portable(CellId start,
@@ -84,12 +88,11 @@ PortableId NetworkEnvironment::add_portable(CellId start,
 bool NetworkEnvironment::open_connection(PortableId portable,
                                          const qos::QosRequest& request,
                                          Direction direction) {
-  if (sessions_.contains(portable)) {
+  if (has_connection(portable)) {
     throw std::invalid_argument("open_connection: portable already has a connection");
   }
   const CellId cell = mobility_.portable(portable).current_cell;
-  const auto route = route_for(cell, direction);
-  if (!route) {
+  if (!route_for(cell, direction, route_)) {
     ++stats_.connections_blocked;
     return false;
   }
@@ -97,32 +100,35 @@ bool NetworkEnvironment::open_connection(PortableId portable,
                                                             : air_of_[cell.value()];
   const net::NodeId dst = direction == Direction::kDownlink ? air_of_[cell.value()]
                                                             : server_;
-  auto admitted = network_->admit(src, dst, *route, request,
+  auto admitted = network_->admit(src, dst, route_, request,
                                   mobility_.classify(portable), config_.scheduler);
   if (!admitted) {
     // Conflict resolution (Section 5.2): squeeze static portables'
     // connections back toward their minima and retry once.
     adapt();
-    admitted = network_->admit(src, dst, *route, request,
+    admitted = network_->admit(src, dst, route_, request,
                                mobility_.classify(portable), config_.scheduler);
   }
   if (!admitted) {
     ++stats_.connections_blocked;
     return false;
   }
-  Session session;
+  if (portable.value() >= sessions_.size()) sessions_.resize(portable.value() + 1);
+  // A closed session holds no connection, branch or reservation; its
+  // multicast tree keeps its storage for the rebuild below.
+  Session& session = sessions_[portable.value()];
+  session.open = true;
   session.connection = *admitted;
   session.request = request;
   session.direction = direction;
-  sessions_.emplace(portable, std::move(session));
+  session.reserved_bps = 0.0;
   ++stats_.connections_opened;
 
-  Session& stored = sessions_.at(portable);
   note_session_dwell(portable);
   if (mobility_.classify(portable) == qos::MobilityClass::kMobile) {
-    place_advance_reservation(portable, stored);
+    place_advance_reservation(portable, session);
   }
-  rebuild_multicast(portable, stored);
+  rebuild_multicast(portable, session);
   adapt();
   return true;
 }
@@ -137,22 +143,22 @@ void NetworkEnvironment::teardown_session(PortableId portable, Session& session)
 }
 
 void NetworkEnvironment::close_connection(PortableId portable) {
-  const auto it = sessions_.find(portable);
-  if (it == sessions_.end()) {
+  Session* session = open_session(portable);
+  if (session == nullptr) {
     throw std::invalid_argument("close_connection: portable has no connection");
   }
-  teardown_session(portable, it->second);
-  sessions_.erase(it);
+  teardown_session(portable, *session);
+  session->open = false;
   adapt();
 }
 
 bool NetworkEnvironment::handoff(PortableId portable, CellId to) {
-  const auto it = sessions_.find(portable);
-  if (it == sessions_.end()) {
+  Session* open = open_session(portable);
+  if (open == nullptr) {
     mobility_.move(portable, to);
     return true;
   }
-  Session& session = it->second;
+  Session& session = *open;
 
   // Was the multicast branch to the new base station warm?
   const net::NodeId new_bs = bs_of_[to.value()];
@@ -173,19 +179,19 @@ bool NetworkEnvironment::handoff(PortableId portable, CellId to) {
   net::teardown_multicast(*network_, session.multicast);
   mobility_.move(portable, to);
 
-  const auto route = route_for(to, session.direction);
+  const bool route = route_for(to, session.direction, route_);
   const net::NodeId src = session.direction == Direction::kDownlink
                               ? server_ : air_of_[to.value()];
   const net::NodeId dst = session.direction == Direction::kDownlink
                               ? air_of_[to.value()] : server_;
   auto admitted =
-      route ? network_->admit(src, dst, *route, session.request,
+      route ? network_->admit(src, dst, route_, session.request,
                               qos::MobilityClass::kMobile, config_.scheduler, 0.0,
                               qos::ConnectionKind::kHandoff)
             : std::nullopt;
   if (!admitted && route) {
     adapt();  // squeeze and retry
-    admitted = network_->admit(src, dst, *route, session.request,
+    admitted = network_->admit(src, dst, route_, session.request,
                                qos::MobilityClass::kMobile, config_.scheduler, 0.0,
                                qos::ConnectionKind::kHandoff);
   }
@@ -207,14 +213,14 @@ bool NetworkEnvironment::handoff(PortableId portable, CellId to) {
       stats_.total_handoff_latency_s += 2.0 * hop;
       ++stats_.local_handoffs;
     } else {
-      stats_.total_handoff_latency_s += 2.0 * hop * double(route->size());
+      stats_.total_handoff_latency_s += 2.0 * hop * double(route_.size());
       ++stats_.e2e_handoffs;
     }
   }
 
   if (!admitted) {
     ++stats_.handoff_drops;
-    sessions_.erase(it);
+    session.open = false;
     adapt();
     return false;
   }
@@ -246,16 +252,18 @@ void NetworkEnvironment::cancel_advance_reservation(PortableId portable, Session
 
 void NetworkEnvironment::rebuild_multicast(PortableId portable, Session& session) {
   net::teardown_multicast(*network_, session.multicast);
-  session.multicast = net::MulticastTree{};
-  if (!config_.enable_multicast) return;
-  const CellId cell = mobility_.portable(portable).current_cell;
-  std::vector<net::NodeId> neighbor_bs;
-  for (CellId n : map_.cell(cell).neighbors) {
-    neighbor_bs.push_back(bs_of_[n.value()]);
+  if (!config_.enable_multicast) {
+    session.multicast.branches.clear();
+    session.multicast.shared_links.clear();
+    return;
   }
-  session.multicast = net::setup_neighbor_multicast(*network_, *router_, server_,
-                                                    neighbor_bs, session.request,
-                                                    config_.scheduler);
+  const CellId cell = mobility_.portable(portable).current_cell;
+  neighbor_bs_.clear();
+  for (CellId n : map_.cell(cell).neighbors) {
+    neighbor_bs_.push_back(bs_of_[n.value()]);
+  }
+  net::setup_neighbor_multicast(*network_, *router_, server_, neighbor_bs_, session.request,
+                                session.multicast, config_.scheduler);
   stats_.multicast_branches_admitted += session.multicast.admitted_count();
   stats_.multicast_branches_rejected +=
       session.multicast.branches.size() - session.multicast.admitted_count();
@@ -268,8 +276,10 @@ void NetworkEnvironment::adapt() {
   // every session classifies mobile and every connection already is.
   if (simulator_->now() - min_entered_ >= mobility_.classifier().threshold()) {
     min_entered_ = sim::SimTime::infinity();
-    for (auto& [portable, session] : sessions_) {
-      if (!session.connection.is_valid()) continue;
+    for (std::size_t p = 0; p < sessions_.size(); ++p) {
+      const Session& session = sessions_[p];
+      if (!session.open || !session.connection.is_valid()) continue;
+      const PortableId portable{PortableId::underlying(p)};
       network_->set_mobility(session.connection, mobility_.classify(portable));
       min_entered_ = std::min(min_entered_, mobility_.portable(portable).entered_cell);
     }
@@ -283,14 +293,13 @@ void NetworkEnvironment::note_session_dwell(PortableId portable) {
 }
 
 bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest& request) {
-  const auto it = sessions_.find(portable);
-  if (it == sessions_.end()) {
+  Session* open = open_session(portable);
+  if (open == nullptr) {
     throw std::invalid_argument("renegotiate: portable has no connection");
   }
-  Session& session = it->second;
+  Session& session = *open;
   const CellId cell = mobility_.portable(portable).current_cell;
-  const auto route = route_for(cell, session.direction);
-  if (!route) return false;
+  if (!route_for(cell, session.direction, route_)) return false;
 
   // Treated as a new connection request: release the old reservation first,
   // then admit the new one; on failure restore the old connection.
@@ -302,7 +311,7 @@ bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest&
                               ? server_ : air_of_[cell.value()];
   const net::NodeId dst = session.direction == Direction::kDownlink
                               ? air_of_[cell.value()] : server_;
-  auto admitted = network_->admit(src, dst, *route, request,
+  auto admitted = network_->admit(src, dst, route_, request,
                                   mobility_.classify(portable), config_.scheduler);
   if (admitted) {
     session.connection = *admitted;
@@ -314,11 +323,11 @@ bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest&
   }
   // Roll back. The old request fit when it was admitted, but a link may
   // have lost capacity since; then the connection is gone for good.
-  auto restored = network_->admit(src, dst, *route, old_request,
+  auto restored = network_->admit(src, dst, route_, old_request,
                                   mobility_.classify(portable), config_.scheduler);
   if (!restored) {
     teardown_session(portable, session);
-    sessions_.erase(it);
+    session.open = false;
     adapt();
     return false;
   }
@@ -333,8 +342,8 @@ qos::BitsPerSecond NetworkEnvironment::allocated(PortableId portable) const {
 }
 
 net::ConnectionId NetworkEnvironment::connection_of(PortableId portable) const {
-  const auto it = sessions_.find(portable);
-  return it == sessions_.end() ? net::ConnectionId::invalid() : it->second.connection;
+  const Session* session = open_session(portable);
+  return session == nullptr ? net::ConnectionId::invalid() : session->connection;
 }
 
 }  // namespace imrm::core

@@ -18,7 +18,8 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "mobility/manager.h"
 #include "net/multicast.h"
@@ -124,7 +125,7 @@ class NetworkEnvironment {
   [[nodiscard]] net::NetworkState& network_mut() { return *network_; }
   [[nodiscard]] const net::Topology& topology() const { return topology_; }
   [[nodiscard]] bool has_connection(PortableId portable) const {
-    return sessions_.contains(portable);
+    return open_session(portable) != nullptr;
   }
   [[nodiscard]] qos::BitsPerSecond allocated(PortableId portable) const;
   /// The portable's live connection, or invalid when it has none.
@@ -147,7 +148,10 @@ class NetworkEnvironment {
   }
 
  private:
+  /// One portable's session slot. A closed slot keeps its multicast tree's
+  /// storage for the portable's next session.
   struct Session {
+    bool open = false;
     net::ConnectionId connection = net::ConnectionId::invalid();
     qos::QosRequest request;
     Direction direction = Direction::kDownlink;
@@ -159,7 +163,16 @@ class NetworkEnvironment {
   };
 
   void build_topology();
-  [[nodiscard]] std::optional<net::Route> route_for(CellId cell, Direction direction) const;
+  /// Routes a session in `cell` into `route`; false when unreachable.
+  bool route_for(CellId cell, Direction direction, net::Route& route) const;
+  /// The portable's session, or null when it has none open.
+  [[nodiscard]] const Session* open_session(PortableId portable) const {
+    const std::size_t p = portable.value();
+    return p < sessions_.size() && sessions_[p].open ? &sessions_[p] : nullptr;
+  }
+  [[nodiscard]] Session* open_session(PortableId portable) {
+    return const_cast<Session*>(std::as_const(*this).open_session(portable));
+  }
   void place_advance_reservation(PortableId portable, Session& session);
   void cancel_advance_reservation(PortableId portable, Session& session);
   void rebuild_multicast(PortableId portable, Session& session);
@@ -182,7 +195,9 @@ class NetworkEnvironment {
   std::vector<net::NodeId> bs_of_;             // per cell id
   std::vector<net::NodeId> air_of_;            // per cell id: the cell's radio side
   std::vector<net::LinkId> wireless_link_of_;  // per cell id (downlink BS -> air)
-  std::unordered_map<PortableId, Session> sessions_;
+  std::vector<Session> sessions_;              // per portable id
+  net::Route route_;                           // scratch: the route being admitted
+  std::vector<net::NodeId> neighbor_bs_;       // scratch: multicast targets
   // At most the earliest entered_cell among the session portables since
   // adapt() last rescanned (moves only raise entered_cell). classify() is
   // `now - entered_cell >= T_th` and rounding is monotone, so while

@@ -32,13 +32,17 @@ struct MulticastTree {
 };
 
 /// Builds and (where possible) reserves multicast branches from `source` to
-/// each neighbor base station. Uses the *minimum* pre-negotiated QoS bound
-/// (b_min only) since the branch exists purely to warm up a possible handoff.
-/// Branch admission failures are recorded, never fatal.
-[[nodiscard]] MulticastTree setup_neighbor_multicast(
-    NetworkState& network, const Router& router, NodeId source,
-    const std::vector<NodeId>& neighbor_base_stations, const qos::QosRequest& request,
-    qos::Scheduler scheduler = qos::Scheduler::kWfq);
+/// each neighbor base station into `tree`, replacing its contents. Uses the
+/// *minimum* pre-negotiated QoS bound (b_min only) since the branch exists
+/// purely to warm up a possible handoff. Branch admission failures are
+/// recorded, never fatal. The tree's vectors and branch routes keep their
+/// capacity, so rebuilding one tree allocates nothing once it has grown.
+/// Throws std::invalid_argument when `tree` still holds an admitted branch
+/// (tear it down first).
+void setup_neighbor_multicast(NetworkState& network, const Router& router, NodeId source,
+                              const std::vector<NodeId>& neighbor_base_stations,
+                              const qos::QosRequest& request, MulticastTree& tree,
+                              qos::Scheduler scheduler = qos::Scheduler::kWfq);
 
 /// Tears down every admitted branch reservation in the tree.
 void teardown_multicast(NetworkState& network, MulticastTree& tree);

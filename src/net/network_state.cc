@@ -1,7 +1,7 @@
 #include "net/network_state.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace imrm::net {
 
@@ -12,18 +12,23 @@ NetworkState::NetworkState(const Topology& topology) : topology_(&topology) {
   }
 }
 
-std::optional<ConnectionId> NetworkState::admit(NodeId src, NodeId dst, Route route,
+std::uint32_t NetworkState::slot(ConnectionId id) const {
+  const std::uint32_t* s = slot_of_.find(id.value());
+  if (s == nullptr) throw std::out_of_range("NetworkState: no live connection with that id");
+  return *s;
+}
+
+std::optional<ConnectionId> NetworkState::admit(NodeId src, NodeId dst, const Route& route,
                                                 const qos::QosRequest& request,
                                                 qos::MobilityClass mobility,
                                                 qos::Scheduler scheduler,
                                                 qos::BitsPerSecond b_stamp,
                                                 qos::ConnectionKind kind) {
-  std::vector<qos::LinkSnapshot> snapshots;
-  snapshots.reserve(route.size());
-  for (LinkId lid : route) snapshots.push_back(link(lid).snapshot());
+  snapshots_.clear();
+  for (LinkId lid : route) snapshots_.push_back(link(lid).snapshot());
 
   const qos::AdmissionPipeline pipeline(scheduler, mobility);
-  last_result_ = pipeline.admit(request, snapshots, b_stamp, kind);
+  pipeline.admit(request, snapshots_, last_result_, b_stamp, kind);
   if (!last_result_.accepted) return std::nullopt;
 
   const ConnectionId id{next_connection_++};
@@ -36,25 +41,44 @@ std::optional<ConnectionId> NetworkState::admit(NodeId src, NodeId dst, Route ro
     ls.add_connection(id, request.bandwidth, last_result_.allocated_bandwidth,
                       last_result_.hops[l].buffer);
   }
-  connections_.emplace(
-      id, Connection{id, src, dst, std::move(route), request, mobility,
-                     last_result_.allocated_bandwidth});
+  std::uint32_t s;
+  if (free_slots_.empty()) {
+    // The element, route included, is built before the store grows, so a
+    // `route` that lives in this store is read while still valid.
+    s = std::uint32_t(connections_.size());
+    connections_.push_back(Connection{id, src, dst, route, request, mobility,
+                                      last_result_.allocated_bandwidth});
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+    Connection& conn = connections_[s];
+    conn.id = id;
+    conn.source = src;
+    conn.destination = dst;
+    conn.route.assign(route.begin(), route.end());
+    conn.request = request;
+    conn.mobility = mobility;
+    conn.allocated = last_result_.allocated_bandwidth;
+  }
+  slot_of_.insert(id.value(), s);
   ids_.push_back(id);  // ids are issued in ascending order
   if (mobility == qos::MobilityClass::kStatic) ++static_count_;
   return id;
 }
 
 void NetworkState::teardown(ConnectionId id) {
-  const auto it = connections_.find(id);
-  assert(it != connections_.end());
-  for (LinkId lid : it->second.route) link(lid).remove_connection(id);
-  if (it->second.mobility == qos::MobilityClass::kStatic) --static_count_;
-  connections_.erase(it);
+  const std::uint32_t s = slot(id);
+  Connection& conn = connections_[s];
+  for (LinkId lid : conn.route) link(lid).remove_connection(id);
+  if (conn.mobility == qos::MobilityClass::kStatic) --static_count_;
+  conn.id = ConnectionId::invalid();
+  slot_of_.erase(id.value());
+  free_slots_.push_back(s);
   ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), id));
 }
 
 void NetworkState::set_allocated(ConnectionId id, qos::BitsPerSecond rate) {
-  auto& conn = connections_.at(id);
+  Connection& conn = connections_[slot(id)];
   for (LinkId lid : conn.route) link(lid).set_allocated(id, rate);
   conn.allocated = rate;
 }

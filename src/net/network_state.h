@@ -3,8 +3,8 @@
 // adaptation protocol operate on.
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ids.h"
@@ -13,6 +13,7 @@
 #include "net/topology.h"
 #include "qos/admission.h"
 #include "qos/flow_spec.h"
+#include "sim/flat_map.h"
 
 namespace imrm::net {
 
@@ -36,16 +37,18 @@ class NetworkState {
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
 
   /// Runs Table 2 admission over `route` and, on success, installs the
-  /// connection on every link. Returns the new connection id, or nullopt
-  /// with `last_result()` holding the rejection detail.
-  std::optional<ConnectionId> admit(NodeId src, NodeId dst, Route route,
+  /// connection on every link, copying the route into recycled storage.
+  /// Returns the new connection id, or nullopt with `last_result()` holding
+  /// the rejection detail.
+  std::optional<ConnectionId> admit(NodeId src, NodeId dst, const Route& route,
                                     const qos::QosRequest& request,
                                     qos::MobilityClass mobility,
                                     qos::Scheduler scheduler = qos::Scheduler::kWfq,
                                     qos::BitsPerSecond b_stamp = 0.0,
                                     qos::ConnectionKind kind = qos::ConnectionKind::kNew);
 
-  /// Removes the connection from all its links.
+  /// Removes the connection from all its links. Throws std::out_of_range
+  /// when it is not live.
   void teardown(ConnectionId id);
 
   /// Moves a connection's allocation (adaptation); applies on every link.
@@ -54,19 +57,21 @@ class NetworkState {
   /// Updates the connection's static/mobile class (re-classification after
   /// the T_th dwell changes who participates in adaptation).
   void set_mobility(ConnectionId id, qos::MobilityClass mobility) {
-    Connection& conn = connections_.at(id);
+    Connection& conn = connections_[slot(id)];
     if (conn.mobility == qos::MobilityClass::kStatic) --static_count_;
     if (mobility == qos::MobilityClass::kStatic) ++static_count_;
     conn.mobility = mobility;
   }
 
+  /// Throws std::out_of_range when the connection is not live. The
+  /// reference is invalidated by admit and teardown.
   [[nodiscard]] const Connection& connection(ConnectionId id) const {
-    return connections_.at(id);
+    return connections_[slot(id)];
   }
   [[nodiscard]] bool has_connection(ConnectionId id) const {
-    return connections_.contains(id);
+    return slot_of_.contains(id.value());
   }
-  [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
+  [[nodiscard]] std::size_t connection_count() const { return slot_of_.size(); }
   /// Live connection ids, ascending. Invalidated by admit and teardown.
   [[nodiscard]] const std::vector<ConnectionId>& connection_ids() const { return ids_; }
   /// Live connections of class kStatic: how many max-min adaptation moves.
@@ -75,11 +80,19 @@ class NetworkState {
   [[nodiscard]] const qos::AdmissionResult& last_result() const { return last_result_; }
 
  private:
+  /// Storage slot of a live connection; throws std::out_of_range otherwise.
+  [[nodiscard]] std::uint32_t slot(ConnectionId id) const;
+
   const Topology* topology_;
   std::vector<LinkState> links_;
-  std::unordered_map<ConnectionId, Connection> connections_;
-  std::vector<ConnectionId> ids_;  // keys of connections_, ascending
-  std::size_t static_count_ = 0;  // connections_ whose class is kStatic
+  // Connection storage. A torn-down connection's slot, route capacity
+  // included, is reused by a later admit, so steady churn allocates nothing.
+  std::vector<Connection> connections_;
+  std::vector<std::uint32_t> free_slots_;
+  sim::FlatMap<ConnectionId::underlying, std::uint32_t> slot_of_;  // live id -> slot
+  std::vector<ConnectionId> ids_;  // live ids, ascending
+  std::size_t static_count_ = 0;  // live connections whose class is kStatic
+  std::vector<qos::LinkSnapshot> snapshots_;  // admit's per-hop scratch
   qos::AdmissionResult last_result_;
   ConnectionId::underlying next_connection_ = 0;
 };

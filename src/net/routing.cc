@@ -48,18 +48,28 @@ const std::vector<LinkId>& Router::tree_from(NodeId src) const {
   return via;
 }
 
-std::optional<Route> Router::shortest_path(NodeId src, NodeId dst) const {
+bool Router::shortest_path(NodeId src, NodeId dst, Route& route) const {
   if (std::max(src.value(), dst.value()) >= topology_->node_count()) {
     throw std::out_of_range("Router::shortest_path: node not in topology");
   }
+  route.clear();
   const std::vector<LinkId>& via = tree_from(src);
-  if (dst != src && !via[dst.value()].is_valid()) return std::nullopt;
-  Route path;
-  for (NodeId cur = dst; cur != src; cur = topology_->link(path.back()).from) {
-    path.push_back(via[cur.value()]);
+  if (dst != src && !via[dst.value()].is_valid()) return false;
+  // Walk the tree back from `dst` twice: once to size the route, once to
+  // fill it from its last link to its first.
+  std::size_t hops = 0;
+  for (NodeId cur = dst; cur != src; cur = topology_->link(via[cur.value()]).from) ++hops;
+  route.resize(hops);
+  for (NodeId cur = dst; cur != src; cur = topology_->link(route[hops]).from) {
+    route[--hops] = via[cur.value()];
   }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return true;
+}
+
+std::optional<Route> Router::shortest_path(NodeId src, NodeId dst) const {
+  Route route;
+  if (!shortest_path(src, dst, route)) return std::nullopt;
+  return route;
 }
 
 std::vector<NodeId> route_nodes(const Topology& topology, const Route& route) {

@@ -30,8 +30,13 @@ class Router {
   explicit Router(const Topology& topology, WeightFn weight = hop_weight())
       : topology_(&topology), weight_(std::move(weight)) {}
 
-  /// Shortest path from `src` to `dst`; nullopt if unreachable. Throws
-  /// std::out_of_range when either node is not in the topology.
+  /// Writes the shortest path from `src` to `dst` into `route` (reusing its
+  /// capacity) and returns true, or returns false with `route` empty when
+  /// `dst` is unreachable. Throws std::out_of_range when either node is not
+  /// in the topology.
+  bool shortest_path(NodeId src, NodeId dst, Route& route) const;
+
+  /// The same into a fresh route; nullopt if unreachable.
   [[nodiscard]] std::optional<Route> shortest_path(NodeId src, NodeId dst) const;
 
   [[nodiscard]] static WeightFn hop_weight() {

@@ -5,6 +5,12 @@
 
 namespace imrm::net {
 
+void Topology::reserve(std::size_t nodes, std::size_t links) {
+  nodes_.reserve(nodes);
+  adjacency_.reserve(nodes);
+  links_.reserve(links);
+}
+
 NodeId Topology::add_node(NodeKind kind, std::string name) {
   const NodeId id{static_cast<NodeId::underlying>(nodes_.size())};
   if (name.empty()) name = "n" + std::to_string(id.value());

@@ -34,6 +34,10 @@ struct Link {
 
 class Topology {
  public:
+  /// Reserves room for `nodes` nodes and `links` directed links, so a
+  /// builder that knows its size grows each table once.
+  void reserve(std::size_t nodes, std::size_t links);
+
   NodeId add_node(NodeKind kind, std::string name = {});
 
   LinkId add_link(NodeId from, NodeId to, qos::BitsPerSecond capacity,

@@ -36,12 +36,8 @@ Prediction ThreeLevelPredictor::predict(PortableId portable, CellId previous,
     }
     // Previous-cell-specific history absent: fall back to the overall
     // aggregate of the cell.
-    const auto aggregate = profile->aggregate_distribution();
-    if (!aggregate.empty()) {
-      const auto best = std::max_element(
-          aggregate.begin(), aggregate.end(),
-          [](const auto& a, const auto& b) { return a.probability < b.probability; });
-      return {best->neighbor, PredictionLevel::kCellAggregate};
+    if (const auto next = profile->predict_aggregate()) {
+      return {next, PredictionLevel::kCellAggregate};
     }
   }
 

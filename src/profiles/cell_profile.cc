@@ -91,6 +91,16 @@ std::optional<CellId> CellProfile::predict(CellId previous) const {
   return best->first;
 }
 
+std::optional<CellId> CellProfile::predict_aggregate() const {
+  if (total_ == 0 || aggregate_counts_.empty()) return std::nullopt;
+  // Shares are count / total_, so the first maximum count is the first
+  // maximum share.
+  const auto best = std::max_element(
+      aggregate_counts_.begin(), aggregate_counts_.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  return best->first;
+}
+
 std::size_t CellProfile::observations(CellId previous) const {
   const Prev* prev = find(previous);
   return prev == nullptr ? 0 : prev->window.size();

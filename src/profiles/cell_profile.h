@@ -53,6 +53,10 @@ class CellProfile {
   /// Most likely next cell given the previous cell, or nullopt.
   [[nodiscard]] std::optional<CellId> predict(CellId previous) const;
 
+  /// Most likely next cell over all previous cells: the first maximum of
+  /// aggregate_distribution(), without building it. Nullopt when empty.
+  [[nodiscard]] std::optional<CellId> predict_aggregate() const;
+
   [[nodiscard]] std::size_t observations(CellId previous) const;
   [[nodiscard]] std::size_t total_observations() const { return total_; }
   [[nodiscard]] CellId id() const { return id_; }

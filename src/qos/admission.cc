@@ -94,21 +94,37 @@ void AdmissionPipeline::record(const AdmissionResult& result) const {
   }
 }
 
+void AdmissionPipeline::admit(const QosRequest& request,
+                              const std::vector<LinkSnapshot>& route, AdmissionResult& result,
+                              BitsPerSecond b_stamp, ConnectionKind kind) const {
+  evaluate(request, route, b_stamp, kind, result);
+  record(result);
+}
+
 AdmissionResult AdmissionPipeline::admit(const QosRequest& request,
                                          const std::vector<LinkSnapshot>& route,
                                          BitsPerSecond b_stamp, ConnectionKind kind) const {
-  AdmissionResult result = evaluate(request, route, b_stamp, kind);
-  record(result);
+  AdmissionResult result;
+  admit(request, route, result, b_stamp, kind);
   return result;
 }
 
-AdmissionResult AdmissionPipeline::evaluate(const QosRequest& request,
-                                            const std::vector<LinkSnapshot>& route,
-                                            BitsPerSecond b_stamp, ConnectionKind kind) const {
-  AdmissionResult result;
+void AdmissionPipeline::evaluate(const QosRequest& request,
+                                 const std::vector<LinkSnapshot>& route, BitsPerSecond b_stamp,
+                                 ConnectionKind kind, AdmissionResult& result) const {
+  std::vector<HopAllocation> hops = std::move(result.hops);
+  hops.clear();
+  result = AdmissionResult{};
+  result.hops = std::move(hops);
+  // A rejected result carries no hops.
+  const auto reject = [&result](RejectReason reason, std::size_t failed_hop) {
+    result.reason = reason;
+    result.failed_hop = failed_hop;
+    result.hops.clear();
+  };
   if (!request.valid() || route.empty()) {
-    result.reason = RejectReason::kInvalidRequest;
-    return result;
+    reject(RejectReason::kInvalidRequest, 0);
+    return;
   }
 
   const auto& t = request.traffic;
@@ -116,7 +132,9 @@ AdmissionResult AdmissionPipeline::evaluate(const QosRequest& request,
   const std::size_t n = route.size();
 
   // ---- Forward pass: per-link tests, tentative (greatest-level) reservation.
-  std::vector<Seconds> forward_delay(n);
+  // hops[l].local_delay holds the forward per-hop delay d_l until the
+  // reverse pass relaxes it.
+  result.hops.resize(n);
   double delivery_prob = 1.0;
   for (std::size_t l = 0; l < n; ++l) {
     const LinkSnapshot& link = route[l];
@@ -130,28 +148,26 @@ AdmissionResult AdmissionPipeline::evaluate(const QosRequest& request,
     const BitsPerSecond admissible =
         link.capacity - (link.advance_reserved - usable_reservation) - link.sum_b_min;
     if (b_min > admissible) {
-      result.reason = RejectReason::kBandwidth;
-      result.failed_hop = hop;
-      return result;
+      reject(RejectReason::kBandwidth, hop);
+      return;
     }
 
-    forward_delay[l] = hop_delay(request, link);
+    const Seconds d_l = hop_delay(request, link);
+    result.hops[l].local_delay = d_l;
 
     // Jitter at hop l: (sigma_j + l L_max) / b_min,j <= sigma-bar.
     const Seconds jitter_l = (t.sigma + double(hop) * t.l_max) / b_min;
     if (jitter_l > request.jitter_bound) {
-      result.reason = RejectReason::kJitter;
-      result.failed_hop = hop;
-      return result;
+      reject(RejectReason::kJitter, hop);
+      return;
     }
 
     // Buffer requirement for the configured scheduler.
-    const Seconds d_prev = l > 0 ? forward_delay[l - 1] : 0.0;
-    const Bits needed = forward_buffer(request, hop, d_prev, forward_delay[l]);
+    const Seconds d_prev = l > 0 ? result.hops[l - 1].local_delay : 0.0;
+    const Bits needed = forward_buffer(request, hop, d_prev, d_l);
     if (needed > link.buffer_capacity) {
-      result.reason = RejectReason::kBuffer;
-      result.failed_hop = hop;
-      return result;
+      reject(RejectReason::kBuffer, hop);
+      return;
     }
 
     delivery_prob *= (1.0 - link.error_prob);
@@ -163,16 +179,16 @@ AdmissionResult AdmissionPipeline::evaluate(const QosRequest& request,
   result.e2e_loss = 1.0 - delivery_prob;
 
   if (result.e2e_min_delay > request.delay_bound) {
-    result.reason = RejectReason::kDelay;
-    return result;
+    reject(RejectReason::kDelay, 0);
+    return;
   }
   if (result.e2e_jitter > request.jitter_bound) {
-    result.reason = RejectReason::kJitter;
-    return result;
+    reject(RejectReason::kJitter, 0);
+    return;
   }
   if (result.e2e_loss > request.loss_bound) {
-    result.reason = RejectReason::kLoss;
-    return result;
+    reject(RejectReason::kLoss, 0);
+    return;
   }
 
   // ---- Reverse pass: uniform relaxation and firm reservation.
@@ -189,21 +205,20 @@ AdmissionResult AdmissionPipeline::evaluate(const QosRequest& request,
   const Seconds slack_per_hop = (request.delay_bound - result.e2e_min_delay) / double(n) +
                                 t.sigma / (double(n) * b_min);
 
-  result.hops.resize(n);
   for (std::size_t l = 0; l < n; ++l) {
     const std::size_t hop = l + 1;
-    const Seconds relaxed = forward_delay[l] + slack_per_hop;
+    const Seconds d_l = result.hops[l].local_delay;  // forward delay, relaxed here
+    const Seconds relaxed = d_l + slack_per_hop;
     result.hops[l].local_delay = relaxed;
     const Seconds d_prev_relaxed = l > 0 ? result.hops[l - 1].local_delay : 0.0;
     // Table 2 reverse-pass rows: hop 1 uses its own *relaxed* delay d'_1;
     // later hops combine the relaxed upstream delay with the unrelaxed local
     // forward delay d_l.
-    const Seconds d_cur = hop == 1 ? relaxed : forward_delay[l];
+    const Seconds d_cur = hop == 1 ? relaxed : d_l;
     result.hops[l].buffer = reverse_buffer(request, hop, allocated, d_prev_relaxed, d_cur);
   }
 
   result.accepted = true;
-  return result;
 }
 
 }  // namespace imrm::qos

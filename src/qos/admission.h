@@ -82,12 +82,20 @@ class AdmissionPipeline {
   AdmissionPipeline(Scheduler scheduler, MobilityClass mobility)
       : scheduler_(scheduler), mobility_(mobility) {}
 
-  /// Runs the full round-trip admission process over `route`.
+  /// Runs the full round-trip admission process over `route` into
+  /// `result`, replacing every field. `result.hops` keeps its capacity (it
+  /// doubles as the forward pass's per-hop delay scratch), so a caller that
+  /// reuses one result admits without allocating.
   ///
   /// `b_stamp` is the max-min fair excess share stamped into the forward
   /// control packet by the conflict-resolution machinery (Section 5.3.1);
   /// pass 0 when no excess is available. `kind` selects whether advance
   /// reservations may be consumed.
+  void admit(const QosRequest& request, const std::vector<LinkSnapshot>& route,
+             AdmissionResult& result, BitsPerSecond b_stamp = 0.0,
+             ConnectionKind kind = ConnectionKind::kNew) const;
+
+  /// The same, into a fresh result.
   [[nodiscard]] AdmissionResult admit(const QosRequest& request,
                                       const std::vector<LinkSnapshot>& route,
                                       BitsPerSecond b_stamp = 0.0,
@@ -124,9 +132,8 @@ class AdmissionPipeline {
   [[nodiscard]] MobilityClass mobility() const { return mobility_; }
 
  private:
-  [[nodiscard]] AdmissionResult evaluate(const QosRequest& request,
-                                         const std::vector<LinkSnapshot>& route,
-                                         BitsPerSecond b_stamp, ConnectionKind kind) const;
+  void evaluate(const QosRequest& request, const std::vector<LinkSnapshot>& route,
+                BitsPerSecond b_stamp, ConnectionKind kind, AdmissionResult& result) const;
   void record(const AdmissionResult& result) const;
 
   Scheduler scheduler_;

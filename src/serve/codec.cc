@@ -9,10 +9,11 @@ namespace imrm::serve {
 
 namespace {
 
-// Little-endian writer over a growing byte vector, mirroring
+// Little-endian writer appending to a caller-owned byte vector, mirroring
 // sim::CheckpointWriter but scoped to wire frames.
 class Writer {
  public:
+  explicit Writer(std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) bytes_.push_back(std::uint8_t(v >> (8 * i)));
@@ -33,10 +34,9 @@ class Writer {
     for (int i = 0; i < 4; ++i) bytes_[offset + std::size_t(i)] = std::uint8_t(v >> (8 * i));
   }
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t>& bytes_;
 };
 
 // Bounds-checked little-endian reader; every overrun is a typed kTruncated.
@@ -138,11 +138,15 @@ qos::QosRequest decode_qos(Reader& r) {
   return q;
 }
 
-/// Emits the 18-byte header with a placeholder length, then patches it once
-/// the payload has been appended.
+/// Emits the 18-byte header into `out` (replacing its contents) with a
+/// placeholder length, then patches the length once the payload has been
+/// appended.
 class FrameBuilder {
  public:
-  FrameBuilder(MsgType type, std::uint64_t request_id) {
+  FrameBuilder(MsgType type, std::uint64_t request_id, std::vector<std::uint8_t>& out)
+      : w_(out) {
+    out.clear();
+    if (out.capacity() < kFrameReserve) out.reserve(kFrameReserve);
     w_.u32(kWireMagic);
     w_.u8(kWireVersion);
     w_.u8(std::uint8_t(type));
@@ -151,10 +155,7 @@ class FrameBuilder {
     w_.u32(0);
   }
   Writer& payload() { return w_; }
-  std::vector<std::uint8_t> take() {
-    w_.patch_u32(len_offset_, std::uint32_t(w_.size() - kHeaderBytes));
-    return w_.take();
-  }
+  void finish() { w_.patch_u32(len_offset_, std::uint32_t(w_.size() - kHeaderBytes)); }
 
  private:
   Writer w_;
@@ -229,7 +230,8 @@ const char* to_string(ServiceError err) {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_request(std::uint64_t request_id, const Request& body) {
+void encode_request(std::uint64_t request_id, const Request& body,
+                    std::vector<std::uint8_t>& out) {
   const MsgType type = std::visit(
       [](const auto& req) {
         using T = std::decay_t<decltype(req)>;
@@ -240,7 +242,7 @@ std::vector<std::uint8_t> encode_request(std::uint64_t request_id, const Request
         else return MsgType::kShutdown;
       },
       body);
-  FrameBuilder frame(type, request_id);
+  FrameBuilder frame(type, request_id, out);
   Writer& w = frame.payload();
   std::visit(
       [&w](const auto& req) {
@@ -259,10 +261,11 @@ std::vector<std::uint8_t> encode_request(std::uint64_t request_id, const Request
         // Probe and Shutdown carry no payload.
       },
       body);
-  return frame.take();
+  frame.finish();
 }
 
-std::vector<std::uint8_t> encode_reply(std::uint64_t request_id, const Reply& body) {
+void encode_reply(std::uint64_t request_id, const Reply& body,
+                  std::vector<std::uint8_t>& out) {
   const MsgType type = std::visit(
       [](const auto& rep) {
         using T = std::decay_t<decltype(rep)>;
@@ -275,7 +278,7 @@ std::vector<std::uint8_t> encode_reply(std::uint64_t request_id, const Reply& bo
         else return MsgType::kErrorReply;
       },
       body);
-  FrameBuilder frame(type, request_id);
+  FrameBuilder frame(type, request_id, out);
   Writer& w = frame.payload();
   std::visit(
       [&w](const auto& rep) {
@@ -304,7 +307,7 @@ std::vector<std::uint8_t> encode_reply(std::uint64_t request_id, const Reply& bo
         // ShutdownReply carries no payload.
       },
       body);
-  return frame.take();
+  frame.finish();
 }
 
 RequestFrame decode_request(const std::uint8_t* data, std::size_t size) {

@@ -36,6 +36,9 @@ inline constexpr std::size_t kHeaderBytes = 18;
 /// 65 bytes; the bound exists so a corrupt length field cannot make a
 /// reassembler buffer gigabytes before the type check runs.
 inline constexpr std::uint32_t kMaxPayload = 1024;
+/// Capacity an encoder reserves in an empty buffer: room for every frame
+/// but an ErrorReply with a long message, so a fresh buffer grows once.
+inline constexpr std::size_t kFrameReserve = 96;
 
 enum class CodecErrorCode : std::uint8_t {
   kTruncated,   // fewer bytes than the header/payload declared
@@ -172,10 +175,14 @@ struct ReplyFrame {
 
 // ---- encode / decode -----------------------------------------------------
 
-[[nodiscard]] std::vector<std::uint8_t> encode_request(std::uint64_t request_id,
-                                                       const Request& body);
-[[nodiscard]] std::vector<std::uint8_t> encode_reply(std::uint64_t request_id,
-                                                     const Reply& body);
+/// Encodes one frame into `out`, replacing its contents. `out` keeps its
+/// capacity, so a caller that reuses one buffer (see DESIGN.md, "Serve frame
+/// buffers") encodes without allocating once the buffer has grown to
+/// kFrameReserve or to the largest frame it carried.
+void encode_request(std::uint64_t request_id, const Request& body,
+                    std::vector<std::uint8_t>& out);
+void encode_reply(std::uint64_t request_id, const Reply& body,
+                  std::vector<std::uint8_t>& out);
 
 /// Decodes one complete frame (header + payload, exactly). Throws CodecError.
 [[nodiscard]] RequestFrame decode_request(const std::uint8_t* data, std::size_t size);

@@ -1,13 +1,12 @@
 #include "serve/load_driver.h"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 
 #include "serve/ring_transport.h"
 
@@ -157,19 +156,45 @@ Request LoadDriver::next_request(sim::Rng& rng) {
   }
 }
 
-void LoadDriver::note_sent(std::uint64_t request_id) {
-  if (last_intent_.kind != 0) inflight_.emplace(request_id, last_intent_);
+void LoadDriver::reset_outstanding() {
+  std::fill(outstanding_.begin(), outstanding_.end(), Outstanding{});
+  outstanding_count_ = 0;
+}
+
+void LoadDriver::grow_outstanding() {
+  // Two live ids share a slot of the doubled ring only if they already
+  // shared one, so the moves below never collide.
+  std::vector<Outstanding> grown(std::max<std::size_t>(64, 2 * outstanding_.size()));
+  for (const Outstanding& o : outstanding_) {
+    if (o.id != 0) grown[o.id & (grown.size() - 1)] = o;
+  }
+  outstanding_.swap(grown);
+}
+
+void LoadDriver::note_sent(std::uint64_t request_id, double sent_at_us) {
+  while (outstanding_.empty() ||
+         outstanding_[request_id & (outstanding_.size() - 1)].id != 0) {
+    grow_outstanding();
+  }
+  outstanding_[request_id & (outstanding_.size() - 1)] =
+      Outstanding{request_id, sent_at_us, last_intent_};
+  ++outstanding_count_;
   last_intent_ = Intent{};
 }
 
-void LoadDriver::account_reply(const ReplyFrame& frame, DriveStats& stats) {
+void LoadDriver::account_reply(const ReplyFrame& frame, double now_us, DriveStats& stats) {
   const bool executed = !std::holds_alternative<ShedReply>(frame.body) &&
                         !std::holds_alternative<ErrorReply>(frame.body);
-  if (const auto it = inflight_.find(frame.request_id); it != inflight_.end()) {
+  Outstanding* sent = nullptr;
+  if (frame.request_id != 0 && !outstanding_.empty()) {
+    Outstanding& slot = outstanding_[frame.request_id & (outstanding_.size() - 1)];
+    if (slot.id == frame.request_id) sent = &slot;
+  }
+  if (sent != nullptr) {
     if (!executed) {
       // The service never ran this request: undo the optimistic belief
       // update unless a later request already moved the same state on.
-      const Intent& intent = it->second;
+      const Intent& intent = sent->intent;
       const std::uint32_t p = intent.portable;
       if (intent.kind == 1) {
         admitted_[p] = false;
@@ -179,7 +204,9 @@ void LoadDriver::account_reply(const ReplyFrame& frame, DriveStats& stats) {
         cell_of_[p] = intent.prev_cell;
       }
     }
-    inflight_.erase(it);
+    record_latency(now_us - sent->sent_at_us);
+    *sent = Outstanding{};
+    --outstanding_count_;
   }
   std::visit(Overloaded{
                  [&](const AdmitReply& r) {
@@ -233,70 +260,70 @@ Request trace_to_request(const TraceEvent& event, const DriveConfig& config) {
 DriveStats LoadDriver::run_virtual(sim::Simulator& simulator, RingTransport& transport,
                                    AdmissionService& service) {
   DriveStats stats;
-  inflight_.clear();
-  auto rng = std::make_shared<sim::Rng>(config_.seed);
+  reset_outstanding();
+  sim::Rng rng(config_.seed);
   auto& client = transport.client();
-  std::unordered_map<std::uint64_t, double> sent_at_us;
   std::uint64_t next_id = 1;
   const double t0_s = simulator.now().to_seconds();
+  obs::Profiler* profiler = service.config().profiler;
+  const obs::PhaseId ph_send =
+      profiler != nullptr ? profiler->intern("serve.drive.send") : obs::kInvalidPhase;
+  const obs::PhaseId ph_drain =
+      profiler != nullptr ? profiler->intern("serve.drive.drain") : obs::kInvalidPhase;
 
   const auto now_us = [&simulator] { return simulator.now().to_seconds() * 1e6; };
   const auto drain = [&] {
-    std::vector<std::uint8_t> bytes;
-    while (client.next_reply(bytes, std::chrono::microseconds(0))) {
+    obs::Profiler::Scope scope(profiler, ph_drain);
+    while (client.next_reply(reply_frame_, std::chrono::microseconds(0))) {
       try {
-        const ReplyFrame frame = decode_reply(bytes);
-        account_reply(frame, stats);
-        if (const auto it = sent_at_us.find(frame.request_id);
-            it != sent_at_us.end()) {
-          record_latency(now_us() - it->second);
-          sent_at_us.erase(it);
-        }
+        account_reply(decode_reply(reply_frame_), now_us(), stats);
       } catch (const CodecError&) {
         ++stats.errors;
       }
     }
   };
-  const auto send_one = [&](const Request& request) {
-    const std::uint64_t id = next_id++;
-    note_sent(id);
-    sent_at_us.emplace(id, now_us());
-    ++stats.sent;
-    if (c_sent_ != nullptr) c_sent_->add();
-    client.send_request(encode_request(id, request));
+  // One arrival: the trace's next event, or the mix's next request when
+  // `event` is null.
+  const auto arrive = [&](const TraceEvent* event) {
+    {
+      obs::Profiler::Scope scope(profiler, ph_send);
+      const Request request =
+          event != nullptr ? trace_to_request(*event, config_) : next_request(rng);
+      const std::uint64_t id = next_id++;
+      note_sent(id, now_us());
+      ++stats.sent;
+      if (c_sent_ != nullptr) c_sent_->add();
+      encode_request(id, request, request_frame_);
+      client.send_request(request_frame_);
+    }
     service.pump_virtual(transport.server());
     drain();
   };
 
+  // Self-perpetuating Poisson arrival: each firing schedules the next gap
+  // until the driven window closes. `fire` outlives every scheduled copy
+  // because run() completes before this function returns.
+  std::function<void()> fire;
   if (!config_.trace.empty()) {
     for (const TraceEvent& event : config_.trace) {
       simulator.at(sim::SimTime::seconds(t0_s + event.at_seconds),
-                   [&, event] { send_one(trace_to_request(event, config_)); });
+                   [&arrive, &event] { arrive(&event); });
     }
   } else {
     const double t_end_s = t0_s + config_.duration_s;
-    // Self-perpetuating Poisson arrival: each firing schedules the next gap
-    // until the driven window closes. `fire` outlives every scheduled copy
-    // because run() completes before this function returns.
-    auto fire = std::make_shared<std::function<void()>>();
-    *fire = [&, fire_ptr = fire.get()] {
+    fire = [&, t_end_s] {
       if (simulator.now().to_seconds() >= t_end_s) return;
-      send_one(next_request(*rng));
-      simulator.after(sim::Duration::seconds(rng->exponential_rate(config_.rate)),
-                      [fire_ptr] { (*fire_ptr)(); });
+      arrive(nullptr);
+      simulator.after(sim::Duration::seconds(rng.exponential_rate(config_.rate)),
+                      [&fire] { fire(); });
     };
-    simulator.after(sim::Duration::seconds(rng->exponential_rate(config_.rate)),
-                    [fire_ptr = fire.get()] { (*fire_ptr)(); });
-    simulator.run();
-    drain();
-    stats.unanswered = sent_at_us.size();
-    stats.duration_s = simulator.now().to_seconds() - t0_s;
-    return stats;
+    simulator.after(sim::Duration::seconds(rng.exponential_rate(config_.rate)),
+                    [&fire] { fire(); });
   }
 
   simulator.run();
   drain();
-  stats.unanswered = sent_at_us.size();
+  stats.unanswered = outstanding_count_;
   stats.duration_s = simulator.now().to_seconds() - t0_s;
   return stats;
 }
@@ -304,9 +331,8 @@ DriveStats LoadDriver::run_virtual(sim::Simulator& simulator, RingTransport& tra
 DriveStats LoadDriver::run_wall(ClientTransport& client, double drain_wait_s) {
   using clock = std::chrono::steady_clock;
   DriveStats stats;
-  inflight_.clear();
+  reset_outstanding();
   sim::Rng rng(config_.seed);
-  std::unordered_map<std::uint64_t, double> sent_at_us;
   std::uint64_t next_id = 1;
   const auto start = clock::now();
   const auto elapsed_us = [&start] {
@@ -314,16 +340,9 @@ DriveStats LoadDriver::run_wall(ClientTransport& client, double drain_wait_s) {
   };
 
   const auto handle_replies = [&](std::chrono::microseconds wait) {
-    std::vector<std::uint8_t> bytes;
-    while (client.next_reply(bytes, wait)) {
+    while (client.next_reply(reply_frame_, wait)) {
       try {
-        const ReplyFrame frame = decode_reply(bytes);
-        account_reply(frame, stats);
-        if (const auto it = sent_at_us.find(frame.request_id);
-            it != sent_at_us.end()) {
-          record_latency(elapsed_us() - it->second);
-          sent_at_us.erase(it);
-        }
+        account_reply(decode_reply(reply_frame_), elapsed_us(), stats);
       } catch (const CodecError&) {
         ++stats.errors;
       }
@@ -332,15 +351,15 @@ DriveStats LoadDriver::run_wall(ClientTransport& client, double drain_wait_s) {
   };
   const auto send_one = [&](const Request& request) {
     const std::uint64_t id = next_id++;
-    note_sent(id);
     ++stats.sent;
     if (c_sent_ != nullptr) c_sent_->add();
-    if (client.send_request(encode_request(id, request))) {
-      sent_at_us.emplace(id, elapsed_us());
+    encode_request(id, request, request_frame_);
+    if (client.send_request(request_frame_)) {
+      note_sent(id, elapsed_us());
     } else {
       // Transport full or closed. Open loop: count it and keep the pace.
       ++stats.unanswered;
-      inflight_.erase(id);
+      last_intent_ = Intent{};
     }
   };
 
@@ -377,10 +396,10 @@ DriveStats LoadDriver::run_wall(ClientTransport& client, double drain_wait_s) {
 
   const auto drain_deadline =
       clock::now() + std::chrono::microseconds(std::int64_t(drain_wait_s * 1e6));
-  while (!sent_at_us.empty() && clock::now() < drain_deadline) {
+  while (outstanding_count_ != 0 && clock::now() < drain_deadline) {
     handle_replies(std::chrono::microseconds(10000));
   }
-  stats.unanswered += sent_at_us.size();
+  stats.unanswered += outstanding_count_;
   stats.duration_s = elapsed_us() * 1e-6;
   client.close();
   return stats;

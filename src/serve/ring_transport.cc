@@ -34,10 +34,20 @@ bool wait_until(Ready&& ready, std::chrono::microseconds wait) {
 SpscRing::SpscRing(std::size_t capacity)
     : slots_(round_up_pow2(capacity < 2 ? 2 : capacity)), mask_(slots_.size() - 1) {}
 
-bool SpscRing::push(std::vector<std::uint8_t>&& frame) {
+bool SpscRing::push(std::vector<std::uint8_t>& frame) {
   const std::size_t head = head_.load(std::memory_order_relaxed);
-  if (head - tail_.load(std::memory_order_acquire) == slots_.size()) return false;
-  slots_[head & mask_] = std::move(frame);
+  const std::size_t tail = tail_.load(std::memory_order_acquire);
+  if (head - tail == slots_.size()) return false;
+  slots_[head & mask_].swap(frame);
+  if (frame.capacity() == 0) {
+    // `frame` holds a never-used vector (the ring's first lap, or one left
+    // by an earlier trade). Trade it for the oldest spare the consumer left
+    // in a released slot: a position below `tail`, whose pop happened
+    // before the tail store this thread acquired, and above head - capacity,
+    // which this side has not written since.
+    if (reclaim_ + slots_.size() <= head) reclaim_ = head + 1 - slots_.size();
+    if (reclaim_ < tail) frame.swap(slots_[reclaim_++ & mask_]);
+  }
   head_.store(head + 1, std::memory_order_release);
   return true;
 }
@@ -45,7 +55,7 @@ bool SpscRing::push(std::vector<std::uint8_t>&& frame) {
 bool SpscRing::pop(std::vector<std::uint8_t>& frame) {
   const std::size_t tail = tail_.load(std::memory_order_relaxed);
   if (head_.load(std::memory_order_acquire) == tail) return false;
-  frame = std::move(slots_[tail & mask_]);
+  slots_[tail & mask_].swap(frame);
   tail_.store(tail + 1, std::memory_order_release);
   return true;
 }
@@ -65,8 +75,8 @@ bool RingTransport::ServerEnd::next_request(Envelope& env,
 }
 
 void RingTransport::ServerEnd::send_reply(std::uint64_t /*client*/,
-                                          std::vector<std::uint8_t> frame) {
-  if (!owner_->replies_.push(std::move(frame))) ++owner_->dropped_replies_;
+                                          std::vector<std::uint8_t>& frame) {
+  if (!owner_->replies_.push(frame)) ++owner_->dropped_replies_;
 }
 
 bool RingTransport::ServerEnd::finished() const {
@@ -76,8 +86,8 @@ bool RingTransport::ServerEnd::finished() const {
   return closed && owner_->requests_.empty();
 }
 
-bool RingTransport::ClientEnd::send_request(std::vector<std::uint8_t> frame) {
-  return owner_->requests_.push(std::move(frame));
+bool RingTransport::ClientEnd::send_request(std::vector<std::uint8_t>& frame) {
+  return owner_->requests_.push(frame);
 }
 
 bool RingTransport::ClientEnd::next_reply(std::vector<std::uint8_t>& frame,

@@ -26,14 +26,22 @@ namespace imrm::serve {
 
 /// Fixed-capacity single-producer/single-consumer frame ring. Capacity is
 /// rounded up to a power of two so the index math is a mask, not a modulo.
+///
+/// Slots trade buffers instead of moving them out: pop() leaves the
+/// consumer's old buffer in the slot it read, and push() hands the producer
+/// a spare in exchange for its frame, so buffers circulate between the two
+/// sides and a warm ring allocates nothing (DESIGN.md, "Serve frame
+/// buffers").
 class SpscRing {
  public:
   explicit SpscRing(std::size_t capacity);
 
-  /// Producer side. False when the ring is full (frame left untouched).
-  bool push(std::vector<std::uint8_t>&& frame);
+  /// Producer side: swaps `frame` into the ring and leaves a spare buffer in
+  /// `frame`. False when the ring is full (frame left untouched).
+  bool push(std::vector<std::uint8_t>& frame);
 
-  /// Consumer side. False when the ring is empty.
+  /// Consumer side: swaps the oldest frame into `frame`, leaving the buffer
+  /// `frame` held in the slot as a spare. False when the ring is empty.
   bool pop(std::vector<std::uint8_t>& frame);
 
   [[nodiscard]] bool empty() const {
@@ -47,6 +55,9 @@ class SpscRing {
   std::size_t mask_;
   std::atomic<std::size_t> head_{0};  // next slot the producer writes
   std::atomic<std::size_t> tail_{0};  // next slot the consumer reads
+  // Producer-only: the oldest released position whose spare push() has not
+  // taken yet.
+  std::size_t reclaim_ = 0;
 };
 
 /// The paired endpoints over two SpscRings (requests out, replies back).
@@ -72,7 +83,7 @@ class RingTransport {
    public:
     explicit ServerEnd(RingTransport* owner) : owner_(owner) {}
     bool next_request(Envelope& env, std::chrono::microseconds wait) override;
-    void send_reply(std::uint64_t client, std::vector<std::uint8_t> frame) override;
+    void send_reply(std::uint64_t client, std::vector<std::uint8_t>& frame) override;
     [[nodiscard]] bool finished() const override;
 
    private:
@@ -82,7 +93,7 @@ class RingTransport {
   class ClientEnd final : public ClientTransport {
    public:
     explicit ClientEnd(RingTransport* owner) : owner_(owner) {}
-    bool send_request(std::vector<std::uint8_t> frame) override;
+    bool send_request(std::vector<std::uint8_t>& frame) override;
     bool next_reply(std::vector<std::uint8_t>& frame,
                     std::chrono::microseconds wait) override;
     void close() override;

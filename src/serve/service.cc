@@ -129,7 +129,26 @@ void AdmissionService::set_depth_gauge() {
   if (g_queue_depth_ != nullptr) g_queue_depth_->set(double(queue_depth()));
 }
 
-void AdmissionService::ingest(ServerTransport& transport, Envelope&& env,
+AdmissionService::Pending& AdmissionService::enqueue() {
+  if (queued_ == queue_.size()) {
+    std::vector<Pending> grown(std::max<std::size_t>(16, 2 * queue_.size()));
+    for (std::size_t i = 0; i < queued_; ++i) {
+      grown[i] = std::move(queue_[(queue_head_ + i) & (queue_.size() - 1)]);
+    }
+    queue_.swap(grown);
+    queue_head_ = 0;
+  }
+  return queue_[(queue_head_ + queued_++) & (queue_.size() - 1)];
+}
+
+const AdmissionService::Pending& AdmissionService::dequeue() {
+  const Pending& head = queue_[queue_head_];
+  queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
+  --queued_;
+  return head;
+}
+
+void AdmissionService::ingest(ServerTransport& transport, Envelope& env,
                               double now_us) {
   ++stats_.offered;
   if (c_offered_ != nullptr) c_offered_->add();
@@ -137,16 +156,19 @@ void AdmissionService::ingest(ServerTransport& transport, Envelope&& env,
     ++stats_.shed;
     if (c_shed_ != nullptr) c_shed_->add();
     const std::uint64_t id = peek_request_id(env.frame);
-    transport.send_reply(
-        env.client, encode_reply(id, ShedReply{governor_.slo().retry_after_us}));
+    encode_reply(id, ShedReply{governor_.slo().retry_after_us}, reply_frame_);
+    transport.send_reply(env.client, reply_frame_);
     return;
   }
-  queue_.push_back(Pending{env.client, std::move(env.frame), now_us});
+  Pending& slot = enqueue();
+  slot.client = env.client;
+  slot.frame.swap(env.frame);
+  slot.arrival_us = now_us;
   stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, queue_depth());
   set_depth_gauge();
 }
 
-void AdmissionService::process(ServerTransport& transport, Pending&& pending,
+void AdmissionService::process(ServerTransport& transport, const Pending& pending,
                                double now_us) {
   std::optional<RequestFrame> frame;
   {
@@ -157,9 +179,8 @@ void AdmissionService::process(ServerTransport& transport, Pending&& pending,
       ++stats_.errors;
       if (c_errors_ != nullptr) c_errors_->add();
       const std::uint64_t id = peek_request_id(pending.frame);
-      transport.send_reply(
-          pending.client,
-          encode_reply(id, ErrorReply{ServiceError::kMalformedFrame, e.what()}));
+      encode_reply(id, ErrorReply{ServiceError::kMalformedFrame, e.what()}, reply_frame_);
+      transport.send_reply(pending.client, reply_frame_);
     }
   }
   if (frame.has_value()) {
@@ -173,8 +194,8 @@ void AdmissionService::process(ServerTransport& transport, Pending&& pending,
       if (c_errors_ != nullptr) c_errors_->add();
     }
     obs::Profiler::Scope scope(config_.profiler, ph_reply_);
-    transport.send_reply(pending.client,
-                         encode_reply(frame->request_id, std::move(reply)));
+    encode_reply(frame->request_id, reply, reply_frame_);
+    transport.send_reply(pending.client, reply_frame_);
   }
   ++stats_.processed;
   if (c_processed_ != nullptr) c_processed_->add();
@@ -191,13 +212,11 @@ void AdmissionService::process(ServerTransport& transport, Pending&& pending,
 }
 
 void AdmissionService::schedule_virtual_completion() {
-  if (virtual_busy_ || queue_.empty()) return;
+  if (virtual_busy_ || queued_ == 0) return;
   virtual_busy_ = true;
   simulator_->after(
       sim::Duration::seconds(config_.virtual_service_cost_us * 1e-6), [this] {
-        Pending pending = std::move(queue_.front());
-        queue_.pop_front();
-        process(*virtual_transport_, std::move(pending), sim_now_us());
+        process(*virtual_transport_, dequeue(), sim_now_us());
         virtual_busy_ = false;
         schedule_virtual_completion();
       });
@@ -205,10 +224,9 @@ void AdmissionService::schedule_virtual_completion() {
 
 void AdmissionService::pump_virtual(ServerTransport& transport) {
   virtual_transport_ = &transport;
-  Envelope env;
   const double now_us = sim_now_us();
-  while (transport.next_request(env, std::chrono::microseconds(0))) {
-    ingest(transport, std::move(env), now_us);
+  while (transport.next_request(envelope_, std::chrono::microseconds(0))) {
+    ingest(transport, envelope_, now_us);
   }
   schedule_virtual_completion();
 }
@@ -221,24 +239,21 @@ void AdmissionService::run_wall(ServerTransport& transport, double deadline_seco
   };
   while (true) {
     // Ingest a burst: block briefly only when there is nothing to do.
-    Envelope env;
-    auto wait = queue_.empty() ? std::chrono::microseconds(1000)
-                               : std::chrono::microseconds(0);
-    while (queue_.size() <= governor_.slo().queue_capacity &&
-           transport.next_request(env, wait)) {
-      ingest(transport, std::move(env), now_us());
+    auto wait = queued_ == 0 ? std::chrono::microseconds(1000)
+                             : std::chrono::microseconds(0);
+    while (queued_ <= governor_.slo().queue_capacity &&
+           transport.next_request(envelope_, wait)) {
+      ingest(transport, envelope_, now_us());
       wait = std::chrono::microseconds(0);
     }
-    if (!queue_.empty()) {
+    if (queued_ != 0) {
       // Advance simulated time alongside the wall clock so environment-side
       // time (static/mobile classification, reservations) keeps moving.
       simulator_->run_until(sim::SimTime::seconds(now_us() * 1e-6));
-      Pending pending = std::move(queue_.front());
-      queue_.pop_front();
-      process(transport, std::move(pending), now_us());
+      process(transport, dequeue(), now_us());
     }
-    if (shutdown_ && queue_.empty()) return;
-    if (queue_.empty() && transport.finished()) return;
+    if (shutdown_ && queued_ == 0) return;
+    if (queued_ == 0 && transport.finished()) return;
     if (deadline_seconds > 0.0 && now_us() * 1e-6 >= deadline_seconds) return;
   }
 }

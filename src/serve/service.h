@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -158,7 +157,7 @@ class AdmissionService {
   [[nodiscard]] bool shutdown_requested() const { return shutdown_; }
   [[nodiscard]] bool shedding() const { return governor_.shedding(); }
   [[nodiscard]] std::size_t queue_depth() const {
-    return queue_.size() + (virtual_busy_ ? 1 : 0);
+    return queued_ + (virtual_busy_ ? 1 : 0);
   }
   [[nodiscard]] std::size_t cells() const { return map_size_; }
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
@@ -172,11 +171,18 @@ class AdmissionService {
   };
 
   void bind_metrics();
-  /// Offered-frame intake: shed-or-enqueue at `now_us`.
-  void ingest(ServerTransport& transport, Envelope&& env, double now_us);
+  /// Offered-frame intake: shed-or-enqueue at `now_us`. An enqueued frame
+  /// trades buffers with a queue slot, so `env.frame` comes back holding
+  /// the slot's old buffer.
+  void ingest(ServerTransport& transport, Envelope& env, double now_us);
   /// Full decode -> execute -> reply for one dequeued request, completing at
   /// `now_us` (latency = now_us - arrival).
-  void process(ServerTransport& transport, Pending&& pending, double now_us);
+  void process(ServerTransport& transport, const Pending& pending, double now_us);
+  /// The queue tail slot to fill; doubles the ring when it is full.
+  Pending& enqueue();
+  /// Removes the queue head and returns its slot, which stays valid until
+  /// the next enqueue().
+  const Pending& dequeue();
   /// Keeps the virtual server busy: pops the queue head into a completion
   /// event virtual_service_cost_us in the simulated future.
   void schedule_virtual_completion();
@@ -192,7 +198,15 @@ class AdmissionService {
   std::size_t map_size_ = 0;
   std::optional<core::NetworkEnvironment> env_;
   std::unordered_map<std::uint32_t, net::PortableId> portable_of_;  // external -> internal
-  std::deque<Pending> queue_;
+  // Ingress FIFO as a ring of slots whose frame buffers are reused; its
+  // length is a power of two and only grows, to the peak queue depth.
+  std::vector<Pending> queue_;
+  std::size_t queue_head_ = 0;
+  std::size_t queued_ = 0;
+  // Every inbound frame lands here and every reply is encoded here; both
+  // trade their buffers with the transport and the queue.
+  Envelope envelope_;
+  std::vector<std::uint8_t> reply_frame_;
   OverloadGovernor governor_;
   ServiceStats stats_;
   bool shutdown_ = false;

@@ -131,8 +131,8 @@ void SocketServerTransport::pump(std::chrono::microseconds wait) {
     } catch (const CodecError& e) {
       // The byte stream is unframeable from here on: answer with a typed
       // error (id 0 — the offset of the bad frame is unknown) and hang up.
-      const std::vector<std::uint8_t> reply = encode_reply(
-          0, ErrorReply{ServiceError::kMalformedFrame, e.what()});
+      std::vector<std::uint8_t> reply;
+      encode_reply(0, ErrorReply{ServiceError::kMalformedFrame, e.what()}, reply);
       write_all(fd, reply.data(), reply.size());
       drop_client(fd);
     }
@@ -148,7 +148,7 @@ bool SocketServerTransport::next_request(Envelope& env, std::chrono::microsecond
 }
 
 void SocketServerTransport::send_reply(std::uint64_t client,
-                                       std::vector<std::uint8_t> frame) {
+                                       std::vector<std::uint8_t>& frame) {
   const int fd = int(client);
   if (clients_.find(fd) == clients_.end()) return;  // client vanished
   if (!write_all(fd, frame.data(), frame.size())) drop_client(fd);
@@ -173,7 +173,7 @@ SocketClientTransport::~SocketClientTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool SocketClientTransport::send_request(std::vector<std::uint8_t> frame) {
+bool SocketClientTransport::send_request(std::vector<std::uint8_t>& frame) {
   if (fd_ < 0) return false;
   if (!write_all(fd_, frame.data(), frame.size())) {
     ::close(fd_);

@@ -34,7 +34,7 @@ class SocketServerTransport final : public ServerTransport {
   SocketServerTransport& operator=(const SocketServerTransport&) = delete;
 
   bool next_request(Envelope& env, std::chrono::microseconds wait) override;
-  void send_reply(std::uint64_t client, std::vector<std::uint8_t> frame) override;
+  void send_reply(std::uint64_t client, std::vector<std::uint8_t>& frame) override;
   /// A listener can always accept another connection; the serve loop ends on
   /// a Shutdown request or its --duration backstop instead.
   [[nodiscard]] bool finished() const override { return false; }
@@ -66,7 +66,7 @@ class SocketClientTransport final : public ClientTransport {
   SocketClientTransport(const SocketClientTransport&) = delete;
   SocketClientTransport& operator=(const SocketClientTransport&) = delete;
 
-  bool send_request(std::vector<std::uint8_t> frame) override;
+  bool send_request(std::vector<std::uint8_t>& frame) override;
   bool next_reply(std::vector<std::uint8_t>& frame,
                   std::chrono::microseconds wait) override;
   void close() override;

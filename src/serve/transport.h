@@ -12,6 +12,13 @@
 // A transport never interprets payloads; it moves opaque byte frames. The
 // `client` field of an Envelope routes the reply back to whichever peer sent
 // the request (the socket transport runs one assembler per connection).
+//
+// Frames are caller-owned buffers that the transports trade rather than
+// allocate: a send hands the caller a buffer back to encode the next frame
+// into, and a receive leaves the caller's previous buffer with the
+// transport. Once the buffers in circulation have grown, a request and its
+// reply cross the ring transport without a heap allocation (DESIGN.md,
+// "Serve frame buffers").
 #pragma once
 
 #include <chrono>
@@ -38,13 +45,16 @@ class ServerTransport {
  public:
   virtual ~ServerTransport() = default;
 
-  /// Fills `env` with the next inbound request. Returns false when none was
-  /// available within `wait` (zero = poll without blocking).
+  /// Fills `env` with the next inbound request; the transport may keep the
+  /// buffer `env.frame` held before. Returns false when none was available
+  /// within `wait` (zero = poll without blocking).
   virtual bool next_request(Envelope& env, std::chrono::microseconds wait) = 0;
 
-  /// Sends a reply frame to the client named by `client`. A reply to a
-  /// vanished client (closed connection) is silently dropped.
-  virtual void send_reply(std::uint64_t client, std::vector<std::uint8_t> frame) = 0;
+  /// Sends the reply in `frame` to the client named by `client`. On return
+  /// `frame` holds a buffer to encode the next reply into (contents
+  /// unspecified). A reply to a vanished client (closed connection) is
+  /// silently dropped.
+  virtual void send_reply(std::uint64_t client, std::vector<std::uint8_t>& frame) = 0;
 
   /// True once no further requests can ever arrive (every client closed and
   /// all buffered frames were consumed). The socket listener never finishes
@@ -57,12 +67,15 @@ class ClientTransport {
  public:
   virtual ~ClientTransport() = default;
 
-  /// Sends a request frame. Returns false when the transport cannot accept
-  /// it right now (ring full); the open-loop driver counts that as
-  /// transport backpressure, it does not retry.
-  virtual bool send_request(std::vector<std::uint8_t> frame) = 0;
+  /// Sends the request in `frame`; on success `frame` holds a buffer to
+  /// encode the next request into (contents unspecified). Returns false,
+  /// leaving `frame` untouched, when the transport cannot accept it right
+  /// now (ring full); the open-loop driver counts that as transport
+  /// backpressure, it does not retry.
+  virtual bool send_request(std::vector<std::uint8_t>& frame) = 0;
 
-  /// Fills `frame` with the next reply. False when none arrived in `wait`.
+  /// Fills `frame` with the next reply; the transport may keep the buffer
+  /// `frame` held before. False when none arrived in `wait`.
   virtual bool next_reply(std::vector<std::uint8_t>& frame,
                           std::chrono::microseconds wait) = 0;
 

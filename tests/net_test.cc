@@ -466,7 +466,8 @@ TEST_F(NetworkStateTest, MulticastBranchesAdmitIndependently) {
 
   NetworkState net(topo_);
   const Router router(topo_);
-  auto tree = setup_neighbor_multicast(net, router, src_, {bs2, bs3}, small_request());
+  MulticastTree tree;
+  setup_neighbor_multicast(net, router, src_, {bs2, bs3}, small_request(), tree);
   ASSERT_EQ(tree.branches.size(), 2u);
   EXPECT_TRUE(tree.branches[0].admitted);
   EXPECT_FALSE(tree.branches[1].admitted);
@@ -485,7 +486,8 @@ TEST_F(NetworkStateTest, MulticastSharedLinksDetected) {
 
   NetworkState net(topo_);
   const Router router(topo_);
-  const auto tree = setup_neighbor_multicast(net, router, src_, {bs2, bs3}, small_request());
+  MulticastTree tree;
+  setup_neighbor_multicast(net, router, src_, {bs2, bs3}, small_request(), tree);
   // Both branches share the src->sw link.
   ASSERT_EQ(tree.shared_links.size(), 1u);
   EXPECT_EQ(topo_.link(tree.shared_links[0]).from, src_);
@@ -500,11 +502,81 @@ TEST_F(NetworkStateTest, MulticastSharedLinksListedOnce) {
 
   NetworkState net(topo_);
   const Router router(topo_);
-  const auto tree =
-      setup_neighbor_multicast(net, router, src_, {bs_, bs2, bs3}, small_request());
+  MulticastTree tree;
+  setup_neighbor_multicast(net, router, src_, {bs_, bs2, bs3}, small_request(), tree);
   ASSERT_EQ(tree.admitted_count(), 3u);
   ASSERT_EQ(tree.shared_links.size(), 1u);
   EXPECT_EQ(topo_.link(tree.shared_links[0]).from, src_);
+}
+
+TEST_F(NetworkStateTest, MulticastRebuildInPlaceMatchesAFreshTree) {
+  const NodeId bs2 = topo_.add_node(NodeKind::kBaseStation);
+  const NodeId bs3 = topo_.add_node(NodeKind::kBaseStation);
+  topo_.add_duplex(sw_, bs2, mbps(10), 1e7);
+  topo_.add_duplex(sw_, bs3, mbps(10), 1e7);
+
+  NetworkState net(topo_);
+  const Router router(topo_);
+  MulticastTree tree;
+  setup_neighbor_multicast(net, router, src_, {bs_, bs2, bs3}, small_request(), tree);
+  // An admitted tree must be torn down before it is rebuilt.
+  EXPECT_THROW(
+      setup_neighbor_multicast(net, router, src_, {bs2}, small_request(), tree),
+      std::invalid_argument);
+  teardown_multicast(net, tree);
+  const LinkId* route_storage = tree.branches[0].route.data();
+
+  // Fewer targets: the tree shrinks and keeps the first branch's storage.
+  setup_neighbor_multicast(net, router, src_, {bs2, bs3}, small_request(), tree);
+  MulticastTree fresh_net_tree;
+  NetworkState fresh_net(topo_);
+  setup_neighbor_multicast(fresh_net, router, src_, {bs2, bs3}, small_request(),
+                           fresh_net_tree);
+  ASSERT_EQ(tree.branches.size(), 2u);
+  EXPECT_EQ(tree.branches[0].route.data(), route_storage);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(tree.branches[i].target_base_station,
+              fresh_net_tree.branches[i].target_base_station);
+    EXPECT_EQ(tree.branches[i].route, fresh_net_tree.branches[i].route);
+    EXPECT_TRUE(tree.branches[i].admitted);
+  }
+  EXPECT_EQ(tree.shared_links, fresh_net_tree.shared_links);
+  EXPECT_EQ(net.connection_count(), 2u);
+}
+
+TEST_F(NetworkStateTest, RecycledConnectionSlotsHoldTheNewConnection) {
+  const NodeId bs2 = topo_.add_node(NodeKind::kBaseStation);
+  topo_.add_duplex(sw_, bs2, mbps(10), 1e7);
+  NetworkState net(topo_);
+  const Router router(topo_);
+  const Route long_route = *router.shortest_path(src_, bs2);
+  const Route short_route = *router.shortest_path(src_, sw_);
+  ASSERT_NE(long_route.size(), short_route.size());
+
+  std::vector<ConnectionId> live;
+  for (int round = 0; round < 20; ++round) {
+    const bool to_bs = round % 3 != 0;
+    const Route& route = to_bs ? long_route : short_route;
+    const auto id = net.admit(src_, to_bs ? bs2 : sw_, route, small_request(),
+                              qos::MobilityClass::kMobile);
+    ASSERT_TRUE(id.has_value());
+    live.push_back(*id);
+    EXPECT_EQ(net.connection(*id).id, *id);
+    EXPECT_EQ(net.connection(*id).route, route);
+    EXPECT_EQ(net.connection(*id).destination, to_bs ? bs2 : sw_);
+    if (round % 2 == 1) {  // free a slot for the next admit to reuse
+      net.teardown(live.front());
+      EXPECT_FALSE(net.has_connection(live.front()));
+      EXPECT_THROW((void)net.connection(live.front()), std::out_of_range);
+      EXPECT_THROW(net.teardown(live.front()), std::out_of_range);
+      live.erase(live.begin());
+    }
+  }
+  EXPECT_EQ(net.connection_count(), live.size());
+  EXPECT_EQ(net.connection_ids(), live);  // ascending: issued in order
+  for (ConnectionId id : live) {
+    for (LinkId lid : net.connection(id).route) EXPECT_TRUE(net.link(lid).has_connection(id));
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 namespace imrm::serve {
@@ -21,6 +22,20 @@ qos::QosRequest sample_qos() {
   return q;
 }
 
+// One freshly encoded frame per call (the codec itself writes into caller
+// buffers).
+std::vector<std::uint8_t> request_bytes(std::uint64_t id, const Request& body) {
+  std::vector<std::uint8_t> out;
+  encode_request(id, body, out);
+  return out;
+}
+
+std::vector<std::uint8_t> reply_bytes(std::uint64_t id, const Reply& body) {
+  std::vector<std::uint8_t> out;
+  encode_reply(id, body, out);
+  return out;
+}
+
 // ---- round trips ---------------------------------------------------------
 
 TEST(ServeCodec, AdmitRoundTrip) {
@@ -29,7 +44,7 @@ TEST(ServeCodec, AdmitRoundTrip) {
   req.cell = 7;
   req.uplink = true;
   req.qos = sample_qos();
-  const auto bytes = encode_request(99, req);
+  const auto bytes = request_bytes(99, req);
   const RequestFrame frame = decode_request(bytes);
   EXPECT_EQ(frame.request_id, 99u);
   const auto& out = std::get<AdmitRequest>(frame.body);
@@ -55,7 +70,7 @@ TEST(ServeCodec, AllRequestTypesRoundTrip) {
   };
   std::uint64_t id = 1000;
   for (const Request& request : requests) {
-    const auto bytes = encode_request(id, request);
+    const auto bytes = request_bytes(id, request);
     const RequestFrame frame = decode_request(bytes);
     EXPECT_EQ(frame.request_id, id);
     EXPECT_EQ(frame.body.index(), request.index());
@@ -75,20 +90,40 @@ TEST(ServeCodec, AllReplyTypesRoundTrip) {
   };
   std::uint64_t id = 5;
   for (const Reply& reply : replies) {
-    const auto bytes = encode_reply(id, reply);
+    const auto bytes = reply_bytes(id, reply);
     const ReplyFrame frame = decode_reply(bytes);
     EXPECT_EQ(frame.request_id, id);
     EXPECT_EQ(frame.body.index(), reply.index());
     ++id;
   }
-  const auto bytes = encode_reply(1, replies[6]);
+  const auto bytes = reply_bytes(1, replies[6]);
   const auto err = std::get<ErrorReply>(decode_reply(bytes).body);
   EXPECT_EQ(err.error, ServiceError::kUnknownCell);
   EXPECT_EQ(err.message, "cell 99 out of range");
 }
 
+TEST(ServeCodec, EncodeReplacesContentsAndKeepsTheBuffer) {
+  std::vector<std::uint8_t> buffer;
+  encode_request(1, AdmitRequest{1, 2, true, sample_qos()}, buffer);
+  const std::uint8_t* data = buffer.data();
+  const std::size_t capacity = buffer.capacity();
+  EXPECT_GE(capacity, kFrameReserve);
+  // A shorter frame reuses the storage and leaves no stale bytes behind.
+  encode_request(2, TeardownRequest{9}, buffer);
+  EXPECT_EQ(buffer, request_bytes(2, TeardownRequest{9}));
+  encode_reply(3, ProbeReply{1, 2, 3, 4, 5, 6}, buffer);
+  EXPECT_EQ(buffer, reply_bytes(3, ProbeReply{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(buffer.data(), data);
+  EXPECT_EQ(buffer.capacity(), capacity);
+  // A frame longer than the reserve grows the buffer once, and is exact.
+  const ErrorReply long_error{ServiceError::kUnknownCell, std::string(200, 'x')};
+  encode_reply(4, long_error, buffer);
+  EXPECT_EQ(buffer, reply_bytes(4, long_error));
+  EXPECT_EQ(std::get<ErrorReply>(decode_reply(buffer).body).message.size(), 200u);
+}
+
 TEST(ServeCodec, ProbeReplyCarriesCounters) {
-  const auto bytes = encode_reply(7, ProbeReply{100, 90, 10, 3, 12, 24});
+  const auto bytes = reply_bytes(7, ProbeReply{100, 90, 10, 3, 12, 24});
   const auto probe = std::get<ProbeReply>(decode_reply(bytes).body);
   EXPECT_EQ(probe.offered, 100u);
   EXPECT_EQ(probe.processed, 90u);
@@ -101,7 +136,7 @@ TEST(ServeCodec, ProbeReplyCarriesCounters) {
 // ---- adversarial malformed frames ----------------------------------------
 
 std::vector<std::uint8_t> valid_probe_frame(std::uint64_t id = 1) {
-  return encode_request(id, ProbeRequest{});
+  return request_bytes(id, ProbeRequest{});
 }
 
 CodecErrorCode decode_error(const std::vector<std::uint8_t>& bytes) {
@@ -123,7 +158,7 @@ TEST(ServeCodecAdversarial, TruncatedHeader) {
 }
 
 TEST(ServeCodecAdversarial, TruncatedPayload) {
-  auto frame = encode_request(1, TeardownRequest{9});
+  auto frame = request_bytes(1, TeardownRequest{9});
   ASSERT_GT(frame.size(), kHeaderBytes);
   frame.pop_back();
   EXPECT_EQ(decode_error(frame), CodecErrorCode::kTruncated);
@@ -155,14 +190,14 @@ TEST(ServeCodecAdversarial, GarbageType) {
 }
 
 TEST(ServeCodecAdversarial, ReplyTypeInRequestPosition) {
-  const auto reply = encode_reply(1, ShutdownReply{});
+  const auto reply = reply_bytes(1, ShutdownReply{});
   EXPECT_EQ(decode_error(reply), CodecErrorCode::kBadType);
 }
 
 TEST(ServeCodecAdversarial, GarbageFlagByte) {
   AdmitRequest req;
   req.qos = sample_qos();
-  auto frame = encode_request(1, req);
+  auto frame = request_bytes(1, req);
   frame[kHeaderBytes + 8] = 2;  // uplink flag: only 0/1 admissible
   EXPECT_EQ(decode_error(frame), CodecErrorCode::kBadValue);
 }
@@ -171,12 +206,12 @@ TEST(ServeCodecAdversarial, NonFiniteQos) {
   AdmitRequest req;
   req.qos = sample_qos();
   req.qos.delay_bound = std::numeric_limits<double>::infinity();
-  const auto frame = encode_request(1, req);
+  const auto frame = request_bytes(1, req);
   EXPECT_EQ(decode_error(frame), CodecErrorCode::kBadValue);
 }
 
 TEST(ServeCodecAdversarial, TrailingPayloadBytes) {
-  auto frame = encode_request(1, TeardownRequest{5});
+  auto frame = request_bytes(1, TeardownRequest{5});
   // Declare one extra payload byte and supply it: layout says 4.
   const std::uint32_t padded = 5;
   std::memcpy(frame.data() + 14, &padded, sizeof padded);
@@ -191,7 +226,7 @@ TEST(ServeCodecAdversarial, ExtraBytesAfterFrame) {
 }
 
 TEST(ServeCodecAdversarial, GarbageEnumInErrorReply) {
-  auto frame = encode_reply(1, ErrorReply{ServiceError::kNoSession, "x"});
+  auto frame = reply_bytes(1, ErrorReply{ServiceError::kNoSession, "x"});
   frame[kHeaderBytes] = kServiceErrorCount;  // one past the last valid code
   try {
     (void)decode_reply(frame);
@@ -224,8 +259,8 @@ TEST(ServeCodecAdversarial, PeekRequestIdOnGarbage) {
 // ---- stream reassembly ---------------------------------------------------
 
 TEST(ServeAssembler, ReassemblesByteAtATime) {
-  const auto a = encode_request(1, TeardownRequest{4});
-  const auto b = encode_request(2, ProbeRequest{});
+  const auto a = request_bytes(1, TeardownRequest{4});
+  const auto b = request_bytes(2, ProbeRequest{});
   std::vector<std::uint8_t> stream = a;
   stream.insert(stream.end(), b.begin(), b.end());
 
@@ -253,7 +288,7 @@ TEST(ServeAssembler, FailsFastOnGarbageHeader) {
 TEST(ServeAssembler, ManyFramesOneFeed) {
   std::vector<std::uint8_t> stream;
   for (std::uint64_t i = 0; i < 100; ++i) {
-    const auto f = encode_request(i, HandoffRequest{std::uint32_t(i), 1});
+    const auto f = request_bytes(i, HandoffRequest{std::uint32_t(i), 1});
     stream.insert(stream.end(), f.begin(), f.end());
   }
   FrameAssembler assembler;

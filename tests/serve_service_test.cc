@@ -209,7 +209,9 @@ class ServiceHarness {
 
   ReplyFrame call(const Request& request) {
     const std::uint64_t id = ++next_id_;
-    EXPECT_TRUE(ring_.client().send_request(encode_request(id, request)));
+    std::vector<std::uint8_t> frame;
+    encode_request(id, request, frame);
+    EXPECT_TRUE(ring_.client().send_request(frame));
     service_.pump_virtual(ring_.server());
     simulator_.run();
     std::vector<std::uint8_t> bytes;
@@ -220,7 +222,7 @@ class ServiceHarness {
   }
 
   ReplyFrame call_raw(std::vector<std::uint8_t> frame) {
-    EXPECT_TRUE(ring_.client().send_request(std::move(frame)));
+    EXPECT_TRUE(ring_.client().send_request(frame));
     service_.pump_virtual(ring_.server());
     simulator_.run();
     std::vector<std::uint8_t> bytes;

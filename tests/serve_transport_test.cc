@@ -9,6 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,18 @@ namespace {
 
 using std::chrono::microseconds;
 
+std::vector<std::uint8_t> request_bytes(std::uint64_t id, const Request& body) {
+  std::vector<std::uint8_t> out;
+  encode_request(id, body, out);
+  return out;
+}
+
+std::vector<std::uint8_t> reply_bytes(std::uint64_t id, const Reply& body) {
+  std::vector<std::uint8_t> out;
+  encode_reply(id, body, out);
+  return out;
+}
+
 std::string temp_socket_path(const char* tag) {
   return "/tmp/imrm_serve_test_" + std::string(tag) + "_" +
          std::to_string(::getpid()) + ".sock";
@@ -31,15 +46,17 @@ std::string temp_socket_path(const char* tag) {
 
 TEST(RingTransport, SingleThreadedRoundTrip) {
   RingTransport ring;
-  const auto request = encode_request(1, ProbeRequest{});
-  ASSERT_TRUE(ring.client().send_request(request));
+  const auto request = request_bytes(1, ProbeRequest{});
+  auto frame = request;
+  ASSERT_TRUE(ring.client().send_request(frame));
 
   Envelope env;
   ASSERT_TRUE(ring.server().next_request(env, microseconds(0)));
   EXPECT_EQ(env.frame, request);
 
-  const auto reply = encode_reply(1, ProbeReply{});
-  ring.server().send_reply(env.client, reply);
+  const auto reply = reply_bytes(1, ProbeReply{});
+  frame = reply;
+  ring.server().send_reply(env.client, frame);
   std::vector<std::uint8_t> got;
   ASSERT_TRUE(ring.client().next_reply(got, microseconds(0)));
   EXPECT_EQ(got, reply);
@@ -56,20 +73,94 @@ TEST(RingTransport, EmptyRingReturnsFalseWithoutBlocking) {
 
 TEST(RingTransport, BoundedRequestRingRejectsWhenFull) {
   RingTransport ring(/*request_capacity=*/4, /*reply_capacity=*/4);
-  const auto frame = encode_request(1, ProbeRequest{});
+  std::vector<std::uint8_t> frame;
+  const auto send_probe = [&] {
+    encode_request(1, ProbeRequest{}, frame);
+    return ring.client().send_request(frame);
+  };
   std::size_t accepted = 0;
-  while (ring.client().send_request(frame)) ++accepted;
+  while (send_probe()) ++accepted;
   EXPECT_GE(accepted, 4u);   // rounded up to a power of two
   EXPECT_LE(accepted, 8u);
+  EXPECT_EQ(frame, request_bytes(1, ProbeRequest{}));  // a refused frame is untouched
   Envelope env;
   ASSERT_TRUE(ring.server().next_request(env, microseconds(0)));
-  EXPECT_TRUE(ring.client().send_request(frame));  // slot freed
+  EXPECT_TRUE(send_probe());  // slot freed
+}
+
+// Bursts of frames, pushed and popped in random batch sizes over many laps
+// of a small ring, arrive intact and in order: trading spares never hands a
+// side a buffer that still carries an undelivered frame.
+TEST(SpscRing, BurstsArriveIntactWhileBuffersTrade) {
+  SpscRing ring(8);
+  std::mt19937 rng(7);
+  std::deque<std::vector<std::uint8_t>> expected;
+  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> in;
+  std::uint8_t next = 0;
+  for (int round = 0; round < 2000; ++round) {
+    for (int n = int(rng() % 10); n > 0; --n) {
+      const std::vector<std::uint8_t> frame(1 + rng() % 40, next++);
+      out = frame;
+      if (!ring.push(out)) {
+        EXPECT_EQ(out, frame);  // refused when full, untouched
+        break;
+      }
+      expected.push_back(frame);
+    }
+    for (int n = int(rng() % 10); n > 0 && ring.pop(in); --n) {
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(in, expected.front());
+      expected.pop_front();
+    }
+  }
+  while (ring.pop(in)) {
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(in, expected.front());
+    expected.pop_front();
+  }
+  EXPECT_TRUE(expected.empty());
+}
+
+// A warm ring recycles: in a request/reply ping-pong that re-encodes into
+// the buffers the transport hands back, every buffer used after the first
+// laps was already in circulation, and only a handful ever exist.
+TEST(RingTransport, WarmRoundTripsReuseTheBuffersInCirculation) {
+  RingTransport ring(/*request_capacity=*/16, /*reply_capacity=*/16);
+  std::vector<std::uint8_t> request;
+  std::vector<std::uint8_t> reply;
+  std::vector<std::uint8_t> received;
+  Envelope env;
+  std::set<const std::uint8_t*> warm;
+  std::size_t fresh = 0;
+  const auto note = [&](std::uint64_t id, const std::vector<std::uint8_t>& buffer) {
+    if (id <= 100) {
+      warm.insert(buffer.data());
+    } else if (warm.count(buffer.data()) == 0) {
+      ++fresh;
+    }
+  };
+  for (std::uint64_t id = 1; id <= 400; ++id) {
+    encode_request(id, HandoffRequest{std::uint32_t(id), 1}, request);
+    note(id, request);
+    ASSERT_TRUE(ring.client().send_request(request));
+    ASSERT_TRUE(ring.server().next_request(env, microseconds(0)));
+    ASSERT_EQ(decode_request(env.frame).request_id, id);
+    encode_reply(id, HandoffReply{true}, reply);
+    note(id, reply);
+    ring.server().send_reply(env.client, reply);
+    ASSERT_TRUE(ring.client().next_reply(received, microseconds(0)));
+    ASSERT_EQ(decode_reply(received).request_id, id);
+  }
+  EXPECT_EQ(fresh, 0u);
+  EXPECT_LE(warm.size(), 6u);
 }
 
 TEST(RingTransport, ClientCloseFinishesServer) {
   RingTransport ring;
   EXPECT_FALSE(ring.server().finished());
-  ring.client().send_request(encode_request(7, ProbeRequest{}));
+  auto frame = request_bytes(7, ProbeRequest{});
+  ring.client().send_request(frame);
   ring.client().close();
   // Buffered requests stay readable after close; finished() only once empty.
   Envelope env;
@@ -101,6 +192,7 @@ TEST(RingTransport, CrossThreadTransfersEverything) {
 
   std::thread server([&] {
     Envelope env;
+    std::vector<std::uint8_t> reply;
     std::uint64_t served = 0;
     while (served < kCount) {
       if (!ring.server().next_request(env, microseconds(500))) {
@@ -108,8 +200,8 @@ TEST(RingTransport, CrossThreadTransfersEverything) {
         continue;
       }
       const RequestFrame frame = decode_request(env.frame);
-      ring.server().send_reply(env.client,
-                               encode_reply(frame.request_id, ProbeReply{}));
+      encode_reply(frame.request_id, ProbeReply{}, reply);
+      ring.server().send_reply(env.client, reply);
       ++served;
     }
   });
@@ -130,12 +222,14 @@ TEST(RingTransport, CrossThreadTransfersEverything) {
   // plus a descheduled reader could lose replies and strand the reader loop
   // short of kCount. Replies in the ring never exceed sent - read.
   constexpr std::uint64_t kMaxInFlight = 128;
+  std::vector<std::uint8_t> request;
   for (std::uint64_t i = 0; i < kCount; ++i) {
     while (i - echoed.load(std::memory_order_relaxed) >= kMaxInFlight) {
       std::this_thread::yield();
     }
+    encode_request(i, ProbeRequest{}, request);
     // The bounded ring applies backpressure: spin until the slot frees.
-    while (!ring.client().send_request(encode_request(i, ProbeRequest{}))) {
+    while (!ring.client().send_request(request)) {
       std::this_thread::yield();
     }
   }
@@ -153,7 +247,8 @@ TEST(SocketTransport, LoopbackRoundTrip) {
   SocketServerTransport server(path);
   SocketClientTransport client(path);
 
-  ASSERT_TRUE(client.send_request(encode_request(11, TeardownRequest{3})));
+  auto request = request_bytes(11, TeardownRequest{3});
+  ASSERT_TRUE(client.send_request(request));
   Envelope env;
   // Accept + read may take a couple of pump rounds.
   bool got = false;
@@ -164,7 +259,8 @@ TEST(SocketTransport, LoopbackRoundTrip) {
   const RequestFrame frame = decode_request(env.frame);
   EXPECT_EQ(frame.request_id, 11u);
 
-  server.send_reply(env.client, encode_reply(11, TeardownReply{true}));
+  auto reply_frame = reply_bytes(11, TeardownReply{true});
+  server.send_reply(env.client, reply_frame);
   std::vector<std::uint8_t> reply;
   got = false;
   for (int i = 0; i < 100 && !got; ++i) {
@@ -220,7 +316,8 @@ TEST(SocketTransport, GarbageStreamGetsErrorReplyAndDisconnect) {
 
   // A well-behaved client still gets service afterwards.
   SocketClientTransport good(path);
-  ASSERT_TRUE(good.send_request(encode_request(5, ProbeRequest{})));
+  auto probe = request_bytes(5, ProbeRequest{});
+  ASSERT_TRUE(good.send_request(probe));
   bool got = false;
   for (int i = 0; i < 100 && !got; ++i) {
     got = server.next_request(env, microseconds(10000));

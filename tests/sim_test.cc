@@ -367,7 +367,9 @@ TEST(FlatMap, InsertFindEraseChurn) {
       const int* found = map.find(key);
       const auto it = reference.find(key);
       ASSERT_EQ(found != nullptr, it != reference.end());
-      if (found) EXPECT_EQ(*found, it->second);
+      if (found) {
+        EXPECT_EQ(*found, it->second);
+      }
     }
     ASSERT_EQ(map.size(), reference.size());
   }

@@ -582,9 +582,9 @@ int run_campus_cmd(Args& args, ObsSession& obs) {
   if ((!ckpt_out.empty() || !ckpt_in.empty()) && replications > 1) {
     return refuse("checkpoints apply to single runs, not --replications");
   }
-  if (replications == 1 && args.given("profile")) {
-    return refuse("invalid --profile: a single campus day records no profile "
-                  "phases; profile a --replications sweep or a --shards run");
+  if (!ckpt_out.empty() && args.given("profile")) {
+    return refuse("invalid --profile: a --checkpoint-out run stops mid-day and writes "
+                  "no report; profile the --checkpoint-in run instead");
   }
   // Flags that only a sub-mode of the day reads are refused, not ignored.
   if (replications == 1 && args.given("threads")) {
@@ -652,6 +652,7 @@ int run_campus_cmd(Args& args, ObsSession& obs) {
 
   config.metrics = obs.registry_or_null();
   config.tracer = obs.tracer_or_null();
+  config.profiler = obs.profiler_or_null();
   // A single interactive run may record the (nondeterministic) wall-clock
   // handoff latency histogram; sweeps never do. Checkpointed runs also keep
   // it off so the restored run's metrics JSON is byte-identical to an

@@ -53,6 +53,7 @@ class CampusDay {
         manager_(map_, simulator_, Duration::minutes(3)), server_(net::ZoneId{0}),
         predictor_(map_, server_), rng_(config.seed),
         horizon_(config.meeting_stop + Duration::minutes(40)) {
+    directory_.reserve(map_.size());
     for (const auto& cell : map_.cells()) {
       directory_.add_cell(cell.id, config_.cell_capacity);
     }
@@ -77,6 +78,13 @@ class CampusDay {
     if (config_.adapt.enabled) setup_adapt_loop();
 
     if (config_.tracer) simulator_.set_tracer(config_.tracer);
+    if (config_.profiler != nullptr && config_.profiler->enabled()) {
+      profiler_ = config_.profiler;
+      ph_day_ = profiler_->intern("campus.day");
+      ph_refresh_ = profiler_->intern("campus.refresh");
+      ph_handoff_ = profiler_->intern("campus.handoff");
+      ph_admission_ = profiler_->intern("campus.admission");
+    }
     if (config_.metrics) {
       directory_.bind_metrics(*config_.metrics);
       manager_.bind_metrics(*config_.metrics);
@@ -87,7 +95,7 @@ class CampusDay {
 
   CampusDayResult run() {
     start();
-    simulator_.run();
+    run_events();
     return finish();
   }
 
@@ -104,7 +112,10 @@ class CampusDay {
           "campus: the adaptation loop does not support checkpoint/resume");
     }
     start();
-    while (simulator_.next_event_time() < at && simulator_.step()) {
+    {
+      const obs::Profiler::Scope scope(profiler_, ph_day_);
+      while (simulator_.next_event_time() < at && simulator_.step()) {
+      }
     }
     sim::Checkpoint ckpt;
     {
@@ -150,7 +161,7 @@ class CampusDay {
       sim::CheckpointReader reg = ckpt.reader("obs.registry");
       sim::restore_registry(reg, *config_.metrics);
     }
-    simulator_.run();
+    run_events();
     return finish();
   }
 
@@ -167,19 +178,39 @@ class CampusDay {
   };
   static constexpr std::uint8_t kLastEventKind = std::uint8_t(EventKind::kRoomSample);
 
+  // The day's fixed population shape: each attendee appears, walks three
+  // corridor hops and the room, and leaves; six roamers take 30 steps each.
+  static constexpr std::size_t kEventsPerAttendee = 6;
+  static constexpr std::size_t kRoamers = 6;
+  static constexpr std::size_t kRoamerSteps = 30;
+
   /// A record's serial (global scheduling order, FIFO-tie preserving) is its
   /// index in pending_; `live` until the event fires.
+  /// Fields ordered widest first, so a record packs into 32 bytes.
   struct PendingEvent {
     SimTime at = SimTime::zero();
-    EventKind kind = EventKind::kRefresh;
+    qos::BitsPerSecond bandwidth = 0.0;
     PortableId portable = PortableId::invalid();
     CellId cell = CellId::invalid();
-    qos::BitsPerSecond bandwidth = 0.0;
+    EventKind kind = EventKind::kRefresh;
     bool attendee = false;
     bool live = false;
   };
 
+  void run_events() {
+    const obs::Profiler::Scope scope(profiler_, ph_day_);
+    simulator_.run();
+  }
+
   void start() {
+    // The schedule is known before anything is drawn: size the roster, the
+    // event table and the queue for it once rather than growing them as
+    // the events are scheduled. Only squatter retries come on top.
+    manager_.reserve(config_.attendees + config_.squatters + kRoamers);
+    const std::size_t initial = config_.attendees * kEventsPerAttendee + config_.squatters +
+                                kRoamers * kRoamerSteps + 2;
+    simulator_.reserve(initial);
+    pending_.reserve(initial + periodic_events());
     schedule_attendees();
     schedule_squatters();
     schedule_roamers();
@@ -233,8 +264,7 @@ class CampusDay {
   void dispatch(const PendingEvent& e) {
     switch (e.kind) {
       case EventKind::kAttendeeAppear:
-        if (probe_signaling() &&
-            directory_.at(far_corridor_).admit_new(e.portable, e.bandwidth)) {
+        if (admit_new(far_corridor_, e.portable, e.bandwidth)) {
           demand_[e.portable.value()] = e.bandwidth;
         }
         refresh();
@@ -259,6 +289,12 @@ class CampusDay {
         rearm_periodic(e, Duration::minutes(1));
         break;
     }
+  }
+
+  /// Refresh and room-sample ticks from now to the horizon.
+  [[nodiscard]] std::size_t periodic_events() const {
+    const double horizon_s = (horizon_ - simulator_.now()).to_seconds();
+    return std::size_t(horizon_s / 30.0) + std::size_t(horizon_s / 60.0);
   }
 
   void rearm_periodic(const PendingEvent& e, Duration period) {
@@ -301,7 +337,22 @@ class CampusDay {
     }
   }
 
-  void refresh() { policy_->refresh(simulator_.now()); }
+  void refresh() {
+    const obs::Profiler::Scope scope(profiler_, ph_refresh_);
+    policy_->refresh(simulator_.now());
+  }
+
+  /// Table 2 admission of a new connection, behind the signaling probe.
+  bool admit_new(CellId cell, PortableId p, qos::BitsPerSecond bandwidth) {
+    const obs::Profiler::Scope scope(profiler_, ph_admission_);
+    return probe_signaling() && directory_.at(cell).admit_new(p, bandwidth);
+  }
+
+  /// Table 2 admission of a handed-off connection, behind the signaling probe.
+  bool admit_handoff(CellId cell, PortableId p, qos::BitsPerSecond bandwidth) {
+    const obs::Profiler::Scope scope(profiler_, ph_admission_);
+    return probe_signaling() && directory_.at(cell).admit_handoff(p, bandwidth);
+  }
 
   // ---- adaptation loop (ISSUE 9) ----------------------------------------
   //
@@ -523,10 +574,12 @@ class CampusDay {
     const qos::BitsPerSecond bandwidth = demand_[p.value()];
     const bool connected = bandwidth > 0.0;
     if (connected) directory_.at(from).release(p);
-    manager_.move(p, to);
+    {
+      const obs::Profiler::Scope scope(profiler_, ph_handoff_);
+      manager_.move(p, to);
+    }
     ++result_.handoffs;
-    if (connected &&
-        !(probe_signaling() && directory_.at(to).admit_handoff(p, bandwidth))) {
+    if (connected && !admit_handoff(to, p, bandwidth)) {
       if (is_attendee) {
         ++result_.attendee_drops;
       } else {
@@ -599,8 +652,7 @@ class CampusDay {
   /// holds it for the rest of the day (the adversarial case for the meeting).
   void squat(PortableId p) {
     if (demand_[p.value()] > 0.0) return;
-    if (probe_signaling() &&
-        directory_.at(room_).admit_new(p, config_.squatter_bandwidth)) {
+    if (admit_new(room_, p, config_.squatter_bandwidth)) {
       demand_[p.value()] = config_.squatter_bandwidth;
       ++result_.squatter_admits;
     } else {
@@ -612,10 +664,10 @@ class CampusDay {
 
   void schedule_roamers() {
     // Light corridor background so profiles have something to aggregate.
-    for (int i = 0; i < 6; ++i) {
+    for (std::size_t i = 0; i < kRoamers; ++i) {
       const PortableId p = manager_.add_portable(corridor_);
       double t = rng_.uniform(1.0, 10.0);
-      for (int hop = 0; hop < 30; ++hop) {
+      for (std::size_t hop = 0; hop < kRoamerSteps; ++hop) {
         // Ping-pong along the corridor chain.
         t += rng_.exponential_mean(6.0);
         PendingEvent e;
@@ -811,6 +863,12 @@ class CampusDay {
   sim::Rng rng_;
   CellId room_, corridor_, far_corridor_;
   std::unique_ptr<AdaptRuntime> adapt_;  // null unless config_.adapt.enabled
+  // Phase attribution; null unless config_.profiler is enabled.
+  obs::Profiler* profiler_ = nullptr;
+  obs::PhaseId ph_day_ = obs::kInvalidPhase;
+  obs::PhaseId ph_refresh_ = obs::kInvalidPhase;
+  obs::PhaseId ph_handoff_ = obs::kInvalidPhase;
+  obs::PhaseId ph_admission_ = obs::kInvalidPhase;
   CampusDayResult result_;
   SimTime horizon_;
   // Every event ever scheduled, indexed by serial: fire() is O(1), and a
@@ -856,6 +914,7 @@ CampusSweepResult run_campus_day_sweep(const CampusSweepConfig& config) {
             day.seed = seed;
             day.metrics = &registry;
             day.tracer = nullptr;
+            day.profiler = nullptr;
             day.wall_metrics = false;
             Replication r;
             r.day = run_campus_day(day);

@@ -86,6 +86,13 @@ struct CampusDayConfig {
   /// deterministic — leave false whenever snapshots must be byte-comparable
   /// across runs or thread counts (the sweep always leaves it false).
   bool wall_metrics = false;
+  /// Wall-clock phase attribution of a single day (scenario_cli campus
+  /// --profile 1): campus.day around the event loop, and inside it
+  /// campus.refresh (the reservation policy), campus.handoff (the move with
+  /// its profile bookkeeping) and campus.admission (Table 2 admission of new
+  /// and handed-off connections). Wall time never reaches the result or the
+  /// metrics. The sweep ignores it (it times whole replications instead).
+  obs::Profiler* profiler = nullptr;
 };
 
 struct CampusDayResult {

@@ -17,11 +17,18 @@ void MobilityManager::bind_latency_metrics(obs::Registry& registry) {
       "mobility.handoff_wall_us", obs::HistogramSpec::log2(0.01, 1e5, 4));
 }
 
+void MobilityManager::reserve(std::size_t portables) {
+  portables_.reserve(portables);
+  bucket_reserve_ = portables;
+  if (residents_by_cell_.size() < map_->size()) residents_by_cell_.resize(map_->size());
+}
+
 void MobilityManager::index_insert(PortableId id, CellId cell) {
   if (cell.value() >= residents_by_cell_.size()) {
     residents_by_cell_.resize(cell.value() + 1);
   }
   auto& bucket = residents_by_cell_[cell.value()];
+  if (bucket.capacity() == 0) bucket.reserve(bucket_reserve_);
   bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), id), id);
 }
 

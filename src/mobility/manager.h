@@ -39,6 +39,11 @@ class MobilityManager {
                   sim::Duration static_threshold)
       : map_(&map), simulator_(&simulator), classifier_(static_threshold) {}
 
+  /// Makes room for a roster of `portables`: the roster itself, and every
+  /// resident bucket a portable enters from now on (a bucket can hold the
+  /// whole roster). Neither grows again while the roster stays within it.
+  void reserve(std::size_t portables);
+
   /// Creates a portable in `start`. It is considered to have entered the
   /// cell at the current simulation time.
   PortableId add_portable(CellId start);
@@ -118,6 +123,7 @@ class MobilityManager {
   // a few dozen ids, so a binary-searched insert/erase beats keeping
   // positions and sorting on every read.
   std::vector<std::vector<PortableId>> residents_by_cell_;
+  std::size_t bucket_reserve_ = 0;  // capacity a bucket takes when first entered
   std::vector<HandoffListener> listeners_;
   std::uint64_t revision_ = 0;
   PortableId last_changed_ = PortableId::invalid();

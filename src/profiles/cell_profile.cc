@@ -57,27 +57,40 @@ void CellProfile::record(CellId previous, CellId next) {
 
 namespace {
 
-std::vector<CellProfile::NeighborShare> shares_from_counts(
-    const std::vector<std::pair<CellId, std::uint32_t>>& counts, std::size_t total) {
-  std::vector<CellProfile::NeighborShare> out;
-  if (total == 0) return out;
-  out.reserve(counts.size());
+void shares_from_counts(const std::vector<std::pair<CellId, std::uint32_t>>& counts,
+                        std::size_t total, std::vector<CellProfile::NeighborShare>& out) {
+  out.clear();
+  if (total == 0) return;
   for (const auto& [cell, count] : counts) {
     out.push_back({cell, double(count) / double(total)});
   }
-  return out;
 }
 
 }  // namespace
 
-std::vector<CellProfile::NeighborShare> CellProfile::distribution(CellId previous) const {
+void CellProfile::distribution(CellId previous, std::vector<NeighborShare>& out) const {
   const Prev* prev = find(previous);
-  if (prev == nullptr) return {};
-  return shares_from_counts(prev->counts, prev->window.size());
+  if (prev == nullptr) {
+    out.clear();
+    return;
+  }
+  shares_from_counts(prev->counts, prev->window.size(), out);
+}
+
+std::vector<CellProfile::NeighborShare> CellProfile::distribution(CellId previous) const {
+  std::vector<NeighborShare> out;
+  distribution(previous, out);
+  return out;
+}
+
+void CellProfile::aggregate_distribution(std::vector<NeighborShare>& out) const {
+  shares_from_counts(aggregate_counts_, total_, out);
 }
 
 std::vector<CellProfile::NeighborShare> CellProfile::aggregate_distribution() const {
-  return shares_from_counts(aggregate_counts_, total_);
+  std::vector<NeighborShare> out;
+  aggregate_distribution(out);
+  return out;
 }
 
 std::optional<CellId> CellProfile::predict(CellId previous) const {

@@ -12,8 +12,8 @@
 // memory instead of building a std::map per call. Count vectors are kept in
 // ascending neighbor-id order, which is exactly the order the original
 // std::map-based implementation emitted. Each previous-cell window is a
-// fixed-capacity HistoryWindow ring, so a cell's footprint stays pinned
-// however many handoffs churn through it.
+// fixed-capacity HistoryWindow ring, reserved whole on its first record, so
+// a cell's footprint stays pinned however many handoffs churn through it.
 #pragma once
 
 #include <cstddef>
@@ -42,13 +42,18 @@ class CellProfile {
     double probability;
   };
 
-  /// Handoff distribution over next cells given the previous cell; empty
-  /// when the (previous) state was never observed.
+  /// Handoff distribution over next cells given the previous cell, in
+  /// ascending neighbor id; empty when the (previous) state was never
+  /// observed.
   [[nodiscard]] std::vector<NeighborShare> distribution(CellId previous) const;
+  /// The same into a caller's buffer: `out` is overwritten and keeps its
+  /// capacity, so a caller that refills one buffer stops allocating.
+  void distribution(CellId previous, std::vector<NeighborShare>& out) const;
 
   /// Distribution aggregated over all previous cells (used when the previous
   /// cell is unknown, and by lounges which ignore individual behaviour).
   [[nodiscard]] std::vector<NeighborShare> aggregate_distribution() const;
+  void aggregate_distribution(std::vector<NeighborShare>& out) const;
 
   /// Most likely next cell given the previous cell, or nullopt.
   [[nodiscard]] std::optional<CellId> predict(CellId previous) const;

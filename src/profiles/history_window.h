@@ -1,12 +1,12 @@
-// Fixed-capacity sliding-history ring shared by the Table 1 profiles.
+// Fixed-capacity sliding-history ring of the cell profile (Table 1).
 //
-// Both profile classes keep "the last N observations" per state. The naive
-// vector version (push_back + erase(begin())) shifts the whole window on
-// every eviction and lets the vector's growth policy allocate past the
-// window size; under sustained handoff churn that is an O(window) memmove
-// per handoff and up to 2x the pinned footprint. This ring overwrites the
-// oldest slot in place: O(1) per record, heap usage pinned at exactly
-// `capacity` slots once warm.
+// A cell profile keeps "the last N_pC observations" per previous cell. The
+// naive vector version (push_back + erase(begin())) shifts the whole window
+// on every eviction; under sustained handoff churn that is an O(window)
+// memmove per handoff. This ring overwrites the oldest slot in place: O(1)
+// per record, and the first push reserves all `capacity` slots, so a window
+// costs one allocation over its life. (The portable profile keeps its
+// windows as blocks of one slab instead; see portable_profile.h.)
 //
 // Iteration order is oldest-first (index 0 = oldest), matching the order
 // the vector version serialized, so checkpoint bytes are unchanged.
@@ -30,15 +30,7 @@ class HistoryWindow {
   std::optional<net::CellId> push(net::CellId value) {
     if (capacity_ == 0) return value;
     if (slots_.size() < capacity_) {
-      if (slots_.size() == slots_.capacity()) {
-        // Grow geometrically but never past the window: the many states that
-        // only ever see a few observations pay for what they hold, while a
-        // warm window is flat at exactly `capacity_` slots (the old
-        // push_back/erase-front vector transiently doubled past it).
-        const std::size_t doubled =
-            slots_.capacity() == 0 ? 1 : slots_.capacity() * 2;
-        slots_.reserve(std::min(capacity_, doubled));
-      }
+      if (slots_.empty()) slots_.reserve(capacity_);
       slots_.push_back(value);
       return std::nullopt;
     }

@@ -6,15 +6,17 @@
 // as <previous, current, next>, keeps the most recent N_pP per (previous,
 // current) state, and predicts the majority next-cell.
 //
-// Storage is a sorted flat vector keyed on the packed (previous << 32) |
-// current state id. A portable visits a handful of states, so binary search
-// over a contiguous array beats the node-per-state std::map this used to be:
-// the predictor probes this structure on every handoff at campus scale.
-// Packed-key ascending order is exactly the old std::map<std::pair<CellId,
-// CellId>, ...> order, so checkpoint bytes are unchanged. Each state's
-// window is a fixed-capacity HistoryWindow ring: eviction is an O(1)
-// overwrite and the per-portable footprint is pinned no matter how many
-// handoffs churn through (tested at 20k in profiles_test).
+// Storage is one flat slab of 32-bit words with a fixed block per state:
+// a four-word header (previous, current, observation count, oldest slot)
+// and `window_` observation slots, a ring whose oldest slot is overwritten
+// in place. Blocks are sorted on the packed (previous << 32) | current id,
+// which is exactly the old std::map<std::pair<CellId, CellId>, ...> order,
+// so checkpoint bytes are unchanged; lookup is a binary search over the
+// blocks. A portable visits a handful of states: the first state reserves
+// room for kInitialStates blocks, so a portable's whole profile usually
+// costs one allocation, and no record or prediction allocates after that.
+// The majority vote counts in place over the block (DESIGN.md "The
+// campus-day hot path").
 #pragma once
 
 #include <cstddef>
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "net/ids.h"
-#include "profiles/history_window.h"
 #include "sim/checkpoint.h"
 
 namespace imrm::profiles {
@@ -41,7 +42,9 @@ class PortableProfile {
   void record(CellId previous, CellId current, CellId next);
 
   /// The next-predicted-cell field: majority vote over the window, or
-  /// nullopt when the state was never observed.
+  /// nullopt when the state was never observed. The newest observation
+  /// wins a tie for the top count; otherwise the smallest id among the
+  /// tied values wins.
   [[nodiscard]] std::optional<CellId> predict(CellId previous, CellId current) const;
 
   /// Number of observations stored for a state (for tests/inspection).
@@ -54,27 +57,45 @@ class PortableProfile {
   [[nodiscard]] std::size_t memory_bytes() const;
 
   // --- checkpoint/restore (ISSUE 4): id, window, and the full sliding
-  // history in ascending packed-state order (deterministic on both sides,
-  // byte-compatible with the original std::map layout).
+  // history in ascending packed-state order, each window oldest first
+  // (deterministic on both sides, byte-compatible with the original
+  // std::map layout). Every state owns `window` slots, so restore throws
+  // sim::CheckpointError on a window above kMaxRestoredWindow instead of
+  // letting a corrupt image size the slab.
   void save_state(sim::CheckpointWriter& w) const;
   [[nodiscard]] static PortableProfile restore_state(sim::CheckpointReader& r);
 
+  static constexpr std::uint64_t kMaxRestoredWindow = std::uint64_t(1) << 16;
+
  private:
-  struct State {
-    std::uint64_t key;      // (previous << 32) | current
-    HistoryWindow window;   // oldest first, newest last; capacity = window_
-  };
+  // Header words of a block; its observation slots follow.
+  enum Word : std::size_t { kPrevious, kCurrent, kSize, kHead, kHeaderWords };
+  /// Blocks the first state reserves room for.
+  static constexpr std::size_t kInitialStates = 8;
 
   static std::uint64_t pack(CellId previous, CellId current) {
     return (std::uint64_t(previous.value()) << 32) | current.value();
   }
+  static std::uint64_t key_of(const std::uint32_t* block) {
+    return (std::uint64_t(block[kPrevious]) << 32) | block[kCurrent];
+  }
 
-  [[nodiscard]] const State* find(std::uint64_t key) const;
-  [[nodiscard]] State& find_or_insert(std::uint64_t key);
+  [[nodiscard]] std::size_t stride() const { return kHeaderWords + window_; }
+  [[nodiscard]] std::size_t states() const { return slab_.size() / stride(); }
+  [[nodiscard]] const std::uint32_t* block(std::size_t i) const {
+    return slab_.data() + i * stride();
+  }
+  /// Index of the first block whose state is not below `key`.
+  [[nodiscard]] std::size_t lower_bound(std::uint64_t key) const;
+  [[nodiscard]] const std::uint32_t* find(std::uint64_t key) const;
+  [[nodiscard]] std::uint32_t* find_or_insert(std::uint64_t key);
+  void push(std::uint32_t* block, CellId next);
+  /// Observation `i` of a block in arrival order: 0 = oldest.
+  [[nodiscard]] std::uint32_t observation(const std::uint32_t* block, std::size_t i) const;
 
   PortableId id_;
   std::size_t window_;
-  std::vector<State> history_;  // sorted by key
+  std::vector<std::uint32_t> slab_;  // stride() words per state, sorted by state
 };
 
 }  // namespace imrm::profiles

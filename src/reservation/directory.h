@@ -8,6 +8,7 @@
 // without a sort).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -17,6 +18,13 @@ namespace imrm::reservation {
 
 class ReservationDirectory {
  public:
+  /// Makes room for cells with ids below `cells` (capacity only).
+  void reserve(std::size_t cells) {
+    cells_.reserve(cells);
+    present_.reserve(cells);
+    ids_.reserve(cells);
+  }
+
   void add_cell(CellId id, qos::BitsPerSecond capacity) {
     const std::size_t index = id.value();
     if (index >= cells_.size()) {
@@ -26,7 +34,7 @@ class ReservationDirectory {
     if (present_[index]) return;
     cells_[index] = CellBandwidth(capacity);
     present_[index] = true;
-    ++count_;
+    ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), id.value()), id.value());
     if (bound_) cells_[index].set_telemetry(&telemetry_);
   }
 
@@ -44,9 +52,7 @@ class ReservationDirectory {
     telemetry_.reservation_coverage = &registry.histogram(
         "resv.reservation.coverage", obs::HistogramSpec::linear(0.0, 1.0, 20));
     bound_ = true;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (present_[i]) cells_[i].set_telemetry(&telemetry_);
-    }
+    for (const std::uint32_t i : ids_) cells_[i].set_telemetry(&telemetry_);
   }
 
   [[nodiscard]] CellBandwidth& at(CellId id) { return cells_.at(id.value()); }
@@ -56,14 +62,13 @@ class ReservationDirectory {
   [[nodiscard]] bool has(CellId id) const {
     return id.value() < present_.size() && present_[id.value()];
   }
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
 
   /// Wipes every reservation (specific and anonymous) in every cell;
   /// policies that recompute their reservations from scratch call this at
   /// the top of each refresh.
   void clear_reservations() {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (!present_[i]) continue;
+    for (const std::uint32_t i : ids_) {
       cells_[i].set_anonymous_reservation(0.0);
       cells_[i].clear_specific_reservations();
     }
@@ -73,24 +78,18 @@ class ReservationDirectory {
   /// policies that rebuild only the specific reservations of some cells
   /// still recompute the anonymous ones everywhere on each refresh.
   void clear_anonymous_reservations() {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (present_[i]) cells_[i].set_anonymous_reservation(0.0);
-    }
+    for (const std::uint32_t i : ids_) cells_[i].set_anonymous_reservation(0.0);
   }
 
   /// Visits every (CellId, CellBandwidth&) in ascending-id order.
   template <typename Fn>
   void for_each_cell(Fn&& fn) {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (present_[i]) fn(CellId{static_cast<std::uint32_t>(i)}, cells_[i]);
-    }
+    for (const std::uint32_t i : ids_) fn(CellId{i}, cells_[i]);
   }
 
   template <typename Fn>
   void for_each_cell(Fn&& fn) const {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (present_[i]) fn(CellId{static_cast<std::uint32_t>(i)}, cells_[i]);
-    }
+    for (const std::uint32_t i : ids_) fn(CellId{i}, cells_[i]);
   }
 
   // --- checkpoint/restore (ISSUE 4) ---------------------------------------
@@ -99,19 +98,18 @@ class ReservationDirectory {
   // and throws sim::CheckpointError on a mismatch. Telemetry bindings are
   // untouched — instrument values live in the obs registry section.
   void save_state(sim::CheckpointWriter& w) const {
-    w.u64(count_);
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (!present_[i]) continue;
-      w.u32(static_cast<std::uint32_t>(i));
+    w.u64(ids_.size());
+    for (const std::uint32_t i : ids_) {
+      w.u32(i);
       cells_[i].save_state(w);
     }
   }
 
   void restore_state(sim::CheckpointReader& r) {
-    if (r.u64() != count_) {
+    if (r.u64() != ids_.size()) {
       throw sim::CheckpointError("reservation: checkpoint cell count mismatch");
     }
-    for (std::size_t n = count_; n-- > 0;) {
+    for (std::size_t n = ids_.size(); n-- > 0;) {
       const CellId id{r.u32()};
       if (!has(id)) {
         throw sim::CheckpointError("reservation: checkpoint names unknown cell");
@@ -123,7 +121,7 @@ class ReservationDirectory {
  private:
   std::vector<CellBandwidth> cells_;  // indexed by CellId::value()
   std::vector<bool> present_;
-  std::size_t count_ = 0;
+  std::vector<std::uint32_t> ids_;    // the present cells, ascending: every sweep walks these
   CellBandwidth::Telemetry telemetry_;
   bool bound_ = false;
 };

@@ -68,7 +68,7 @@ void PolicyDispatcher::shares_of(PortableId p, const Inputs& in, std::vector<Sha
   }
 }
 
-void PolicyDispatcher::shares_changed(PortableId p, const std::vector<Share>& shares) {
+void PolicyDispatcher::shares_changed(PortableId p, std::span<const Share> shares) {
   last_reserved_.erase(p.value());
   if (!shares.empty()) last_reserved_[p.value()] = shares.front().cell.value();
 }

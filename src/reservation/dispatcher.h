@@ -62,7 +62,7 @@ class PolicyDispatcher final : public RosterPolicy {
  private:
   // The per-portable part (steps 1 and 2 for offices and corridors).
   void shares_of(PortableId p, const Inputs& in, std::vector<Share>& out) override;
-  void shares_changed(PortableId p, const std::vector<Share>& shares) override;
+  void shares_changed(PortableId p, std::span<const Share> shares) override;
 
   const prediction::ThreeLevelPredictor* predictor_;
   Params params_;

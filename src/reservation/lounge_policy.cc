@@ -56,18 +56,7 @@ void LoungePolicyBase::refresh(sim::SimTime now) {
   const double outgoing = predict_outgoing();
   const auto& neighbors = env_.map->cell(cell_).neighbors;
   if (outgoing > 0.0 && !neighbors.empty()) {
-    std::vector<double> split(neighbors.size(), 1.0 / double(neighbors.size()));
-    if (const profiles::CellProfile* profile = env_.profiles->cell_profile(cell_)) {
-      const auto dist = profile->aggregate_distribution();
-      if (!dist.empty()) {
-        for (std::size_t i = 0; i < neighbors.size(); ++i) {
-          split[i] = 0.0;
-          for (const auto& share : dist) {
-            if (share.neighbor == neighbors[i]) split[i] = share.probability;
-          }
-        }
-      }
-    }
+    const std::vector<double>& split = split_.compute(env_, cell_);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       if (env_.directory->has(neighbors[i]) && split[i] > 0.0) {
         env_.directory->at(neighbors[i])

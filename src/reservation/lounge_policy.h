@@ -63,6 +63,7 @@ class LoungePolicyBase : public AdvanceReservationPolicy {
   double outgoing_this_slot_ = 0.0;
   double incoming_this_slot_ = 0.0;
   std::size_t current_slot_ = 0;
+  NeighborSplit split_;
 };
 
 class CafeteriaPolicy final : public LoungePolicyBase {

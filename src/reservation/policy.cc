@@ -20,7 +20,23 @@ void PolicyEnv::require_workload(const std::string& policy) const {
   }
 }
 
-void RosterPolicy::mark_dirty(const std::vector<Share>& shares) {
+const std::vector<double>& NeighborSplit::compute(const PolicyEnv& env, CellId cell) {
+  const auto& neighbors = env.map->cell(cell).neighbors;
+  split_.assign(neighbors.size(), 1.0 / double(neighbors.size()));
+  const profiles::CellProfile* profile = env.profiles->cell_profile(cell);
+  if (profile == nullptr) return split_;
+  profile->aggregate_distribution(dist_);
+  if (dist_.empty()) return split_;
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    split_[i] = 0.0;
+    for (const auto& share : dist_) {
+      if (share.neighbor == neighbors[i]) split_[i] = share.probability;
+    }
+  }
+  return split_;
+}
+
+void RosterPolicy::mark_dirty(std::span<const Share> shares) {
   for (const Share& share : shares) {
     const std::size_t i = share.cell.value();
     if (i >= dirty_.size()) dirty_.resize(i + 1, 0);
@@ -54,7 +70,9 @@ void RosterPolicy::diff(PortableId p, bool everything) {
   shares_.clear();
   if (in != none) shares_of(p, in, shares_);
   const bool moved = in.cell != entry.inputs.cell;
-  if (!everything && !moved && shares_ == entry.shares) {
+  const std::span<const Share> held = shares_held(p.value());
+  if (!everything && !moved &&
+      std::equal(shares_.begin(), shares_.end(), held.begin(), held.end())) {
     entry.inputs = in;
     return;
   }
@@ -69,11 +87,25 @@ void RosterPolicy::diff(PortableId p, bool everything) {
     holders_.insert(std::lower_bound(holders_.begin(), holders_.end(), now), now);
   }
   holders_changed_ |= moved;
-  mark_dirty(entry.shares);
+  mark_dirty(held);
   mark_dirty(shares_);
   entry.inputs = in;
-  entry.shares.swap(shares_);
-  shares_changed(p, entry.shares);
+  hold_shares(p.value());
+  shares_changed(p, shares_held(p.value()));
+}
+
+void RosterPolicy::hold_shares(std::uint32_t p) {
+  if (shares_.size() > stride_) {
+    std::vector<Share> pool(entries_.size() * shares_.size());
+    for (std::uint32_t q = 0; q < entries_.size(); ++q) {
+      const std::span<const Share> held = shares_held(q);
+      std::copy(held.begin(), held.end(), pool.begin() + std::ptrdiff_t(q * shares_.size()));
+    }
+    pool_.swap(pool);
+    stride_ = shares_.size();
+  }
+  std::copy(shares_.begin(), shares_.end(), pool_.begin() + std::ptrdiff_t(p * stride_));
+  entries_[p].share_count = std::uint32_t(shares_.size());
 }
 
 void RosterPolicy::rebuild_dirty_cells(bool everything) {
@@ -87,7 +119,7 @@ void RosterPolicy::rebuild_dirty_cells(bool everything) {
     if (dirty(id)) account.clear_specific_reservations();
   });
   for (const Holder& holder : holders_) {
-    for (const Share& share : entries_[holder.second].shares) {
+    for (const Share& share : shares_held(holder.second)) {
       if (dirty(share.cell)) directory.at(share.cell).reserve_for(PortableId{holder.second},
                                                                   share.bandwidth);
     }
@@ -147,14 +179,17 @@ void RosterPolicy::refresh_specific() {
     }
   }
   entries_.resize(count);
+  pool_.resize(count * stride_);
   for (const std::uint32_t p : visit_) diff(PortableId{p}, everything);
   if (holders_changed_) {
     first_to_turn_ = PortableId::invalid();
+    sim::SimTime first_entered = sim::SimTime::zero();
     for (const Holder& holder : holders_) {
       const PortableId p{holder.second};
-      if (!first_to_turn_.is_valid() ||
-          roster.portable(p).entered_cell < roster.portable(first_to_turn_).entered_cell) {
+      const sim::SimTime entered = roster.portable(p).entered_cell;
+      if (!first_to_turn_.is_valid() || entered < first_entered) {
         first_to_turn_ = p;
+        first_entered = entered;
       }
     }
     holders_changed_ = false;
@@ -198,9 +233,12 @@ void AggregatePolicy::shares_of(PortableId, const Inputs& in, std::vector<Share>
   if (in.cell.value() >= distributions_.size()) distributions_.resize(in.cell.value() + 1);
   Distribution& dist = distributions_[in.cell.value()];
   if (!dist.valid || dist.revision != in.cell_revision) {
-    const profiles::CellProfile* profile = env_.profiles->cell_profile(in.cell);
-    dist.shares = profile == nullptr ? std::vector<profiles::CellProfile::NeighborShare>{}
-                                     : profile->aggregate_distribution();
+    // Refilled in place: a cell's buffer is allocated once, not per revision.
+    if (const profiles::CellProfile* profile = env_.profiles->cell_profile(in.cell)) {
+      profile->aggregate_distribution(dist.shares);
+    } else {
+      dist.shares.clear();
+    }
     dist.revision = in.cell_revision;
     dist.valid = true;
   }
@@ -289,18 +327,7 @@ void MeetingRoomPolicy::refresh(sim::SimTime now) {
     const qos::BitsPerSecond total = leaving * params_.per_user_bandwidth;
     const auto& neighbors = env_.map->cell(room_).neighbors;
     if (!neighbors.empty() && total > 0.0) {
-      std::vector<double> split(neighbors.size(), 1.0 / double(neighbors.size()));
-      if (const profiles::CellProfile* profile = env_.profiles->cell_profile(room_)) {
-        const auto dist = profile->aggregate_distribution();
-        if (!dist.empty()) {
-          for (std::size_t i = 0; i < neighbors.size(); ++i) {
-            split[i] = 0.0;
-            for (const auto& share : dist) {
-              if (share.neighbor == neighbors[i]) split[i] = share.probability;
-            }
-          }
-        }
-      }
+      const std::vector<double>& split = split_.compute(env_, room_);
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
         if (env_.directory->has(neighbors[i]) && split[i] > 0.0) {
           env_.directory->at(neighbors[i]).add_anonymous_reservation(total * split[i]);

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +72,21 @@ struct PolicyEnv {
   /// require_roster, and the demand table set too: for the policies that
   /// reserve per connected portable.
   void require_workload(const std::string& policy) const;
+};
+
+/// How a lounge or meeting room splits the handoffs it expects out of
+/// `cell` among the cell's neighbors: by the cell profile's aggregate
+/// distribution, uniform when the cell has no profile data. Both buffers
+/// are member scratch, so a refresh that splits allocates nothing once warm.
+class NeighborSplit {
+ public:
+  /// One share per neighbor of `cell`, in neighbor order; valid until the
+  /// next compute(). The cell must have at least one neighbor.
+  const std::vector<double>& compute(const PolicyEnv& env, CellId cell);
+
+ private:
+  std::vector<double> split_;
+  std::vector<profiles::CellProfile::NeighborShare> dist_;
 };
 
 class AdvanceReservationPolicy {
@@ -166,7 +182,7 @@ class RosterPolicy : public AdvanceReservationPolicy {
   /// its inputs: each in a directory cell, each cell at most once.
   virtual void shares_of(PortableId p, const Inputs& in, std::vector<Share>& out) = 0;
   /// Called for every portable whose shares changed.
-  virtual void shares_changed(PortableId p, const std::vector<Share>& shares) {
+  virtual void shares_changed(PortableId p, std::span<const Share> shares) {
     (void)p;
     (void)shares;
   }
@@ -180,19 +196,30 @@ class RosterPolicy : public AdvanceReservationPolicy {
  private:
   struct Entry {
     Inputs inputs;
-    std::vector<Share> shares;
+    std::uint32_t share_count = 0;  // its shares open slot block p of pool_
   };
   /// (cell, portable) of a portable holding inputs; sorted, this is the
   /// order a full rebuild applies shares in.
   using Holder = std::pair<std::uint32_t, std::uint32_t>;
 
   [[nodiscard]] Inputs inputs_now(PortableId p) const;
+  [[nodiscard]] std::span<const Share> shares_held(std::uint32_t p) const {
+    return {pool_.data() + std::size_t(p) * stride_, entries_[p].share_count};
+  }
+  /// Stores shares_ as portable p's, first widening every block when they
+  /// do not fit.
+  void hold_shares(std::uint32_t p);
   void diff(PortableId p, bool everything);
-  void mark_dirty(const std::vector<Share>& shares);
+  void mark_dirty(std::span<const Share> shares);
   void rebuild_dirty_cells(bool everything);
 
   bool reads_profiles_;
   std::vector<Entry> entries_;  // by PortableId::value()
+  // Every portable's shares in one table of `stride_` slots per portable,
+  // stride_ being the longest share list seen: the table is sized with the
+  // roster and widened a few times at most, never per share.
+  std::vector<Share> pool_;
+  std::size_t stride_ = 0;
   std::vector<Holder> holders_;
   std::vector<char> dirty_;  // by CellId::value()
   bool any_dirty_ = false;
@@ -286,6 +313,7 @@ class MeetingRoomPolicy final : public AdvanceReservationPolicy {
   std::size_t arrived_ = 0;  // N_arrived(t) for the current meeting
   std::size_t left_ = 0;     // N_left(t)
   std::size_t meeting_epoch_ = std::size_t(-1);  // which meeting the counters track
+  NeighborSplit split_;
 };
 
 }  // namespace imrm::reservation

@@ -67,6 +67,17 @@ class EventQueue {
   /// Overload for a pre-built Callback (moved into the slot).
   EventId schedule(SimTime at, Callback cb);
 
+  /// Makes room for `events` simultaneously pending events (slots, buckets
+  /// and heap entries), so a caller that knows its schedule up front pays
+  /// one allocation per array instead of growing them event by event.
+  /// Changes no ordering: only capacity.
+  void reserve(std::size_t events) {
+    heap_.reserve(events);
+    slots_.reserve(events);
+    meta_.reserve(events);
+    buckets_.reserve(events);
+  }
+
   /// Cancels a pending event, unlinking it immediately (an emptied bucket
   /// leaves the heap at once). Cancelling an already-fired,
   /// already-cancelled, or unknown event is a no-op (the handle's generation

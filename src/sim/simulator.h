@@ -48,6 +48,9 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// Makes room for `events` simultaneously pending events (EventQueue::reserve).
+  void reserve(std::size_t events) { queue_.reserve(events); }
+
   /// Runs events until the queue drains or the next event is past `horizon`.
   /// Returns the number of events fired.
   std::uint64_t run_until(SimTime horizon);

@@ -19,19 +19,18 @@ class ConnectionMix {
  public:
   explicit ConnectionMix(std::vector<MixEntry> entries) : entries_(std::move(entries)) {
     double total = 0.0;
+    weights_.reserve(entries_.size());
     for (const MixEntry& e : entries_) {
       assert(e.bandwidth > 0.0 && e.probability >= 0.0);
       total += e.probability;
+      weights_.push_back(e.probability);
     }
     assert(total > 0.0);
     (void)total;
   }
 
   [[nodiscard]] qos::BitsPerSecond sample(sim::Rng& rng) const {
-    std::vector<double> weights;
-    weights.reserve(entries_.size());
-    for (const MixEntry& e : entries_) weights.push_back(e.probability);
-    return entries_[rng.discrete(weights)].bandwidth;
+    return entries_[rng.discrete(weights_)].bandwidth;
   }
 
   /// Expected bandwidth per connection.
@@ -48,6 +47,7 @@ class ConnectionMix {
 
  private:
   std::vector<MixEntry> entries_;
+  std::vector<double> weights_;  // entries_' probabilities, for Rng::discrete
 };
 
 /// The paper's Section 7.1 mix: 16 kbps (75%) / 64 kbps (25%); mean 28 kbps.

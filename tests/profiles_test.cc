@@ -2,6 +2,12 @@
 // booking calendar (Table 1 / Section 3.4.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "mobility/floorplan.h"
 #include "profiles/booking.h"
 #include "profiles/cell_profile.h"
@@ -179,6 +185,162 @@ TEST(CellProfile, ChurnedCheckpointRoundTrip) {
   EXPECT_EQ(restored.total_observations(), profile.total_observations());
   for (std::uint32_t prev = 0; prev < 3; ++prev) {
     EXPECT_EQ(restored.predict(CellId{prev}), profile.predict(CellId{prev}));
+  }
+}
+
+// ---- slab oracle ------------------------------------------------------------
+//
+// The reference the slab replaced: every state's window as its own vector
+// (push_back, erase the front past capacity) and a vote that copies and
+// sorts the window, then scans the runs twice.
+class ReferencePortableProfile {
+ public:
+  ReferencePortableProfile(PortableId id, std::size_t window) : id_(id), window_(window) {}
+
+  void record(CellId previous, CellId current, CellId next) {
+    std::vector<CellId>& window = history_[{previous, current}];
+    if (window_ == 0) return;
+    window.push_back(next);
+    if (window.size() > window_) window.erase(window.begin());
+  }
+
+  [[nodiscard]] std::optional<CellId> predict(CellId previous, CellId current) const {
+    const auto it = history_.find({previous, current});
+    if (it == history_.end() || it->second.empty()) return std::nullopt;
+    std::vector<CellId> sorted = it->second;
+    std::sort(sorted.begin(), sorted.end());
+    CellId best = it->second.back();
+    std::size_t best_count = 0;
+    for (std::size_t i = 0; i < sorted.size();) {
+      std::size_t j = i;
+      while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+      if (sorted[i] == best) best_count = j - i;
+      i = j;
+    }
+    for (std::size_t i = 0; i < sorted.size();) {
+      std::size_t j = i;
+      while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+      if (j - i > best_count) {
+        best = sorted[i];
+        best_count = j - i;
+      }
+      i = j;
+    }
+    return best;
+  }
+
+  /// The checkpoint encoding: id, window, then every state in ascending
+  /// (previous, current) order with its window oldest first.
+  [[nodiscard]] std::vector<std::uint8_t> encode() const {
+    sim::CheckpointWriter w;
+    w.u32(id_.value());
+    w.u64(window_);
+    w.u64(history_.size());
+    for (const auto& [state, window] : history_) {
+      w.u32(state.first.value());
+      w.u32(state.second.value());
+      w.u64(window.size());
+      for (const CellId cell : window) w.u32(cell.value());
+    }
+    return w.take();
+  }
+
+  [[nodiscard]] const auto& history() const { return history_; }
+
+ private:
+  PortableId id_;
+  std::size_t window_;
+  std::map<std::pair<CellId, CellId>, std::vector<CellId>> history_;
+};
+
+std::vector<std::uint8_t> checkpoint_bytes(const PortableProfile& profile) {
+  sim::CheckpointWriter w;
+  profile.save_state(w);
+  return w.take();
+}
+
+// Random churn over few states and few next cells, so windows wrap many
+// times and ties (with and without the newest value) come up constantly.
+TEST(PortableProfile, SlabMatchesCopySortVoteReference) {
+  for (const std::size_t window : {0u, 1u, 2u, 16u, 33u}) {
+    std::mt19937_64 rng(1000 + window);
+    PortableProfile profile(PortableId{7}, window);
+    ReferencePortableProfile reference(PortableId{7}, window);
+    for (int step = 0; step < 3000; ++step) {
+      const CellId previous{std::uint32_t(rng() % 3)};
+      const CellId current{std::uint32_t(rng() % 4)};
+      const CellId next{std::uint32_t(rng() % 5)};
+      profile.record(previous, current, next);
+      reference.record(previous, current, next);
+      ASSERT_EQ(profile.predict(previous, current), reference.predict(previous, current))
+          << "window " << window << " step " << step;
+    }
+    for (const auto& [state, cells] : reference.history()) {
+      EXPECT_EQ(profile.predict(state.first, state.second),
+                reference.predict(state.first, state.second));
+      EXPECT_EQ(profile.observations(state.first, state.second), cells.size());
+    }
+    EXPECT_EQ(checkpoint_bytes(profile), reference.encode()) << "window " << window;
+  }
+}
+
+TEST(PortableProfile, VoteTieRules) {
+  // A tie for the top count that includes the newest: the newest wins, even
+  // against a smaller id.
+  PortableProfile newest_ties(PortableId{1}, 16);
+  for (const CellId next : {kA, kC, kA, kC}) newest_ties.record(kB, kD, next);
+  EXPECT_EQ(newest_ties.predict(kB, kD), kC);
+  // A tie for the top count without the newest: the smallest id wins.
+  PortableProfile others_tie(PortableId{1}, 16);
+  for (const CellId next : {kC, kB, kC, kB, kD}) others_tie.record(kA, kD, next);
+  EXPECT_EQ(others_tie.predict(kA, kD), kB);
+  // After a wrap the window holds only the newest observations.
+  PortableProfile wrapped(PortableId{1}, 2);
+  for (const CellId next : {kA, kA, kA, kC, kB}) wrapped.record(kA, kD, next);
+  EXPECT_EQ(wrapped.predict(kA, kD), kB);
+}
+
+TEST(PortableProfile, ZeroWindowRecordsStateWithoutObservations) {
+  PortableProfile profile(PortableId{2}, 0);
+  profile.record(kA, kB, kC);
+  profile.record(kA, kB, kD);
+  EXPECT_EQ(profile.observations(kA, kB), 0u);
+  EXPECT_FALSE(profile.predict(kA, kB).has_value());
+  ReferencePortableProfile reference(PortableId{2}, 0);
+  reference.record(kA, kB, kC);
+  EXPECT_EQ(checkpoint_bytes(profile), reference.encode());  // one state, 0 observations
+}
+
+TEST(PortableProfile, RestoreRefusesAnImplausibleWindow) {
+  sim::CheckpointWriter w;
+  w.u32(1);
+  w.u64(PortableProfile::kMaxRestoredWindow + 1);
+  w.u64(0);
+  const std::vector<std::uint8_t> bytes = w.take();
+  sim::CheckpointReader r(bytes);
+  EXPECT_THROW((void)PortableProfile::restore_state(r), sim::CheckpointError);
+}
+
+TEST(CellProfile, FillIntoFormsMatchReturningForms) {
+  std::mt19937_64 rng(77);
+  CellProfile profile(kD, /*window=*/8);
+  // The buffers start with stale content and are reused across calls.
+  std::vector<CellProfile::NeighborShare> buffer{{kA, 0.25}, {kB, 0.75}};
+  std::vector<CellProfile::NeighborShare> aggregate = buffer;
+  const auto same = [](const std::vector<CellProfile::NeighborShare>& a,
+                       const std::vector<CellProfile::NeighborShare>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const auto& x, const auto& y) {
+      return x.neighbor == y.neighbor && x.probability == y.probability;
+    });
+  };
+  for (int step = 0; step < 500; ++step) {
+    profile.record(CellId{std::uint32_t(rng() % 4)}, CellId{std::uint32_t(rng() % 6)});
+    for (std::uint32_t previous = 0; previous < 5; ++previous) {  // 4 is never observed
+      profile.distribution(CellId{previous}, buffer);
+      ASSERT_TRUE(same(buffer, profile.distribution(CellId{previous})));
+    }
+    profile.aggregate_distribution(aggregate);
+    ASSERT_TRUE(same(aggregate, profile.aggregate_distribution()));
   }
 }
 

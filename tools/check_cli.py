@@ -104,6 +104,7 @@ REPORT_FIELDS = {
 # the other modes refuse the flag (pinned by scenario_cli_rejects_* ctests).
 PROFILED = [
     ["maxmin"],
+    ["campus", "--attendees", "8", "--squatters", "2"],
     ["campus", "--replications", "2", "--attendees", "8", "--squatters", "2"],
     ["campus", "--shards", "2", "--cells", "8", "--portables", "4", "--hours", "1"],
     ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",

@@ -39,9 +39,11 @@
 #        the mobility manager's sorted resident index (portables_in hands
 #        out a reference into a bucket that the next move edits), the
 #        policies and dispatcher that walk it, their incremental refresh
-#        and its oracle (reservation_refresh_oracle_test), the
-#        serial-indexed pending event table, its strict checkpoint restore
-#        and the campus golden.
+#        and its oracle (reservation_refresh_oracle_test) with the pooled
+#        share table, the profiles' slab-indexed windows (profiles_test,
+#        prediction_test), the serial-indexed pending event table, its
+#        strict checkpoint restore, the campus golden and the day's
+#        allocation budget (campus_alloc_budget_test).
 #        sim = asan+ubsan over the `sim` label — the discrete-event engine
 #        (sim_test, engine_regression_test): the event queue's time buckets
 #        are intrusive FIFOs threaded through slot metadata, with heap

@@ -189,13 +189,6 @@ std::vector<PortableId> Environment::squeeze_cell(CellId cell) {
 }
 
 void Environment::adapt_cell(CellId cell) {
-  adapt_cell_impl(cell);
-  // Fired on every path, including "nothing to re-divide": grants may have
-  // been squeezed to b_min above, and the data plane must follow.
-  if (on_adapt_) on_adapt_(cell);
-}
-
-void Environment::adapt_cell_impl(CellId cell) {
   reservation::CellBandwidth& account = directory_.at(cell);
   const std::vector<PortableId> holders = squeeze_cell(cell);
   if (holders.empty()) return;

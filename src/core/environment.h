@@ -17,7 +17,6 @@
 //  4. adaptation redistributes the excess in both affected cells.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <unordered_map>
 
@@ -77,14 +76,6 @@ class Environment {
   /// (normally invoked by the periodic refresh, exposed for tests).
   void refresh();
 
-  /// Observer fired after every excess re-division in a cell (handoff,
-  /// renegotiation, refresh). The adaptation loop's data plane hangs off
-  /// this: new grants exist the moment the hook fires, so shapers can be
-  /// re-shaped to the enforced rates before another packet moves.
-  void set_on_adapt(std::function<void(CellId)> on_adapt) {
-    on_adapt_ = std::move(on_adapt);
-  }
-
   // ---- introspection ----------------------------------------------------
   [[nodiscard]] const EnvironmentStats& stats() const { return stats_; }
   [[nodiscard]] qos::BitsPerSecond allocated(PortableId portable) const;
@@ -118,7 +109,6 @@ class Environment {
   /// returns the connection holders present there.
   std::vector<PortableId> squeeze_cell(CellId cell);
   void adapt_cell(CellId cell);
-  void adapt_cell_impl(CellId cell);
   void update_b_dyn(CellId cell);
 
   mobility::CellMap map_;
@@ -129,7 +119,6 @@ class Environment {
   prediction::ThreeLevelPredictor predictor_;
   reservation::ReservationDirectory directory_;
   std::unordered_map<PortableId, ConnectionState> connections_;
-  std::function<void(CellId)> on_adapt_;
   EnvironmentStats stats_;
 };
 

@@ -193,9 +193,8 @@ class CampusGrid {
         next = c.rng.bernoulli(0.5) ? c.index + 1 : c.index - 1;
       }
       c.handoff_out.add();
-      runner_.transport(c.index).send(
-          fault::Channel(next), hop_latency(c.index, next),
-          [this, dest = &cell(next)] { on_handoff(*dest); });
+      runner_.post(c.index, next, hop_latency(c.index, next),
+                   [this, dest = &cell(next)] { on_handoff(*dest); });
       return;
     }
     schedule_idle(c);
@@ -224,11 +223,10 @@ class CampusGrid {
         (std::uint64_t(c.index) << 32) | c.next_session++;
     c.probe_tx.add();
     const double sent_s = c.sim->now().to_seconds();
-    runner_.transport(c.index).send(
-        fault::Channel(target), hop_latency(c.index, target),
-        [this, tp = &cell(target), from = c.index, session, sent_s] {
-          on_probe(*tp, from, session, sent_s);
-        });
+    runner_.post(c.index, target, hop_latency(c.index, target),
+                 [this, tp = &cell(target), from = c.index, session, sent_s] {
+                   on_probe(*tp, from, session, sent_s);
+                 });
   }
 
   void on_probe(Cell& t, std::size_t from, std::uint64_t session, double sent_s) {
@@ -242,10 +240,9 @@ class CampusGrid {
     } else {
       t.probe_reject.add();
     }
-    runner_.transport(t.index).send(
-        fault::Channel(from), hop_latency(t.index, from),
-        [this, cp = &cell(from), ok, target = std::uint32_t(t.index), session,
-         sent_s] { on_probe_reply(*cp, ok, target, session, sent_s); });
+    runner_.post(t.index, from, hop_latency(t.index, from),
+                 [this, cp = &cell(from), ok, target = std::uint32_t(t.index), session,
+                  sent_s] { on_probe_reply(*cp, ok, target, session, sent_s); });
   }
 
   void on_probe_reply(Cell& c, bool ok, std::uint32_t target,
@@ -268,9 +265,8 @@ class CampusGrid {
   void end_remote_session(Cell& c, std::uint32_t target, std::uint64_t session,
                           bool abandon) {
     if (!abandon) {
-      runner_.transport(c.index).send(
-          fault::Channel(target), hop_latency(c.index, target),
-          [this, tp = &cell(target), session] { on_release(*tp, session); });
+      runner_.post(c.index, target, hop_latency(c.index, target),
+                   [this, tp = &cell(target), session] { on_release(*tp, session); });
     }
     schedule_idle(c);
   }

@@ -5,8 +5,8 @@
 // portable population, executed as N sim::ShardedRunner domains. All
 // cross-cell traffic — corridor handoffs, remote-bandwidth admission probes
 // and their accept/reject/release signaling — travels as boundary messages
-// through the runner's fault::Transport seam with latency proportional to
-// the corridor hop count, so the conservative window equals one hop.
+// through ShardedRunner::post with latency proportional to the corridor hop
+// count, so the conservative window equals one hop.
 //
 // The scenario exercises the paper's admission/handoff mechanics at campus
 // scale: portables alternate idle and active periods; an active session

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "sim/sharded_runner.h"
 
 namespace imrm::fault {
 namespace {
@@ -42,12 +41,39 @@ struct Driver {
   }
 };
 
-std::shared_ptr<Driver> make_driver(FaultSchedule::Hooks hooks,
-                                    std::vector<std::vector<std::uint32_t>> groups,
-                                    obs::Registry* metrics, obs::Tracer* tracer) {
+}  // namespace
+
+FaultSchedule FaultSchedule::random(const RandomConfig& config, sim::Rng& rng) {
+  FaultSchedule schedule;
+  const double lo = config.start.to_seconds();
+  const double hi = config.stop.to_seconds();
+  for (std::size_t i = 0; i < config.flaps; ++i) {
+    const auto link = std::uint32_t(rng.uniform_int(0, int(config.links) - 1));
+    const double down = rng.uniform(lo, hi);
+    const double outage = rng.exponential_mean(config.mean_outage.to_seconds());
+    // Outages are clipped to the window so every down has a matching up.
+    const double up = std::min(down + outage, hi);
+    schedule.flap(link, sim::SimTime::seconds(down), sim::SimTime::seconds(up));
+  }
+  for (std::size_t i = 0; i < config.crashes; ++i) {
+    const auto link = std::uint32_t(rng.uniform_int(0, int(config.links) - 1));
+    schedule.crash(link, sim::SimTime::seconds(rng.uniform(lo, hi)));
+  }
+  return schedule;
+}
+
+sim::SimTime FaultSchedule::end_time() const {
+  sim::SimTime end = sim::SimTime::zero();
+  for (const FaultEvent& event : events_) end = std::max(end, event.at);
+  return end;
+}
+
+void FaultSchedule::arm(sim::Simulator& simulator, Hooks hooks, obs::Registry* metrics,
+                        obs::Tracer* tracer) const {
+  if (events_.empty()) return;
   auto driver = std::make_shared<Driver>();
   driver->hooks = std::move(hooks);
-  driver->groups = std::move(groups);
+  driver->groups = groups_;
   if (metrics) {
     driver->downs = &metrics->counter("fault.injected.link_down");
     driver->ups = &metrics->counter("fault.injected.link_up");
@@ -59,13 +85,8 @@ std::shared_ptr<Driver> make_driver(FaultSchedule::Hooks hooks,
     driver->outage_name = tracer->intern("link-outage", "fault");
     driver->crash_name = tracer->intern("cell-crash", "fault");
   }
-  return driver;
-}
-
-void schedule_events(const std::vector<FaultEvent>& events, sim::Simulator& simulator,
-                     const std::shared_ptr<Driver>& shared) {
-  for (const FaultEvent& event : events) {
-    simulator.at(event.at, [driver = shared, &simulator, event] {
+  for (const FaultEvent& event : events_) {
+    simulator.at(event.at, [driver, &simulator, event] {
       const sim::SimTime now = simulator.now();
       switch (event.kind) {
         case FaultKind::kLinkDown:
@@ -98,66 +119,6 @@ void schedule_events(const std::vector<FaultEvent>& events, sim::Simulator& simu
           break;
       }
     });
-  }
-}
-
-}  // namespace
-
-FaultSchedule FaultSchedule::random(const RandomConfig& config, sim::Rng& rng) {
-  FaultSchedule schedule;
-  const double lo = config.start.to_seconds();
-  const double hi = config.stop.to_seconds();
-  for (std::size_t i = 0; i < config.flaps; ++i) {
-    const auto link = std::uint32_t(rng.uniform_int(0, int(config.links) - 1));
-    const double down = rng.uniform(lo, hi);
-    const double outage = rng.exponential_mean(config.mean_outage.to_seconds());
-    // Outages are clipped to the window so every down has a matching up.
-    const double up = std::min(down + outage, hi);
-    schedule.flap(link, sim::SimTime::seconds(down), sim::SimTime::seconds(up));
-  }
-  for (std::size_t i = 0; i < config.crashes; ++i) {
-    const auto link = std::uint32_t(rng.uniform_int(0, int(config.links) - 1));
-    schedule.crash(link, sim::SimTime::seconds(rng.uniform(lo, hi)));
-  }
-  return schedule;
-}
-
-sim::SimTime FaultSchedule::end_time() const {
-  sim::SimTime end = sim::SimTime::zero();
-  for (const FaultEvent& event : events_) end = std::max(end, event.at);
-  return end;
-}
-
-void FaultSchedule::arm(sim::Simulator& simulator, Hooks hooks, obs::Registry* metrics,
-                        obs::Tracer* tracer) const {
-  if (events_.empty()) return;
-  schedule_events(events_, simulator,
-                  make_driver(std::move(hooks), groups_, metrics, tracer));
-}
-
-void FaultSchedule::arm_sharded(sim::ShardedRunner& runner, ShardedHooks hooks,
-                                obs::Registry* metrics, obs::Tracer* tracer) const {
-  if (events_.empty()) return;
-  // One driver per domain, each wrapping the user hooks with that domain's
-  // index. Every domain gets the full timeline in its own event queue — the
-  // fix for batched bursts, where a single-domain arming would only reach the
-  // other shards at a burst boundary. Only domain 0's driver carries the
-  // registry/tracer, so counters and spans record each fault exactly once.
-  for (std::size_t d = 0; d < runner.domain_count(); ++d) {
-    Hooks local;
-    if (hooks.link_down) {
-      local.link_down = [f = hooks.link_down, d](std::uint32_t link) { f(d, link); };
-    }
-    if (hooks.link_up) {
-      local.link_up = [f = hooks.link_up, d](std::uint32_t link) { f(d, link); };
-    }
-    if (hooks.cell_crash) {
-      local.cell_crash = [f = hooks.cell_crash, d](std::uint32_t link) { f(d, link); };
-    }
-    schedule_events(events_, runner.domain(d),
-                    make_driver(std::move(local), groups_,
-                                d == 0 ? metrics : nullptr,
-                                d == 0 ? tracer : nullptr));
   }
 }
 

@@ -26,10 +26,6 @@ class Registry;
 class Tracer;
 }  // namespace imrm::obs
 
-namespace imrm::sim {
-class ShardedRunner;
-}  // namespace imrm::sim
-
 namespace imrm::fault {
 
 enum class FaultKind : std::uint8_t {
@@ -103,31 +99,6 @@ class FaultSchedule {
   /// tracer is supplied.
   void arm(sim::Simulator& simulator, Hooks hooks, obs::Registry* metrics = nullptr,
            obs::Tracer* tracer = nullptr) const;
-
-  /// Hooks for sharded execution: each fires with the domain it fired on, so
-  /// the callback can mutate that domain's state without cross-shard reads.
-  struct ShardedHooks {
-    using Hook = std::function<void(std::size_t domain, std::uint32_t link)>;
-    Hook link_down;
-    Hook link_up;
-    Hook cell_crash;
-  };
-
-  /// Schedules every event on EVERY domain of `runner`. This is the batched-
-  /// window correctness fix (ISSUE 10): with multi-window bursts between
-  /// barriers, a fault armed on a single domain could reach the others only
-  /// as a boundary message at the next burst edge — so where the fault took
-  /// effect would depend on the batch size, breaking the runner's
-  /// byte-identical contract. Arming per domain puts the event in each
-  /// domain's own queue, so it fires at the exact scheduled sim time inside
-  /// whatever burst that domain is executing, for any (workers, batch).
-  ///
-  /// Counters and trace spans are emitted from domain 0 only, so each
-  /// injected fault is counted once no matter how many domains observe it.
-  /// Must be called before `runner.run_until` (same rule as Simulator::at).
-  void arm_sharded(sim::ShardedRunner& runner, ShardedHooks hooks,
-                   obs::Registry* metrics = nullptr,
-                   obs::Tracer* tracer = nullptr) const;
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const { return events_; }
   [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& groups() const {

@@ -16,9 +16,9 @@
 // Default lounge: one-step memory, N(t+1) = N(t).
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <deque>
-#include <utility>
+#include <span>
 
 namespace imrm::reservation {
 
@@ -36,6 +36,9 @@ struct LinearFit {
 /// Sliding window of per-slot handoff counts with the cafeteria predictor.
 class CafeteriaPredictor {
  public:
+  /// Samples the least-squares fit reads; older ones slide out.
+  static constexpr std::size_t kWindow = 3;
+
   /// Records the handoff count of the just-finished slot.
   void push(double count);
 
@@ -44,20 +47,22 @@ class CafeteriaPredictor {
   /// Negative extrapolations clamp to zero (a count cannot be negative).
   [[nodiscard]] double predict_next() const;
 
-  [[nodiscard]] std::size_t samples() const { return window_.size(); }
+  [[nodiscard]] std::size_t samples() const { return size_; }
 
   // Checkpoint accessors (ISSUE 4): the window plus the latest slot index
   // fully determine the predictor.
-  [[nodiscard]] const std::deque<double>& history() const { return window_; }
-  [[nodiscard]] std::size_t latest_slot() const { return slot_; }
-  void restore(std::deque<double> window, std::size_t slot) {
-    window_ = std::move(window);
-    slot_ = slot;
+  [[nodiscard]] std::span<const double> history() const {
+    return {window_.data(), size_};
   }
+  [[nodiscard]] std::size_t latest_slot() const { return slot_; }
+  /// Throws std::invalid_argument when `window` holds more than kWindow
+  /// samples.
+  void restore(std::span<const double> window, std::size_t slot);
 
  private:
-  std::deque<double> window_;  // at most 3, oldest first
-  std::size_t slot_ = 0;       // index of the latest pushed slot
+  std::array<double, kWindow> window_{};  // the first size_ slots, oldest first
+  std::size_t size_ = 0;
+  std::size_t slot_ = 0;  // index of the latest pushed slot
 };
 
 /// One-step-memory predictor for the default lounge.

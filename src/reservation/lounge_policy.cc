@@ -1,7 +1,8 @@
 #include "reservation/lounge_policy.h"
 
-#include <deque>
+#include <array>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace imrm::reservation {
@@ -96,9 +97,14 @@ void CafeteriaPolicy::save_predictors(sim::CheckpointWriter& w) const {
 
 void CafeteriaPolicy::restore_predictors(sim::CheckpointReader& r) {
   for (CafeteriaPredictor* p : {&outgoing_, &incoming_}) {
-    std::deque<double> window(std::size_t(r.u64()));
-    for (double& count : window) count = r.f64();
-    p->restore(std::move(window), std::size_t(r.u64()));
+    const std::uint64_t samples = r.u64();
+    if (samples > CafeteriaPredictor::kWindow) {
+      throw sim::CheckpointError("cafeteria policy: predictor window of " +
+                                 std::to_string(samples) + " samples exceeds 3");
+    }
+    std::array<double, CafeteriaPredictor::kWindow> window;
+    for (std::size_t i = 0; i < samples; ++i) window[i] = r.f64();
+    p->restore({window.data(), std::size_t(samples)}, std::size_t(r.u64()));
   }
 }
 

@@ -26,10 +26,8 @@ ShardedRunner::ShardedRunner(const Config& config) : config_(config) {
     throw std::invalid_argument("ShardedRunner window must be positive");
   }
   sims_.reserve(config_.domains);
-  transports_.reserve(config_.domains);
   for (std::size_t d = 0; d < config_.domains; ++d) {
     sims_.push_back(std::make_unique<Simulator>());
-    transports_.push_back(std::make_unique<BoundaryTransport>(*this, d));
   }
   outboxes_.resize(config_.domains);
   row_outboxes_.resize(config_.domains);

@@ -3,14 +3,14 @@
 //
 // The campus scenarios partition naturally by cell: every intra-cell event
 // (arrivals, departures, local admission) touches one cell's state only,
-// while cross-cell traffic (handoff signaling, max-min ADVERTISE/UPDATE,
-// admission probes) rides the corridor backbone and therefore pays at least
-// one control-plane hop of latency. ShardedRunner exploits that structure:
-// each *domain* (one cell, or one protocol segment) owns a private Simulator,
-// event queue, and whatever per-domain state the experiment hangs off it, and
-// K worker threads execute disjoint domain subsets in lockstep time windows
-// of width `window` — the classic conservative PDES scheme, with the minimum
-// cross-shard hop latency as the lookahead bound.
+// while cross-cell traffic (handoff signaling, admission probes, routed
+// reservations) rides the backbone and therefore pays at least one
+// control-plane hop of latency. ShardedRunner exploits that structure: each
+// *domain* (one cell) owns a private Simulator, event queue, and whatever
+// per-domain state the experiment hangs off it, and K worker threads execute
+// disjoint domain subsets in lockstep time windows of width `window` — the
+// classic conservative PDES scheme, with the minimum cross-shard hop latency
+// as the lookahead bound.
 //
 // Protocol per window (unchanged since ISSUE 5 — this sequence is the
 // determinism contract):
@@ -66,8 +66,8 @@
 // {1, 8, 64, auto}.
 //
 // Two boundary paths. post(Callback) ships a type-erased callback in an
-// 80-byte envelope and costs one queue event per message; it remains for
-// the corridor day, fault/sharded_convergence and tests. post_row() ships
+// 80-byte envelope and costs one queue event per message; the corridor day
+// sends its handoffs, probes and releases this way. post_row() ships
 // one trivially copyable row (at most kRowBytes) in a 40-byte envelope to
 // the single handler the scenario registered with set_row_handler(); the
 // grid sends all its hops, reservations and cancels this way. For each
@@ -103,7 +103,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "fault/transport.h"
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/tracer.h"
@@ -152,8 +151,8 @@ class ShardedRunner {
   static constexpr std::size_t kAutoBatchMax = 4096;
 
   struct Config {
-    /// Number of simulation domains (cells / protocol segments). Fixed by
-    /// the scenario; determinism is per-domain, not per-worker.
+    /// Number of simulation domains (one per cell). Fixed by the scenario;
+    /// determinism is per-domain, not per-worker.
     std::size_t domains = 1;
     /// Worker threads executing domains. 0 selects hardware concurrency;
     /// clamped to `domains`. 1 runs inline with no thread pool.
@@ -215,14 +214,6 @@ class ShardedRunner {
   [[nodiscard]] std::size_t domain_count() const { return sims_.size(); }
   [[nodiscard]] Simulator& domain(std::size_t d) { return *sims_[d]; }
   [[nodiscard]] const Simulator& domain(std::size_t d) const { return *sims_[d]; }
-
-  /// The boundary transport owned by domain `from`: a fault::Transport whose
-  /// Channel operand names the *destination domain*. Protocol code written
-  /// against Transport (max-min, signaling) shards without modification —
-  /// hand each domain's protocol instance its domain's transport.
-  [[nodiscard]] fault::Transport& transport(std::size_t from) {
-    return *transports_[from];
-  }
 
   /// Posts a cross-domain message: `deliver` runs on domain `to`'s simulator
   /// `latency` after domain `from`'s current time. `latency` must be >= the
@@ -321,20 +312,6 @@ class ShardedRunner {
     std::uint64_t delivered = 0;  // rows handed to the handler (profile)
   };
 
-  class BoundaryTransport final : public fault::Transport {
-   public:
-    BoundaryTransport(ShardedRunner& runner, std::size_t from)
-        : runner_(&runner), from_(from) {}
-    void send(fault::Channel channel, Duration latency,
-              EventQueue::Callback deliver) override {
-      runner_->post(from_, std::size_t(channel), latency, std::move(deliver));
-    }
-
-   private:
-    ShardedRunner* runner_;
-    std::size_t from_;
-  };
-
   void run_burst(std::size_t worker);
   void serialize_sub_window();
   void run_domains(std::size_t worker, SimTime target);
@@ -369,7 +346,6 @@ class ShardedRunner {
 
   Config config_;
   std::vector<std::unique_ptr<Simulator>> sims_;
-  std::vector<std::unique_ptr<BoundaryTransport>> transports_;
   // Per-source-domain outboxes: while a window runs, outbox[d] is written
   // only by the worker executing domain d, and the serializer drains them
   // only between sub-windows (inside the burst barrier), so no per-message

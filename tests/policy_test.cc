@@ -2,6 +2,7 @@
 // static, meeting-room, cafeteria, default lounge).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "profiles/profile_server.h"
 #include "reservation/lounge_policy.h"
 #include "reservation/policy.h"
+#include "sim/checkpoint.h"
 
 namespace imrm::reservation {
 namespace {
@@ -352,6 +354,48 @@ TEST_F(LoungeFixture, CafeteriaSelfReservesWithDefaultNeighbor) {
     policy.refresh(SimTime::minutes(double(slot)));
   }
   EXPECT_NEAR(directory_.at(cafeteria_).anonymous_reservation(), 3 * kbps(28), 1.0);
+}
+
+TEST_F(LoungeFixture, CafeteriaCheckpointRejectsAnOversizedPredictorWindow) {
+  CafeteriaPolicy policy(env(), cafeteria_, Duration::minutes(1), kbps(28));
+  for (int slot = 1; slot <= 5; ++slot) {
+    feed_outgoing(policy, cafeteria_, slot);
+    policy.refresh(SimTime::minutes(double(slot)));
+  }
+  sim::CheckpointWriter w;
+  policy.save_state(w);
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  // An intact checkpoint restores and re-saves to the same bytes.
+  CafeteriaPolicy restored(env(), cafeteria_, Duration::minutes(1), kbps(28));
+  sim::CheckpointReader intact(bytes);
+  restored.restore_state(intact);
+  EXPECT_TRUE(intact.done());
+  sim::CheckpointWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.take(), bytes);
+
+  // The outgoing window's sample count follows the two slot counters and
+  // the slot cursor.
+  constexpr std::size_t kCountOffset = 3 * 8;
+  sim::CheckpointReader header(bytes);
+  (void)header.f64();
+  (void)header.f64();
+  (void)header.u64();
+  ASSERT_EQ(header.u64(), CafeteriaPredictor::kWindow);
+  for (const std::uint64_t samples : {std::uint64_t(4), std::uint64_t(1) << 40}) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    for (std::size_t i = 0; i < 8; ++i) {
+      corrupt[kCountOffset + i] = std::uint8_t(samples >> (8 * i));
+    }
+    CafeteriaPolicy victim(env(), cafeteria_, Duration::minutes(1), kbps(28));
+    sim::CheckpointReader r(corrupt);
+    EXPECT_THROW(victim.restore_state(r), sim::CheckpointError) << samples;
+  }
+  // The predictor's own restore refuses a window its 3 slots cannot hold.
+  CafeteriaPredictor predictor;
+  const double four[4] = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_THROW(predictor.restore(four, 4), std::invalid_argument);
 }
 
 TEST_F(LoungeFixture, DefaultLoungeUsesOneStepMemory) {

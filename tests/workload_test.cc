@@ -1,8 +1,7 @@
-// Tests for workload generation: connection mixes, Poisson arrivals, and
-// the class-schedule generator that feeds the Figure 5 experiment.
+// Tests for workload generation: connection mixes and the class-schedule
+// generator that feeds the Figure 5 experiment.
 #include <gtest/gtest.h>
 
-#include "workload/arrivals.h"
 #include "workload/class_schedule.h"
 #include "workload/connection_mix.h"
 
@@ -27,27 +26,6 @@ TEST(ConnectionMix, SampleFrequenciesMatch) {
     if (mix.sample(rng) == kbps(16)) ++small;
   }
   EXPECT_NEAR(small / double(n), 0.75, 0.01);
-}
-
-TEST(PoissonArrivals, CountMatchesRateTimesHorizon) {
-  sim::Simulator simulator;
-  int fired = 0;
-  PoissonArrivals arrivals(simulator, /*rate=*/2.0, SimTime::seconds(1000), sim::Rng(3),
-                           [&] { ++fired; });
-  arrivals.start();
-  simulator.run();
-  EXPECT_NEAR(fired, 2000, 150);  // ~3 sigma of a Poisson(2000)
-  EXPECT_EQ(std::size_t(fired), arrivals.arrivals());
-}
-
-TEST(PoissonArrivals, StopsAtHorizon) {
-  sim::Simulator simulator;
-  std::vector<double> times;
-  PoissonArrivals arrivals(simulator, 10.0, SimTime::seconds(10), sim::Rng(5),
-                           [&] { times.push_back(simulator.now().to_seconds()); });
-  arrivals.start();
-  simulator.run();
-  for (double t : times) EXPECT_LE(t, 10.0);
 }
 
 class ClassWorkloadTest : public ::testing::Test {

@@ -3,6 +3,8 @@
 // fault schedule driver, and the unreliable admission probe.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fault/faulty_channel.h"
@@ -215,6 +217,107 @@ TEST(FaultSchedule, RandomTimelineIsDeterministicInSeed) {
     EXPECT_EQ(first.events()[i].kind, second.events()[i].kind);
     EXPECT_EQ(first.events()[i].target, second.events()[i].target);
   }
+}
+
+TEST(FaultSchedule, EmptyScheduleArmsNothing) {
+  FaultSchedule schedule;
+  EXPECT_TRUE(schedule.empty());
+  EXPECT_EQ(schedule.end_time(), SimTime::zero());
+  sim::Simulator simulator;
+  obs::Registry metrics;
+  schedule.arm(simulator, {}, &metrics);
+  EXPECT_EQ(simulator.run(), 0u);
+  EXPECT_EQ(metrics.counter("fault.injected.link_down").value(), 0u);
+}
+
+// Every hook runs at its event's exact sim time, so a 1 ms ticker sees the
+// link down from the first tick after 3.7 ms through the last before 9.3 ms.
+TEST(FaultSchedule, HooksFireAtTheirExactScheduledTimes) {
+  FaultSchedule schedule;
+  schedule.flap(7, SimTime::millis(3.7), SimTime::millis(9.3));
+  schedule.crash(2, SimTime::millis(5.1));
+
+  sim::Simulator simulator;
+  bool down = false;
+  std::vector<std::string> log;
+  FaultSchedule::Hooks hooks;
+  hooks.link_down = [&](std::uint32_t link) {
+    down = true;
+    log.push_back("down:" + std::to_string(link) + "@" +
+                  std::to_string(simulator.now().to_millis()));
+  };
+  hooks.link_up = [&](std::uint32_t link) {
+    down = false;
+    log.push_back("up:" + std::to_string(link) + "@" +
+                  std::to_string(simulator.now().to_millis()));
+  };
+  hooks.cell_crash = [&](std::uint32_t cell) {
+    log.push_back("crash:" + std::to_string(cell) + "@" +
+                  std::to_string(simulator.now().to_millis()));
+  };
+  schedule.arm(simulator, std::move(hooks));
+  std::vector<bool> down_at_tick;
+  simulator.every(Duration::millis(1), SimTime::millis(12),
+                  [&] { down_at_tick.push_back(down); });
+  simulator.run_until(SimTime::millis(12));
+
+  EXPECT_EQ(log, (std::vector<std::string>{"down:7@3.700000", "crash:2@5.100000",
+                                           "up:7@9.300000"}));
+  ASSERT_EQ(down_at_tick.size(), 11u);  // ticks at 1..11 ms; the horizon is exclusive
+  for (std::size_t i = 0; i < down_at_tick.size(); ++i) {
+    const bool expected = i + 1 >= 4 && i + 1 <= 9;
+    EXPECT_EQ(down_at_tick[i], expected) << "tick at " << i + 1 << " ms";
+  }
+}
+
+TEST(FaultSchedule, PartitionCountsOnceAndEveryMemberLinkEach) {
+  FaultSchedule schedule;
+  const std::uint32_t group = schedule.add_group({3, 5});
+  schedule.partition(group, SimTime::millis(2.5), SimTime::millis(6.5));
+  sim::Simulator simulator;
+  std::vector<std::uint32_t> downs, ups;
+  FaultSchedule::Hooks hooks;
+  hooks.link_down = [&](std::uint32_t link) { downs.push_back(link); };
+  hooks.link_up = [&](std::uint32_t link) { ups.push_back(link); };
+  obs::Registry metrics;
+  schedule.arm(simulator, std::move(hooks), &metrics);
+  simulator.run();
+  EXPECT_EQ(downs, (std::vector<std::uint32_t>{3, 5}));
+  EXPECT_EQ(ups, (std::vector<std::uint32_t>{3, 5}));
+  EXPECT_EQ(metrics.counter("fault.injected.partition").value(), 1u);
+  EXPECT_EQ(metrics.counter("fault.injected.link_down").value(), 2u);
+  EXPECT_EQ(metrics.counter("fault.injected.link_up").value(), 2u);
+}
+
+TEST(FaultSchedule, EmptyHooksStillCountInjectedFaults) {
+  FaultSchedule schedule;
+  schedule.flap(1, SimTime::millis(1), SimTime::millis(2));
+  schedule.crash(0, SimTime::millis(3));
+  sim::Simulator simulator;
+  obs::Registry metrics;
+  schedule.arm(simulator, {}, &metrics);
+  EXPECT_EQ(simulator.run(), 3u);
+  EXPECT_EQ(metrics.counter("fault.injected.link_down").value(), 1u);
+  EXPECT_EQ(metrics.counter("fault.injected.link_up").value(), 1u);
+  EXPECT_EQ(metrics.counter("fault.injected.cell_crash").value(), 1u);
+  EXPECT_EQ(metrics.counter("fault.injected.partition").value(), 0u);
+}
+
+TEST(FaultSchedule, SameTimeEventsFireInInsertionOrder) {
+  FaultSchedule schedule;
+  schedule.crash(4, SimTime::millis(1));
+  schedule.add({SimTime::millis(1), FaultKind::kLinkDown, 2});
+  schedule.add({SimTime::millis(1), FaultKind::kLinkUp, 2});
+  schedule.crash(1, SimTime::millis(1));
+  sim::Simulator simulator;
+  std::vector<std::string> log;
+  FaultSchedule::Hooks hooks;
+  hooks.link_down = [&log](std::uint32_t l) { log.push_back("down:" + std::to_string(l)); };
+  hooks.link_up = [&log](std::uint32_t l) { log.push_back("up:" + std::to_string(l)); };
+  hooks.cell_crash = [&log](std::uint32_t l) { log.push_back("crash:" + std::to_string(l)); };
+  schedule.arm(simulator, std::move(hooks));
+  simulator.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"crash:4", "down:2", "up:2", "crash:1"}));
 }
 
 TEST(UnreliableCall, LossFreeProbeAlwaysSucceedsWithoutRetries) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "reservation/cell_bandwidth.h"
 #include "reservation/handoff_predictor.h"
@@ -150,6 +152,52 @@ TEST(CafeteriaPredictor, NegativeExtrapolationClampsToZero) {
   p.push(2.0);
   p.push(0.0);
   EXPECT_DOUBLE_EQ(p.predict_next(), 0.0);  // trend says -2; counts cannot
+}
+
+TEST(CafeteriaPredictor, HistoryKeepsTheLastThreeSamplesOldestFirst) {
+  CafeteriaPredictor p;
+  EXPECT_TRUE(p.history().empty());
+  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) p.push(v);
+  EXPECT_EQ(p.samples(), CafeteriaPredictor::kWindow);
+  EXPECT_EQ(p.latest_slot(), 5u);
+  const std::vector<double> window(p.history().begin(), p.history().end());
+  EXPECT_EQ(window, (std::vector<double>{3.0, 4.0, 5.0}));
+}
+
+TEST(CafeteriaPredictor, RestoreRoundTripsWindowAndSlot) {
+  CafeteriaPredictor original;
+  for (double v : {9.0, 7.0, 12.0, 15.0}) original.push(v);
+  CafeteriaPredictor copy;
+  copy.restore(original.history(), original.latest_slot());
+  EXPECT_EQ(copy.samples(), original.samples());
+  EXPECT_EQ(copy.latest_slot(), original.latest_slot());
+  EXPECT_DOUBLE_EQ(copy.predict_next(), original.predict_next());
+  // Both keep sliding identically after the restore.
+  for (double v : {11.0, 6.0}) {
+    original.push(v);
+    copy.push(v);
+    EXPECT_DOUBLE_EQ(copy.predict_next(), original.predict_next()) << v;
+  }
+}
+
+TEST(CafeteriaPredictor, RestoreAcceptsAPartialWindow) {
+  CafeteriaPredictor p;
+  const double two[2] = {10.0, 12.0};
+  p.restore(two, 2);
+  EXPECT_EQ(p.samples(), 2u);
+  EXPECT_DOUBLE_EQ(p.predict_next(), 12.0);  // fallback: latest value
+  p.push(14.0);
+  EXPECT_NEAR(p.predict_next(), 16.0, 1e-9);  // the third sample starts the fit
+}
+
+TEST(CafeteriaPredictor, OversizedRestoreLeavesThePredictorUntouched) {
+  CafeteriaPredictor p;
+  for (double v : {10.0, 12.0, 14.0}) p.push(v);
+  const double four[4] = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_THROW(p.restore(four, 9), std::invalid_argument);
+  EXPECT_EQ(p.samples(), 3u);
+  EXPECT_EQ(p.latest_slot(), 3u);
+  EXPECT_NEAR(p.predict_next(), 16.0, 1e-9);
 }
 
 TEST(OneStepPredictor, RepeatsLastObservation) {

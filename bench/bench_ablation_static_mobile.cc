@@ -1,18 +1,18 @@
 // Ablation: the static/mobile threshold T_th (Section 3.4.2).
 //
 // A small T_th upgrades dwellers to "static" quickly — they get QoS
-// upgrades toward b_max and stop consuming advance reservations — but
-// misclassifies users who move again soon, whose sudden handoffs must then
-// be absorbed by the B_dyn pool. A large T_th keeps everyone "mobile":
-// allocations pinned at b_min and reservations placed everywhere.
+// upgrades toward b_max and give up their advance reservations — but
+// misclassifies users who move again soon, whose sudden handoffs then find
+// no reservation waiting. A large T_th keeps everyone "mobile": allocations
+// pinned at b_min and reservations placed everywhere.
 //
 // Workload: Figure 4 environment, a population of walkers with heavy-tailed
 // dwell times (a mix of short hops and long office stays), each holding one
-// adaptive 16..64 kbps connection.
+// adaptive 16..64 kbps connection, run through core::NetworkEnvironment.
 #include <iostream>
 #include <memory>
 
-#include "core/environment.h"
+#include "core/network_environment.h"
 #include "mobility/floorplan.h"
 #include "mobility/movement.h"
 #include "sim/random.h"
@@ -20,8 +20,7 @@
 #include "stats/timeseries.h"
 
 using namespace imrm;
-using core::Environment;
-using core::EnvironmentConfig;
+using core::NetworkEnvironment;
 using qos::kbps;
 
 namespace {
@@ -36,10 +35,10 @@ struct Outcome {
 
 Outcome run(sim::Duration t_th, std::uint64_t seed) {
   sim::Simulator simulator;
-  EnvironmentConfig config;
-  config.cell_capacity = qos::mbps(1.6);
+  core::BackboneConfig config;
+  config.wireless_capacity = qos::mbps(1.6);
   config.static_threshold = t_th;
-  Environment env(mobility::fig4_environment(), simulator, config);
+  NetworkEnvironment env(mobility::fig4_environment(), simulator, config);
   const auto cells = mobility::fig4_cells(env.map());
 
   sim::Rng rng(seed);
@@ -47,11 +46,17 @@ Outcome run(sim::Duration t_th, std::uint64_t seed) {
       mobility::fig4_transition_table(env.map(), mobility::fig4_student_weights());
 
   // 24 walkers, each with one adaptive connection.
+  qos::QosRequest request;
+  request.bandwidth = {kbps(16), kbps(64)};
+  request.delay_bound = 10.0;
+  request.jitter_bound = 10.0;
+  request.loss_bound = 0.05;
+  request.traffic = {8000.0, 8000.0};
   std::vector<net::PortableId> users;
   for (int i = 0; i < 24; ++i) {
     const auto p = env.add_portable(cells.c, i % 3 == 0 ? std::optional(cells.b)
                                                         : std::nullopt);
-    env.open_connection(p, {kbps(16), kbps(64)});
+    env.open_connection(p, request);
     users.push_back(p);
   }
 
@@ -60,13 +65,13 @@ Outcome run(sim::Duration t_th, std::uint64_t seed) {
   // Self-scheduling walker steps: offices hold users for long stays,
   // corridors for short hops.
   struct Walker {
-    Environment* env;
+    NetworkEnvironment* env;
+    sim::Simulator& simulator;
     const mobility::TransitionTable* table;
     sim::Rng rng;
     sim::SimTime horizon;
 
     void step(net::PortableId p) {
-      auto& simulator = env->simulator();
       const auto& portable = env->mobility().portable(p);
       const bool in_office =
           env->map().cell(portable.current_cell).cell_class ==
@@ -84,13 +89,14 @@ Outcome run(sim::Duration t_th, std::uint64_t seed) {
       });
     }
   };
-  auto walker = std::make_shared<Walker>(Walker{&env, &table, rng.fork(), horizon});
+  auto walker =
+      std::make_shared<Walker>(Walker{&env, simulator, &table, rng.fork(), horizon});
   for (auto p : users) walker->step(p);
 
   // Sample mean allocation every simulated minute.
   stats::Summary allocation;
   simulator.every(sim::Duration::minutes(1), horizon, [&] {
-    env.refresh();
+    env.adapt();
     double total = 0.0;
     std::size_t n = 0;
     for (auto p : users) {
@@ -108,7 +114,7 @@ Outcome run(sim::Duration t_th, std::uint64_t seed) {
   out.mean_allocated_kbps = allocation.mean() / 1e3;
   out.drops = env.stats().handoff_drops;
   out.reservations = env.stats().reservations_placed;
-  out.prediction_hits = env.stats().predictions_correct;
+  out.prediction_hits = env.stats().reservations_consumed;
   out.handoffs = env.stats().handoffs;
   return out;
 }

@@ -1,6 +1,6 @@
 // Campus simulation: a full synthetic office floor (offices, corridors,
 // meeting room, cafeteria, lounge) with a walking population of connection
-// holders, driven through the integrated resource manager for an 8-hour
+// holders, driven through the wired/wireless resource manager for an 8-hour
 // workday.
 //
 //   $ ./campus_sim [users] [hours] [floors]
@@ -11,7 +11,7 @@
 #include <iostream>
 #include <memory>
 
-#include "core/environment.h"
+#include "core/network_environment.h"
 #include "mobility/floorplan.h"
 #include "mobility/movement.h"
 #include "sim/random.h"
@@ -25,9 +25,8 @@ int main(int argc, char** argv) {
   const int floors = argc > 3 ? std::atoi(argv[3]) : 1;
 
   sim::Simulator simulator;
-  core::EnvironmentConfig config;
-  config.cell_capacity = qos::mbps(1.6);
-  config.b_dyn_fraction = 0.10;
+  core::BackboneConfig config;
+  config.wireless_capacity = qos::mbps(1.6);
   mobility::CellMap map;
   if (floors > 1) {
     mobility::BuildingConfig building;
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
   } else {
     map = mobility::campus_environment();
   }
-  core::Environment env(std::move(map), simulator, config);
+  core::NetworkEnvironment env(std::move(map), simulator, config);
 
   std::cout << "== Campus: " << env.map().size() << " cells, " << users << " users, "
             << hours << " h ==\n";
@@ -53,11 +52,11 @@ int main(int argc, char** argv) {
 
   // Users: 60% office dwellers with a home office, 40% roamers.
   struct Walker {
-    core::Environment* env;
+    core::NetworkEnvironment* env;
+    sim::Simulator& simulator;
     sim::Rng rng;
     sim::SimTime horizon;
     void step(net::PortableId p) {
-      auto& simulator = env->simulator();
       const auto& me = env->mobility().portable(p);
       const auto cls = env->map().cell(me.current_cell).cell_class;
       const double mean_min = cls == mobility::CellClass::kOffice      ? 40.0
@@ -84,8 +83,14 @@ int main(int argc, char** argv) {
     }
   };
   auto walker = std::make_shared<Walker>(
-      Walker{&env, rng.fork(), sim::SimTime::hours(hours)});
+      Walker{&env, simulator, rng.fork(), sim::SimTime::hours(hours)});
 
+  qos::QosRequest request;
+  request.bandwidth = {qos::kbps(16), qos::kbps(64)};
+  request.delay_bound = 10.0;
+  request.jitter_bound = 10.0;
+  request.loss_bound = 0.05;
+  request.traffic = {8000.0, 8000.0};
   int opened = 0;
   for (int i = 0; i < users; ++i) {
     const bool dweller = i % 5 < 3;
@@ -93,12 +98,12 @@ int main(int argc, char** argv) {
     const auto start = dweller ? home
                                : corridors[std::size_t(i) % corridors.size()];
     const auto p = env.add_portable(start, dweller ? std::optional(home) : std::nullopt);
-    if (env.open_connection(p, {qos::kbps(16), qos::kbps(64)})) ++opened;
+    if (env.open_connection(p, request)) ++opened;
     walker->step(p);
   }
 
   simulator.every(sim::Duration::minutes(5), sim::SimTime::hours(hours),
-                  [&] { env.refresh(); });
+                  [&] { env.adapt(); });
   simulator.run();
 
   const auto& s = env.stats();
@@ -111,8 +116,8 @@ int main(int argc, char** argv) {
                                                           double(s.handoffs)
                                                     : 0.0, 2) + "%"});
   table.add_row({"advance reservations", std::to_string(s.reservations_placed)});
-  table.add_row({"correct predictions", std::to_string(s.predictions_correct)});
-  table.add_row({"adaptations", std::to_string(s.adaptations)});
+  table.add_row({"reservations consumed", std::to_string(s.reservations_consumed)});
+  table.add_row({"adaptations", std::to_string(s.conflict_resolutions)});
   std::cout << '\n';
   table.print(std::cout);
   return 0;

@@ -133,13 +133,13 @@ bool NetworkEnvironment::open_connection(PortableId portable,
   return true;
 }
 
-void NetworkEnvironment::teardown_session(PortableId portable, Session& session) {
+void NetworkEnvironment::teardown_session(Session& session) {
   if (session.connection.is_valid()) {
     network_->teardown(session.connection);
     session.connection = net::ConnectionId::invalid();
   }
   net::teardown_multicast(*network_, session.multicast);
-  cancel_advance_reservation(portable, session);
+  cancel_advance_reservation(session);
 }
 
 void NetworkEnvironment::close_connection(PortableId portable) {
@@ -147,7 +147,7 @@ void NetworkEnvironment::close_connection(PortableId portable) {
   if (session == nullptr) {
     throw std::invalid_argument("close_connection: portable has no connection");
   }
-  teardown_session(portable, *session);
+  teardown_session(*session);
   session->open = false;
   adapt();
 }
@@ -169,9 +169,11 @@ bool NetworkEnvironment::handoff(PortableId portable, CellId to) {
     }
   }
 
-  // Tear the old path down and move; the advance reservation in the target
-  // cell (if any) stays until admission consumes it.
+  // Tear the old path down and move. The session's own advance reservation
+  // goes back to its pool first, whatever the outcome: a handoff may use the
+  // resources reserved for it (Section 5.1), and no other session's.
   const bool predicted_here = session.reserved_in == to;
+  cancel_advance_reservation(session);
   if (session.connection.is_valid()) {
     network_->teardown(session.connection);
     session.connection = net::ConnectionId::invalid();
@@ -184,25 +186,15 @@ bool NetworkEnvironment::handoff(PortableId portable, CellId to) {
                               ? server_ : air_of_[to.value()];
   const net::NodeId dst = session.direction == Direction::kDownlink
                               ? air_of_[to.value()] : server_;
-  auto admitted =
-      route ? network_->admit(src, dst, route_, session.request,
-                              qos::MobilityClass::kMobile, config_.scheduler, 0.0,
-                              qos::ConnectionKind::kHandoff)
-            : std::nullopt;
+  auto admitted = route ? network_->admit(src, dst, route_, session.request,
+                                          qos::MobilityClass::kMobile, config_.scheduler)
+                        : std::nullopt;
   if (!admitted && route) {
     adapt();  // squeeze and retry
     admitted = network_->admit(src, dst, route_, session.request,
-                               qos::MobilityClass::kMobile, config_.scheduler, 0.0,
-                               qos::ConnectionKind::kHandoff);
+                               qos::MobilityClass::kMobile, config_.scheduler);
   }
-
-  if (predicted_here) {
-    // The admission consumed (or the failure wasted) the reservation.
-    session.reserved_in = CellId::invalid();
-    if (admitted) ++stats_.reservations_consumed;
-  } else {
-    cancel_advance_reservation(portable, session);
-  }
+  if (predicted_here && admitted) ++stats_.reservations_consumed;
 
   // Signaling latency (footnote 5): with the reservation in place only the
   // local base station exchange is needed; otherwise the admission control
@@ -233,7 +225,7 @@ bool NetworkEnvironment::handoff(PortableId portable, CellId to) {
 }
 
 void NetworkEnvironment::place_advance_reservation(PortableId portable, Session& session) {
-  cancel_advance_reservation(portable, session);
+  cancel_advance_reservation(session);
   const prediction::Prediction p = predictor_->predict(mobility_.portable(portable));
   if (!p.next_cell.has_value()) return;
   session.reserved_bps = session.request.bandwidth.b_min;
@@ -242,8 +234,7 @@ void NetworkEnvironment::place_advance_reservation(PortableId portable, Session&
   ++stats_.reservations_placed;
 }
 
-void NetworkEnvironment::cancel_advance_reservation(PortableId portable, Session& session) {
-  (void)portable;
+void NetworkEnvironment::cancel_advance_reservation(Session& session) {
   if (!session.reserved_in.is_valid()) return;
   network_->link(wireless_link_of_[session.reserved_in.value()])
       .release_advance(session.reserved_bps);
@@ -271,16 +262,19 @@ void NetworkEnvironment::rebuild_multicast(PortableId portable, Session& session
 
 void NetworkEnvironment::adapt() {
   // Refresh static/mobile classes on the live connections (portables that
-  // sat still past T_th join the adaptable set), then solve max-min. The
-  // scan is skipped while even the longest dwell is short of T_th: then
-  // every session classifies mobile and every connection already is.
+  // sat still past T_th join the adaptable set and, being static, hold no
+  // advance reservation — Section 3.4.2), then solve max-min. The scan is
+  // skipped while even the longest dwell is short of T_th: then every
+  // session classifies mobile and every connection already is.
   if (simulator_->now() - min_entered_ >= mobility_.classifier().threshold()) {
     min_entered_ = sim::SimTime::infinity();
     for (std::size_t p = 0; p < sessions_.size(); ++p) {
-      const Session& session = sessions_[p];
+      Session& session = sessions_[p];
       if (!session.open || !session.connection.is_valid()) continue;
       const PortableId portable{PortableId::underlying(p)};
-      network_->set_mobility(session.connection, mobility_.classify(portable));
+      const qos::MobilityClass mobility = mobility_.classify(portable);
+      network_->set_mobility(session.connection, mobility);
+      if (mobility == qos::MobilityClass::kStatic) cancel_advance_reservation(session);
       min_entered_ = std::min(min_entered_, mobility_.portable(portable).entered_cell);
     }
   }
@@ -326,7 +320,7 @@ bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest&
   auto restored = network_->admit(src, dst, route_, old_request,
                                   mobility_.classify(portable), config_.scheduler);
   if (!restored) {
-    teardown_session(portable, session);
+    teardown_session(session);
     session.open = false;
     adapt();
     return false;
@@ -344,6 +338,13 @@ qos::BitsPerSecond NetworkEnvironment::allocated(PortableId portable) const {
 net::ConnectionId NetworkEnvironment::connection_of(PortableId portable) const {
   const Session* session = open_session(portable);
   return session == nullptr ? net::ConnectionId::invalid() : session->connection;
+}
+
+std::pair<CellId, qos::BitsPerSecond> NetworkEnvironment::reservation(
+    PortableId portable) const {
+  const Session* session = open_session(portable);
+  if (session == nullptr || !session->reserved_in.is_valid()) return {CellId::invalid(), 0.0};
+  return {session->reserved_in, session->reserved_bps};
 }
 
 }  // namespace imrm::core

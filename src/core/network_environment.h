@@ -1,6 +1,5 @@
-// The full mixed wired/wireless environment of Section 4.
+// The full mixed wired/wireless environment of Section 4 (Figure 1).
 //
-// Where core::Environment models only the scarce wireless cells,
 // NetworkEnvironment builds the complete substrate: a wired backbone with a
 // correspondent server, one base station per cell, a shared wireless link
 // per cell, and runs the paper's whole pipeline over it —
@@ -10,9 +9,10 @@
 //   * multicast branches to all neighboring base stations so a handoff
 //     finds warm state (branch admission failures are never fatal),
 //   * advance reservation of b_min on the predicted next cell's wireless
-//     link (b_resv,l), consumable only by the predicted handoff,
-//   * handoff processing: re-route, handoff-class admission at the new
-//     wireless link, drop accounting,
+//     link (b_resv,l), held per session and cancelled once the portable
+//     turns static,
+//   * handoff processing: release the session's own reservation, re-route,
+//     admit at the new wireless link, drop accounting,
 //   * max-min conflict resolution across the whole network for static
 //     portables' connections (Section 5.2 via maxmin::resolve_conflicts).
 #pragma once
@@ -102,13 +102,16 @@ class NetworkEnvironment {
   /// Throws std::invalid_argument when the portable has no connection.
   void close_connection(PortableId portable);
 
-  /// Handoff with re-routing: tears the old path down, admits the new path
-  /// as a handoff (consuming any advance reservation), rebuilds multicast
-  /// branches. Returns false when the connection was dropped.
+  /// Handoff with re-routing: tears the old path down, returns the
+  /// session's advance reservation to its pool, admits the new path,
+  /// rebuilds multicast branches. Returns false when the connection was
+  /// dropped.
   bool handoff(PortableId portable, CellId to);
 
-  /// Network-initiated adaptation: re-runs max-min conflict resolution over
-  /// all static portables' connections.
+  /// Network-initiated adaptation: reclassifies the sessions (a portable
+  /// that turned static gives up its advance reservation, Section 3.4.2),
+  /// then re-runs max-min conflict resolution over all static portables'
+  /// connections.
   void adapt();
 
   /// Application-initiated renegotiation (Section 5.3: "the network
@@ -130,6 +133,9 @@ class NetworkEnvironment {
   [[nodiscard]] qos::BitsPerSecond allocated(PortableId portable) const;
   /// The portable's live connection, or invalid when it has none.
   [[nodiscard]] net::ConnectionId connection_of(PortableId portable) const;
+  /// The cell and amount of the portable's advance reservation, or
+  /// (invalid, 0) when it holds none.
+  [[nodiscard]] std::pair<CellId, qos::BitsPerSecond> reservation(PortableId portable) const;
   [[nodiscard]] net::LinkId wireless_link(CellId cell) const {
     return wireless_link_of_.at(cell.value());
   }
@@ -174,9 +180,9 @@ class NetworkEnvironment {
     return const_cast<Session*>(std::as_const(*this).open_session(portable));
   }
   void place_advance_reservation(PortableId portable, Session& session);
-  void cancel_advance_reservation(PortableId portable, Session& session);
+  void cancel_advance_reservation(Session& session);
   void rebuild_multicast(PortableId portable, Session& session);
-  void teardown_session(PortableId portable, Session& session);
+  void teardown_session(Session& session);
   /// Lowers min_entered_ to `portable`'s cell entry time; called whenever
   /// its session connection is (re-)admitted.
   void note_session_dwell(PortableId portable);

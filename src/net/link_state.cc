@@ -42,8 +42,11 @@ void LinkState::set_allocated(ConnectionId id, qos::BitsPerSecond allocated) {
 }
 
 void LinkState::release_advance(qos::BitsPerSecond amount) {
-  advance_reserved_ -= amount;
-  if (advance_reserved_ < 0.0) advance_reserved_ = 0.0;
+  if (amount > advance_reserved_ + 1e-6) {
+    throw std::logic_error("release_advance: release exceeds the advance reservation pool");
+  }
+  // Sums rounded in another order may take the pool a hair below zero.
+  advance_reserved_ = std::max(advance_reserved_ - amount, 0.0);
 }
 
 qos::BitsPerSecond LinkState::sum_allocated() const {

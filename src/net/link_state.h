@@ -42,8 +42,10 @@ class LinkState {
 
   /// Advance reservation pool b_resv,l.
   void reserve_advance(qos::BitsPerSecond amount) { advance_reserved_ += amount; }
+  /// Returns `amount` to the pool. Throws std::logic_error when it exceeds
+  /// the pool by more than 1e-6 b/s: someone released a reservation that
+  /// was never placed here.
   void release_advance(qos::BitsPerSecond amount);
-  void set_advance_reserved(qos::BitsPerSecond amount) { advance_reserved_ = amount; }
   [[nodiscard]] qos::BitsPerSecond advance_reserved() const { return advance_reserved_; }
 
   [[nodiscard]] qos::BitsPerSecond capacity() const { return capacity_; }

@@ -22,24 +22,18 @@ std::optional<ConnectionId> NetworkState::admit(NodeId src, NodeId dst, const Ro
                                                 const qos::QosRequest& request,
                                                 qos::MobilityClass mobility,
                                                 qos::Scheduler scheduler,
-                                                qos::BitsPerSecond b_stamp,
-                                                qos::ConnectionKind kind) {
+                                                qos::BitsPerSecond b_stamp) {
   snapshots_.clear();
   for (LinkId lid : route) snapshots_.push_back(link(lid).snapshot());
 
   const qos::AdmissionPipeline pipeline(scheduler, mobility);
-  pipeline.admit(request, snapshots_, last_result_, b_stamp, kind);
+  pipeline.admit(request, snapshots_, last_result_, b_stamp);
   if (!last_result_.accepted) return std::nullopt;
 
   const ConnectionId id{next_connection_++};
   for (std::size_t l = 0; l < route.size(); ++l) {
-    LinkState& ls = link(route[l]);
-    // A handoff consumes the advance reservation that was made for it.
-    if (kind == qos::ConnectionKind::kHandoff) {
-      ls.release_advance(std::min(ls.advance_reserved(), request.bandwidth.b_min));
-    }
-    ls.add_connection(id, request.bandwidth, last_result_.allocated_bandwidth,
-                      last_result_.hops[l].buffer);
+    link(route[l]).add_connection(id, request.bandwidth, last_result_.allocated_bandwidth,
+                                  last_result_.hops[l].buffer);
   }
   std::uint32_t s;
   if (free_slots_.empty()) {

@@ -44,8 +44,7 @@ class NetworkState {
                                     const qos::QosRequest& request,
                                     qos::MobilityClass mobility,
                                     qos::Scheduler scheduler = qos::Scheduler::kWfq,
-                                    qos::BitsPerSecond b_stamp = 0.0,
-                                    qos::ConnectionKind kind = qos::ConnectionKind::kNew);
+                                    qos::BitsPerSecond b_stamp = 0.0);
 
   /// Removes the connection from all its links. Throws std::out_of_range
   /// when it is not live.

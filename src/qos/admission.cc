@@ -96,22 +96,22 @@ void AdmissionPipeline::record(const AdmissionResult& result) const {
 
 void AdmissionPipeline::admit(const QosRequest& request,
                               const std::vector<LinkSnapshot>& route, AdmissionResult& result,
-                              BitsPerSecond b_stamp, ConnectionKind kind) const {
-  evaluate(request, route, b_stamp, kind, result);
+                              BitsPerSecond b_stamp) const {
+  evaluate(request, route, b_stamp, result);
   record(result);
 }
 
 AdmissionResult AdmissionPipeline::admit(const QosRequest& request,
                                          const std::vector<LinkSnapshot>& route,
-                                         BitsPerSecond b_stamp, ConnectionKind kind) const {
+                                         BitsPerSecond b_stamp) const {
   AdmissionResult result;
-  admit(request, route, result, b_stamp, kind);
+  admit(request, route, result, b_stamp);
   return result;
 }
 
 void AdmissionPipeline::evaluate(const QosRequest& request,
                                  const std::vector<LinkSnapshot>& route, BitsPerSecond b_stamp,
-                                 ConnectionKind kind, AdmissionResult& result) const {
+                                 AdmissionResult& result) const {
   std::vector<HopAllocation> hops = std::move(result.hops);
   hops.clear();
   result = AdmissionResult{};
@@ -140,14 +140,8 @@ void AdmissionPipeline::evaluate(const QosRequest& request,
     const LinkSnapshot& link = route[l];
     const std::size_t hop = l + 1;  // Table 2 indexes hops from 1
 
-    // Bandwidth: b_min,j <= C_l - b_resv,l - sum_i b_min,i. A handoff
-    // connection may consume the bandwidth that was advance-reserved for it
-    // (Section 5.1), so its test sees b_resv reduced by up to b_min.
-    BitsPerSecond usable_reservation =
-        kind == ConnectionKind::kHandoff ? std::min(link.advance_reserved, b_min) : 0.0;
-    const BitsPerSecond admissible =
-        link.capacity - (link.advance_reserved - usable_reservation) - link.sum_b_min;
-    if (b_min > admissible) {
+    // Bandwidth: b_min,j <= C_l - b_resv,l - sum_i b_min,i.
+    if (b_min > link.admissible_bandwidth()) {
       reject(RejectReason::kBandwidth, hop);
       return;
     }

@@ -70,13 +70,6 @@ struct AdmissionResult {
   std::vector<HopAllocation> hops;     // per-link allocations (forward order)
 };
 
-/// Inputs that differ between a brand-new connection and a handoff: a
-/// handoff connection may consume the advance-reserved bandwidth b_resv
-/// (Section 5.1, "the admission test for a handoff connection is the same
-/// ... except that connection handoff is able to use the (advance) reserved
-/// resources").
-enum class ConnectionKind { kNew, kHandoff };
-
 class AdmissionPipeline {
  public:
   AdmissionPipeline(Scheduler scheduler, MobilityClass mobility)
@@ -89,17 +82,14 @@ class AdmissionPipeline {
   ///
   /// `b_stamp` is the max-min fair excess share stamped into the forward
   /// control packet by the conflict-resolution machinery (Section 5.3.1);
-  /// pass 0 when no excess is available. `kind` selects whether advance
-  /// reservations may be consumed.
+  /// pass 0 when no excess is available.
   void admit(const QosRequest& request, const std::vector<LinkSnapshot>& route,
-             AdmissionResult& result, BitsPerSecond b_stamp = 0.0,
-             ConnectionKind kind = ConnectionKind::kNew) const;
+             AdmissionResult& result, BitsPerSecond b_stamp = 0.0) const;
 
   /// The same, into a fresh result.
   [[nodiscard]] AdmissionResult admit(const QosRequest& request,
                                       const std::vector<LinkSnapshot>& route,
-                                      BitsPerSecond b_stamp = 0.0,
-                                      ConnectionKind kind = ConnectionKind::kNew) const;
+                                      BitsPerSecond b_stamp = 0.0) const;
 
   /// Pre-registers accept/reject counters (`qos.admission.accepted`,
   /// `qos.admission.attempts` and `qos.admission.rejected.<test>`) in
@@ -133,7 +123,7 @@ class AdmissionPipeline {
 
  private:
   void evaluate(const QosRequest& request, const std::vector<LinkSnapshot>& route,
-                BitsPerSecond b_stamp, ConnectionKind kind, AdmissionResult& result) const;
+                BitsPerSecond b_stamp, AdmissionResult& result) const;
   void record(const AdmissionResult& result) const;
 
   Scheduler scheduler_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/network_environment.h"
 #include "mobility/floorplan.h"
@@ -19,6 +20,18 @@ namespace {
 using qos::kbps;
 using sim::Duration;
 using sim::SimTime;
+
+// The sum of the portables' advance reservations in `cell`: what its
+// wireless pool must hold.
+double reserved_in(const NetworkEnvironment& env, const std::vector<net::PortableId>& portables,
+                   mobility::CellId cell) {
+  double reserved = 0.0;
+  for (const net::PortableId p : portables) {
+    const auto [where, bps] = env.reservation(p);
+    if (where == cell) reserved += bps;
+  }
+  return reserved;
+}
 
 TEST(FullSystem, HalfDayCampusUnderFading) {
   sim::Simulator simulator;
@@ -112,7 +125,8 @@ TEST(FullSystem, HalfDayCampusUnderFading) {
       allocated += share.allocated;
     });
     EXPECT_LE(allocated, link.capacity() + 1e-6) << cell.name;
-    EXPECT_GE(link.advance_reserved(), -1e-6);
+    EXPECT_NEAR(link.advance_reserved(), reserved_in(env, population, cell.id), 1e-6)
+        << cell.name;
   }
 
   // Teardown leaves a clean network.
@@ -181,7 +195,8 @@ TEST(FullSystem, ThreeFloorBuildingAtScale) {
   for (const auto& cell : env.map().cells()) {
     const auto& link = env.network().link(env.wireless_link(cell.id));
     EXPECT_LE(link.sum_b_min(), link.capacity() + 1e-6) << cell.name;
-    EXPECT_GE(link.advance_reserved(), -1e-6) << cell.name;
+    EXPECT_NEAR(link.advance_reserved(), reserved_in(env, population, cell.id), 1e-6)
+        << cell.name;
   }
 }
 

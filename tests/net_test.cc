@@ -271,11 +271,14 @@ TEST(LinkState, SetAllocatedClampsWithinBounds) {
   EXPECT_DOUBLE_EQ(ls.sum_allocated(), mbps(1.5));
 }
 
-TEST(LinkState, ReleaseAdvanceSaturatesAtZero) {
+TEST(LinkState, ReleaseBeyondTheAdvancePoolThrows) {
   LinkState ls(LinkId{0}, mbps(10), 1e6, 0.0);
   ls.reserve_advance(kbps(100));
-  ls.release_advance(kbps(200));
-  EXPECT_DOUBLE_EQ(ls.advance_reserved(), 0.0);
+  EXPECT_THROW(ls.release_advance(kbps(200)), std::logic_error);
+  EXPECT_DOUBLE_EQ(ls.advance_reserved(), kbps(100));
+  // A rounding-sized overshoot is tolerated and leaves the pool empty.
+  ls.release_advance(kbps(100) + 1e-7);
+  EXPECT_EQ(ls.advance_reserved(), 0.0);
 }
 
 TEST(LinkState, SnapshotMirrorsState) {
@@ -359,7 +362,7 @@ TEST_F(NetworkStateTest, TeardownFreesCapacity) {
                         qos::MobilityClass::kMobile));
 }
 
-TEST_F(NetworkStateTest, HandoffConsumesAdvanceReservation) {
+TEST_F(NetworkStateTest, AdmissionLeavesTheAdvancePoolToItsOwner) {
   NetworkState net(topo_);
   // Fill the wireless link to 99 connections and advance-reserve the rest.
   for (int i = 0; i < 99; ++i) {
@@ -370,11 +373,12 @@ TEST_F(NetworkStateTest, HandoffConsumesAdvanceReservation) {
   const LinkId wireless = route.back();
   net.link(wireless).reserve_advance(kbps(16));
 
-  // A new connection must fail (reservation blocks it) ...
+  // The reservation blocks admission and admission never spends it ...
   EXPECT_FALSE(net.admit(src_, bs_, route, small_request(), qos::MobilityClass::kMobile));
-  // ... but the handoff the reservation was made for succeeds and consumes it.
-  EXPECT_TRUE(net.admit(src_, bs_, route, small_request(), qos::MobilityClass::kMobile,
-                        qos::Scheduler::kWfq, 0.0, qos::ConnectionKind::kHandoff));
+  EXPECT_DOUBLE_EQ(net.link(wireless).advance_reserved(), kbps(16));
+  // ... only its owner's release frees the bandwidth.
+  net.link(wireless).release_advance(kbps(16));
+  EXPECT_TRUE(net.admit(src_, bs_, route, small_request(), qos::MobilityClass::kMobile));
   EXPECT_DOUBLE_EQ(net.link(wireless).advance_reserved(), 0.0);
 }
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "core/network_environment.h"
 #include "maxmin/bridge.h"
@@ -44,6 +45,14 @@ class NetworkEnvironmentTest : public ::testing::Test {
     cells_ = mobility::fig4_cells(env_->map());
   }
 
+  [[nodiscard]] std::vector<qos::BitsPerSecond> sum_b_min_per_link() const {
+    std::vector<qos::BitsPerSecond> sums;
+    for (std::uint32_t l = 0; l < env_->network().link_count(); ++l) {
+      sums.push_back(env_->network().link(net::LinkId{l}).sum_b_min());
+    }
+    return sums;
+  }
+
   sim::Simulator simulator_;
   BackboneConfig config_;
   std::unique_ptr<NetworkEnvironment> env_;
@@ -68,6 +77,39 @@ TEST_F(NetworkEnvironmentTest, OpenConnectionRunsEndToEndAdmission) {
   // The route crosses the wireless link of D.
   const auto& link = env_->network().link(env_->wireless_link(cells_.d));
   EXPECT_DOUBLE_EQ(link.sum_b_min(), kbps(64));
+}
+
+TEST_F(NetworkEnvironmentTest, OpenConnectionReservesTheMinimumOnEveryHop) {
+  const auto p = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  const net::ConnectionId id = env_->connection_of(p);
+  ASSERT_TRUE(id.is_valid());
+  const net::Route& route = env_->network().connection(id).route;
+  // server - core - area switch - base station - air.
+  ASSERT_EQ(route.size(), 4u);
+  EXPECT_EQ(route.back(), env_->wireless_link(cells_.d));
+  for (const net::LinkId link : route) {
+    const auto& share = env_->network().link(link).share(id);
+    EXPECT_DOUBLE_EQ(share.bounds.b_min, kbps(64)) << "link " << link.value();
+    EXPECT_DOUBLE_EQ(share.allocated, kbps(64)) << "link " << link.value();
+  }
+}
+
+TEST_F(NetworkEnvironmentTest, BlocksWhenCellSaturated) {
+  // 25 minima of 64 kbps fill D's 1.6 Mbps air; the 26th is blocked.
+  for (int i = 0; i < 25; ++i) {
+    const auto q = env_->add_portable(cells_.d);
+    ASSERT_TRUE(env_->open_connection(q, stream_request(kbps(64), kbps(64)))) << i;
+  }
+  const std::vector<qos::BitsPerSecond> before = sum_b_min_per_link();
+  const std::size_t connections = env_->network().connection_count();
+  const auto extra = env_->add_portable(cells_.d);
+  EXPECT_FALSE(env_->open_connection(extra, stream_request(kbps(64), kbps(64))));
+  EXPECT_EQ(env_->stats().connections_blocked, 1u);
+  EXPECT_FALSE(env_->has_connection(extra));
+  // The rejected attempt left nothing behind on any hop.
+  EXPECT_EQ(env_->network().connection_count(), connections);
+  EXPECT_EQ(sum_b_min_per_link(), before);
 }
 
 TEST_F(NetworkEnvironmentTest, MulticastBranchesWarmNeighbors) {
@@ -96,6 +138,101 @@ TEST_F(NetworkEnvironmentTest, HandoffIntoWarmCellCounts) {
   EXPECT_TRUE(env_->has_connection(p));
 }
 
+TEST_F(NetworkEnvironmentTest, HandoffKeepsConnectionAlive) {
+  const auto p = env_->add_portable(cells_.c);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  EXPECT_TRUE(env_->has_connection(p));
+  EXPECT_EQ(env_->stats().handoffs, 1u);
+  EXPECT_EQ(env_->stats().handoff_drops, 0u);
+  // The session now ends on D's air and has left C's.
+  const net::ConnectionId id = env_->connection_of(p);
+  ASSERT_TRUE(id.is_valid());
+  EXPECT_EQ(env_->network().connection(id).route.back(), env_->wireless_link(cells_.d));
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.c)).sum_b_min(), 0.0);
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.d)).sum_b_min(),
+                   kbps(64));
+  EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(64));
+}
+
+TEST_F(NetworkEnvironmentTest, DroppedHandoffFreesTheOldPath) {
+  for (int i = 0; i < 25; ++i) {
+    const auto q = env_->add_portable(cells_.d);
+    ASSERT_TRUE(env_->open_connection(q, stream_request(kbps(64), kbps(64))));
+  }
+  const std::vector<qos::BitsPerSecond> before = sum_b_min_per_link();
+  const std::size_t connections = env_->network().connection_count();
+  const auto p = env_->add_portable(cells_.c);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(64))));
+  ASSERT_FALSE(env_->handoff(p, cells_.d));
+  // The dropped session took its connection and its multicast branches
+  // with it: every hop is back to what the squatters hold.
+  EXPECT_EQ(env_->connection_of(p), net::ConnectionId::invalid());
+  EXPECT_DOUBLE_EQ(env_->allocated(p), 0.0);
+  EXPECT_EQ(env_->network().connection_count(), connections);
+  EXPECT_EQ(sum_b_min_per_link(), before);
+}
+
+TEST_F(NetworkEnvironmentTest, HandoffUsesAdvanceReservationFromProfiles) {
+  // Teach the profiles that this portable goes C -> D -> A: after the C -> D
+  // handoff its reservation lands in A although A is not its home office.
+  const auto p = env_->add_portable(cells_.c);
+  for (int i = 0; i < 3; ++i) env_->profiles().record_handoff(p, cells_.c, cells_.d, cells_.a);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  EXPECT_EQ(env_->reservation(p), std::make_pair(cells_.a, kbps(64)));
+  EXPECT_GE(env_->stats().reservations_placed, 1u);
+  const net::LinkId air_a = env_->wireless_link(cells_.a);
+  EXPECT_DOUBLE_EQ(env_->network().link(air_a).advance_reserved(), kbps(64));
+
+  // Completing the predicted move consumes the reservation with local
+  // signaling only.
+  ASSERT_TRUE(env_->handoff(p, cells_.a));
+  EXPECT_EQ(env_->stats().reservations_consumed, 1u);
+  EXPECT_EQ(env_->stats().local_handoffs, 1u);
+  EXPECT_NE(env_->reservation(p).first, cells_.a);
+  EXPECT_DOUBLE_EQ(env_->network().link(air_a).advance_reserved(), 0.0);
+}
+
+TEST_F(NetworkEnvironmentTest, PredictedHandoffConsumesOnlyItsOwnReservation) {
+  // Two occupants of A wait in D, each with a reservation in A.
+  const auto first = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  const auto second = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  ASSERT_TRUE(env_->open_connection(first, stream_request(kbps(64), kbps(256))));
+  ASSERT_TRUE(env_->open_connection(second, stream_request(kbps(32), kbps(256))));
+  ASSERT_TRUE(env_->handoff(first, cells_.d));
+  ASSERT_TRUE(env_->handoff(second, cells_.d));
+  const net::LinkId air_a = env_->wireless_link(cells_.a);
+  ASSERT_DOUBLE_EQ(env_->network().link(air_a).advance_reserved(), kbps(96));
+
+  ASSERT_TRUE(env_->handoff(first, cells_.a));
+  EXPECT_EQ(env_->stats().reservations_consumed, 1u);
+  EXPECT_EQ(env_->reservation(second), std::make_pair(cells_.a, kbps(32)));
+  EXPECT_DOUBLE_EQ(env_->network().link(air_a).advance_reserved(), kbps(32));
+
+  ASSERT_TRUE(env_->handoff(second, cells_.a));
+  EXPECT_EQ(env_->stats().reservations_consumed, 2u);
+  EXPECT_DOUBLE_EQ(env_->network().link(air_a).advance_reserved(), 0.0);
+}
+
+TEST_F(NetworkEnvironmentTest, NoReservationWithoutAnOpenSession) {
+  const auto p = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  const auto none = std::make_pair(CellId::invalid(), 0.0);
+  EXPECT_EQ(env_->reservation(p), none);
+  // A connectionless occupant walking past its office reserves nothing.
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  EXPECT_EQ(env_->reservation(p), none);
+  EXPECT_EQ(env_->reservation(PortableId{99}), none);  // never added
+  const net::LinkId air_a = env_->wireless_link(cells_.a);
+  EXPECT_DOUBLE_EQ(env_->network().link(air_a).advance_reserved(), 0.0);
+
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  ASSERT_EQ(env_->reservation(p), std::make_pair(cells_.a, kbps(64)));
+  env_->close_connection(p);
+  EXPECT_EQ(env_->reservation(p), none);
+  EXPECT_DOUBLE_EQ(env_->network().link(air_a).advance_reserved(), 0.0);
+}
+
 TEST_F(NetworkEnvironmentTest, AdvanceReservationFollowsPrediction) {
   const auto p = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
   ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
@@ -112,9 +249,28 @@ TEST_F(NetworkEnvironmentTest, AdvanceReservationFollowsPrediction) {
 TEST_F(NetworkEnvironmentTest, StaticPortableUpgradedByAdaptation) {
   const auto p = env_->add_portable(cells_.d);
   ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(1024))));
+  simulator_.run_until(SimTime::minutes(2));  // short of T_th: still mobile
+  env_->adapt();
+  EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(64));
   simulator_.run_until(SimTime::minutes(10));  // past T_th
   env_->adapt();
   // Alone on a 1.6 Mbps cell: upgraded to b_max (wired links are ample).
+  EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(1024));
+}
+
+TEST_F(NetworkEnvironmentTest, MobilePortableStaysAtMinimum) {
+  // Ten minutes in the building but never T_th in one cell: every handoff
+  // restarts the dwell, so adaptation leaves the portable at b_min.
+  const auto p = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(1024))));
+  for (int i = 1; i <= 5; ++i) {
+    simulator_.run_until(SimTime::minutes(2.0 * i));
+    ASSERT_TRUE(env_->handoff(p, i % 2 ? cells_.c : cells_.d));
+    env_->adapt();
+    EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(64)) << "after handoff " << i;
+  }
+  simulator_.run_until(SimTime::minutes(20));  // now it settles in C
+  env_->adapt();
   EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(1024));
 }
 
@@ -129,6 +285,67 @@ TEST_F(NetworkEnvironmentTest, AdaptationSplitsExcessMaxMin) {
   // p1 takes the remaining 1100: 100 + 1100 = 1200.
   EXPECT_NEAR(env_->allocated(p2), kbps(400), 1.0);
   EXPECT_NEAR(env_->allocated(p1), kbps(1200), 1.0);
+}
+
+TEST_F(NetworkEnvironmentTest, NewcomerAdmittedPastAStaticHog) {
+  // A static portable expanded to b_max hogs D's air; a newcomer's minimum
+  // is still admitted and adaptation squeezes the hog (Section 5.2 case b).
+  const auto hog = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(hog, stream_request(kbps(100), kbps(1600))));
+  simulator_.run_until(SimTime::minutes(10));
+  env_->adapt();
+  ASSERT_NEAR(env_->allocated(hog), kbps(1600), 1.0);
+
+  const auto newcomer = env_->add_portable(cells_.d);
+  EXPECT_TRUE(env_->open_connection(newcomer, stream_request(kbps(200), kbps(400))));
+  EXPECT_NEAR(env_->allocated(newcomer), kbps(200), 1.0);  // mobile: b_min
+  EXPECT_NEAR(env_->allocated(hog), kbps(1400), 1.0);
+}
+
+// Close, renegotiation and handoff each re-divide the cell themselves: a
+// static portable sharing D's air with a demand-limited one gets the freed
+// excess as soon as the call returns, with no adapt() in between.
+class RedivisionTest : public NetworkEnvironmentTest {
+ protected:
+  RedivisionTest() {
+    settled_ = env_->add_portable(cells_.d);
+    other_ = env_->add_portable(cells_.d);
+    EXPECT_TRUE(env_->open_connection(settled_, stream_request(kbps(100), kbps(2000))));
+    EXPECT_TRUE(env_->open_connection(other_, stream_request(kbps(100), kbps(300))));
+    simulator_.run_until(SimTime::minutes(10));
+    env_->adapt();
+    // Excess 1400 kbps: 200 to the demand-limited portable, 1200 to settled.
+    EXPECT_NEAR(env_->allocated(other_), kbps(300), 1.0);
+    EXPECT_NEAR(env_->allocated(settled_), kbps(1300), 1.0);
+  }
+
+  PortableId settled_;
+  PortableId other_;
+};
+
+TEST_F(RedivisionTest, CloseHandsTheFreedExcessToTheStatics) {
+  env_->close_connection(other_);
+  // Alone in D: the whole 1600 kbps air, short of its 2000 kbps b_max.
+  EXPECT_NEAR(env_->allocated(settled_), kbps(1600), 1.0);
+  double allocated = 0.0;
+  env_->network().link(env_->wireless_link(cells_.d))
+      .for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
+        allocated += share.allocated;
+      });
+  EXPECT_NEAR(allocated, kbps(1600), 1.0);
+}
+
+TEST_F(RedivisionTest, RenegotiationRedividesWithoutAnAdapt) {
+  ASSERT_TRUE(env_->renegotiate(other_, stream_request(kbps(100), kbps(200))));
+  EXPECT_NEAR(env_->allocated(other_), kbps(200), 1.0);
+  EXPECT_NEAR(env_->allocated(settled_), kbps(1400), 1.0);
+}
+
+TEST_F(RedivisionTest, HandoffRedividesTheCellItLeaves) {
+  ASSERT_TRUE(env_->handoff(other_, cells_.c));
+  EXPECT_NEAR(env_->allocated(settled_), kbps(1600), 1.0);
+  // The leaver is mobile again in C, so it holds only its minimum there.
+  EXPECT_DOUBLE_EQ(env_->allocated(other_), kbps(100));
 }
 
 TEST_F(NetworkEnvironmentTest, HandoffDropsWhenTargetSaturated) {
@@ -171,6 +388,55 @@ TEST_F(NetworkEnvironmentTest, ReservationBlocksNewButAdmitsPredictedHandoff) {
   EXPECT_EQ(env_->stats().reservations_consumed, 1u);
 }
 
+TEST_F(NetworkEnvironmentTest, UnpredictedHandoffLeavesAnotherSessionsReservation) {
+  // q, an occupant of A, waits in D with a reservation in A.
+  const auto q = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  ASSERT_TRUE(env_->open_connection(q, stream_request(kbps(64), kbps(256))));
+  ASSERT_TRUE(env_->handoff(q, cells_.d));
+  ASSERT_EQ(env_->reservation(q), std::make_pair(cells_.a, kbps(64)));
+  // p walks into A with no reservation of its own.
+  const auto p = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(32), kbps(32))));
+  ASSERT_FALSE(env_->reservation(p).first.is_valid());
+  ASSERT_TRUE(env_->handoff(p, cells_.a));
+  EXPECT_EQ(env_->stats().reservations_consumed, 0u);
+  // q's reservation is still whole in A's pool.
+  EXPECT_EQ(env_->reservation(q), std::make_pair(cells_.a, kbps(64)));
+  EXPECT_NE(env_->reservation(p).first, cells_.a);
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.a)).advance_reserved(),
+                   kbps(64));
+}
+
+TEST_F(NetworkEnvironmentTest, FailedPredictedHandoffReturnsItsReservation) {
+  for (int i = 0; i < 24; ++i) {
+    const auto q = env_->add_portable(cells_.d);
+    ASSERT_TRUE(env_->open_connection(q, stream_request(kbps(64), kbps(64))));
+  }
+  const auto p = env_->add_portable(cells_.c);
+  for (int i = 0; i < 3; ++i) env_->profiles().record_handoff(p, cells_.c, cells_.c, cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(64))));
+  ASSERT_EQ(env_->reservation(p), std::make_pair(cells_.d, kbps(64)));
+  // D's air fades to what its occupants hold: even with its own
+  // reservation back, p no longer fits and is dropped.
+  const net::LinkId air = env_->wireless_link(cells_.d);
+  env_->network_mut().link(air).set_capacity(kbps(24 * 64));
+  EXPECT_FALSE(env_->handoff(p, cells_.d));
+  EXPECT_FALSE(env_->reservation(p).first.is_valid());
+  EXPECT_DOUBLE_EQ(env_->network().link(air).advance_reserved(), 0.0);
+}
+
+TEST_F(NetworkEnvironmentTest, StaticPortableGivesUpItsReservation) {
+  const auto p = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  ASSERT_EQ(env_->reservation(p), std::make_pair(cells_.a, kbps(64)));
+  simulator_.run_until(SimTime::minutes(10));  // p settles in D (Section 3.4.2)
+  env_->adapt();
+  EXPECT_FALSE(env_->reservation(p).first.is_valid());
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.a)).advance_reserved(),
+                   0.0);
+}
+
 TEST_F(NetworkEnvironmentTest, RenegotiationUpAndDown) {
   const auto p = env_->add_portable(cells_.d);
   ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(128))));
@@ -185,6 +451,24 @@ TEST_F(NetworkEnvironmentTest, RenegotiationUpAndDown) {
   EXPECT_TRUE(env_->has_connection(p));
   env_->adapt();
   EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(512));
+}
+
+TEST_F(NetworkEnvironmentTest, FailedRenegotiationKeepsOldConnection) {
+  const auto p = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  ASSERT_EQ(env_->reservation(p), std::make_pair(cells_.a, kbps(64)));
+  // More than D's whole air: refused, and the old session is untouched.
+  EXPECT_FALSE(env_->renegotiate(p, stream_request(kbps(2000), kbps(4000))));
+  EXPECT_TRUE(env_->has_connection(p));
+  EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(64));
+  EXPECT_DOUBLE_EQ(env_->network().connection(env_->connection_of(p)).request.bandwidth.b_max,
+                   kbps(256));
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.d)).sum_b_min(),
+                   kbps(64));
+  EXPECT_EQ(env_->reservation(p), std::make_pair(cells_.a, kbps(64)));
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.a)).advance_reserved(),
+                   kbps(64));
 }
 
 TEST_F(NetworkEnvironmentTest, CloseReleasesEverything) {

@@ -106,16 +106,6 @@ TEST(Admission, AdvanceReservationBlocksNewConnections) {
   EXPECT_EQ(result.reason, RejectReason::kBandwidth);
 }
 
-TEST(Admission, HandoffMayConsumeAdvanceReservation) {
-  LinkSnapshot reserved = wide_link();
-  reserved.advance_reserved = mbps(9.5);
-  const AdmissionPipeline p(Scheduler::kWfq, MobilityClass::kMobile);
-  const auto result = p.admit(typical_request(), {reserved}, 0.0, ConnectionKind::kHandoff);
-  // The handoff consumes up to b_min of the reservation made for it:
-  // admissible becomes 10 - (9.5 - 1.0) = 1.5 >= 1.0.
-  EXPECT_TRUE(result.accepted);
-}
-
 TEST(Admission, RejectsOnPerHopJitter) {
   // Jitter at hop l: (sigma + l L)/b_min. With 4 hops the last hop gives
   // (8000 + 4*8000)/1e6 = 0.04 > 0.03.

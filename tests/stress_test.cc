@@ -3,6 +3,7 @@
 // checks. Failure injection included: wireless capacity collapses mid-run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "core/network_environment.h"
@@ -28,13 +29,19 @@ qos::QosRequest random_request(std::mt19937_64& rng) {
 
 class StressCampaign : public ::testing::TestWithParam<int> {
  protected:
-  void check_invariants(const NetworkEnvironment& env) {
+  // `portables` lists every portable that may hold a session.
+  void check_invariants(const NetworkEnvironment& env, const std::vector<PortableId>& portables) {
     const net::NetworkState& net = env.network();
     for (const auto& cell : env.map().cells()) {
       const auto& link = net.link(env.wireless_link(cell.id));
-      // Reservations never go negative and guaranteed minima never exceed
-      // what admission could have allowed.
-      EXPECT_GE(link.advance_reserved(), -1e-6);
+      // The pool holds exactly the live sessions' reservations in the cell,
+      // and guaranteed minima never exceed what admission could have allowed.
+      double reserved = 0.0;
+      for (const PortableId p : portables) {
+        const auto [where, bps] = env.reservation(p);
+        if (where == cell.id) reserved += bps;
+      }
+      EXPECT_NEAR(link.advance_reserved(), reserved, 1e-6) << cell.name;
       EXPECT_LE(link.sum_b_min(), link.capacity() + 1e-6) << cell.name;
       // Every allocation sits within its connection's bounds and the link's
       // allocations are feasible.
@@ -98,7 +105,7 @@ TEST_P(StressCampaign, RandomOperationsPreserveInvariants) {
         env.adapt();
         break;
     }
-    check_invariants(env);
+    check_invariants(env, portables);
     if (HasFailure()) {
       ADD_FAILURE() << "invariant broke at step " << step << " (seed " << GetParam()
                     << ")";
@@ -106,6 +113,87 @@ TEST_P(StressCampaign, RandomOperationsPreserveInvariants) {
     }
   }
   EXPECT_GT(ops, 50u);  // the campaign actually did things
+}
+
+TEST_P(StressCampaign, OccupantChurnKeepsThePoolExact) {
+  // Office occupants shuttle between their offices and the corridor with
+  // heavy minima, so most handoffs are predicted and many targets are full:
+  // reservations are consumed, dropped with their owner, cancelled and
+  // re-placed, and the pool must match the live sessions after every step.
+  std::mt19937_64 rng{std::uint64_t(GetParam()) + 7};
+  sim::Simulator simulator;
+  mobility::CampusConfig floor;
+  floor.offices = 4;
+  floor.corridor_segments = 2;
+  NetworkEnvironment env(mobility::campus_environment(floor), simulator, BackboneConfig{});
+
+  const std::vector<mobility::CellId> offices =
+      env.map().cells_of_class(mobility::CellClass::kOffice);
+  std::vector<PortableId> portables;
+  for (int i = 0; i < 24; ++i) {
+    const mobility::CellId home = offices[std::size_t(rng() % offices.size())];
+    const mobility::CellId start = env.map().cell(home).neighbors.front();  // its corridor
+    portables.push_back(env.add_portable(start, home));
+  }
+  auto heavy_request = [&rng] {
+    std::uniform_real_distribution<double> b_min(250.0, 550.0);
+    qos::QosRequest r = random_request(rng);
+    const double lo = b_min(rng);
+    r.bandwidth = {kbps(lo), kbps(2.0 * lo)};
+    return r;
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    simulator.run_until(simulator.now() + sim::Duration::seconds(20));
+    const PortableId p = portables[std::size_t(rng() % portables.size())];
+    const auto& portable = env.mobility().portable(p);
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+        if (!env.has_connection(p)) {
+          env.open_connection(p, heavy_request(),
+                              rng() % 2 ? Direction::kDownlink : Direction::kUplink);
+        }
+        break;
+      case 2:
+        if (env.has_connection(p)) env.close_connection(p);
+        break;
+      case 3:
+        if (env.has_connection(p)) env.renegotiate(p, heavy_request());
+        break;
+      case 4:
+        env.adapt();
+        break;
+      default: {  // mostly home and back, sometimes a random neighbor
+        const auto& cell = env.map().cell(portable.current_cell);
+        const auto& nbrs = cell.neighbors;
+        const bool home_is_next =
+            std::find(nbrs.begin(), nbrs.end(), *portable.home_office) != nbrs.end();
+        env.handoff(p, home_is_next && rng() % 4 != 0
+                           ? *portable.home_office
+                           : nbrs[std::size_t(rng() % nbrs.size())]);
+        break;
+      }
+    }
+    check_invariants(env, portables);
+    if (HasFailure()) {
+      ADD_FAILURE() << "invariant broke at step " << step << " (seed " << GetParam()
+                    << ")";
+      return;
+    }
+  }
+  // Both ends of a reservation's life were exercised.
+  EXPECT_GT(env.stats().reservations_consumed, 0u);
+  EXPECT_GT(env.stats().handoff_drops, 0u);
+
+  for (const PortableId p : portables) {
+    if (env.has_connection(p)) env.close_connection(p);
+  }
+  EXPECT_EQ(env.network().connection_count(), 0u);
+  for (std::uint32_t l = 0; l < env.network().link_count(); ++l) {
+    EXPECT_NEAR(env.network().link(net::LinkId{l}).advance_reserved(), 0.0, 1e-6) << "link " << l;
+    EXPECT_NEAR(env.network().link(net::LinkId{l}).sum_b_min(), 0.0, 1e-6) << "link " << l;
+  }
 }
 
 TEST_P(StressCampaign, WirelessCapacityCollapseIsSurvivable) {
@@ -139,7 +227,7 @@ TEST_P(StressCampaign, WirelessCapacityCollapseIsSurvivable) {
 
   link.set_capacity(qos::mbps(1.6));
   env.adapt();
-  check_invariants(env);
+  check_invariants(env, users);
 
   // Life goes on: handoffs and closes still work.
   EXPECT_TRUE(env.handoff(users[0], cells.c) || !env.has_connection(users[0]));

@@ -63,7 +63,17 @@ struct CampusScaleResult {
   std::uint64_t new_blocked = 0;
   std::uint64_t handoff_admitted = 0;
   std::uint64_t handoff_dropped = 0;
+  /// Routed advance reservations: sent two hops ahead of a connected
+  /// walker; consumed by their owner's handoff admission in that cell; and
+  /// cancel messages sent when the owner left the route first. A placed
+  /// reservation that found its cell full is neither consumed nor parked,
+  /// and its cancel, if any, finds nothing.
   std::uint64_t reservations_placed = 0;
+  std::uint64_t reservations_consumed = 0;
+  std::uint64_t reservations_cancelled = 0;
+  /// Reservations still parked in some cell when the run ends: 0 when every
+  /// parked reservation was consumed or cancelled. Not a metric.
+  std::uint64_t reservations_parked_at_end = 0;
   std::uint64_t departures = 0;
   /// Heap footprint of all live state: the generated workload, the per-cell
   /// states, their resident rows and reservation tables.
@@ -93,8 +103,10 @@ struct CampusScaleResult {
 /// The grid campus executed through sim::ShardedRunner: one domain per cell
 /// (the runner's contiguous worker-block assignment is the cell→shard
 /// partitioner), window = config.tick, every cross-cell interaction — a
-/// walking portable, an advance reservation, a stale-reservation cancel — a
-/// boundary message with one-tick latency. Deterministic and byte-identical
+/// walking portable, an advance reservation, the cancel of a reservation
+/// whose owner left the route — a boundary message with one-tick latency.
+/// A reservation its owner reaches is consumed by the owner's handoff
+/// admission and costs no further message. Deterministic and byte-identical
 /// for any (shards, batch).
 [[nodiscard]] CampusScaleResult run_campus_scale_sharded(
     const CampusScaleConfig& config);

@@ -59,6 +59,8 @@ void expect_metrics_match_result(const Outcome& out, const std::string& label) {
       {"scale.handoff.admitted", r.handoff_admitted},
       {"scale.handoff.dropped", r.handoff_dropped},
       {"scale.reservations", r.reservations_placed},
+      {"scale.reservations.consumed", r.reservations_consumed},
+      {"scale.reservations.cancelled", r.reservations_cancelled},
       {"scale.departures", r.departures},
       {"sim.events_fired", r.events},
       {"shard.windows", r.windows},
@@ -99,6 +101,10 @@ TEST(ShardedScale, ByteIdenticalAcrossShardAndBatchCounts) {
       EXPECT_EQ(got.result.handoff_admitted, base.result.handoff_admitted) << label;
       EXPECT_EQ(got.result.handoff_dropped, base.result.handoff_dropped) << label;
       EXPECT_EQ(got.result.reservations_placed, base.result.reservations_placed)
+          << label;
+      EXPECT_EQ(got.result.reservations_consumed, base.result.reservations_consumed)
+          << label;
+      EXPECT_EQ(got.result.reservations_cancelled, base.result.reservations_cancelled)
           << label;
       EXPECT_EQ(got.result.departures, base.result.departures) << label;
       // Execution-invariant runner totals: the window sequence and boundary
@@ -141,6 +147,39 @@ TEST(ShardedScale, DispatchesVaryWithBatchButNeverLeak) {
   EXPECT_GT(unbatched.result.dispatches, batched.result.dispatches);
   EXPECT_EQ(unbatched.metrics_json, batched.metrics_json);
   EXPECT_EQ(unbatched.metrics_json.find("dispatch"), std::string::npos);
+}
+
+// The grid's boundary rows are its hops, its routed reservations and their
+// cancels, one row each: a reservation its owner consumes costs no cancel.
+TEST(ShardedScale, BoundaryRowsAreHopsReservationsAndCancels) {
+  for (const std::size_t shards : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
+    for (const std::size_t batch : {std::size_t(1), std::size_t(0)}) {
+      const CampusScaleResult r = run(shards, batch).result;
+      const std::string label =
+          "shards=" + std::to_string(shards) + " batch=" + std::to_string(batch);
+      ASSERT_GT(r.reservations_placed, 0u) << label;
+      EXPECT_EQ(r.boundary_messages,
+                r.handoffs + r.reservations_placed + r.reservations_cancelled)
+          << label;
+    }
+  }
+}
+
+// A reservation parked two hops ahead waits for its owner, who consumes it on
+// arrival (Section 5.1); one the owner no longer needs is cancelled. Either
+// way no cell still holds one when the day is over.
+TEST(ShardedScale, WalkersConsumeTheirReservations) {
+  for (const std::size_t shards : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
+    for (const std::size_t batch : {std::size_t(1), std::size_t(0)}) {
+      const CampusScaleResult r = run(shards, batch).result;
+      const std::string label =
+          "shards=" + std::to_string(shards) + " batch=" + std::to_string(batch);
+      EXPECT_GT(r.reservations_consumed, 0u) << label;
+      EXPECT_LE(r.reservations_consumed + r.reservations_cancelled, r.reservations_placed)
+          << label;
+      EXPECT_EQ(r.reservations_parked_at_end, 0u) << label;
+    }
+  }
 }
 
 TEST(ShardedScale, SeedChangesOutcome) {

@@ -311,6 +311,11 @@ bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest&
     session.connection = *admitted;
     session.request = request;
     note_session_dwell(portable);
+    // As for a new connection, a mobile session reserves its new b_min in
+    // the predicted cell (Section 5.1); the old amount goes back first.
+    if (mobility_.classify(portable) == qos::MobilityClass::kMobile) {
+      place_advance_reservation(portable, session);
+    }
     rebuild_multicast(portable, session);
     adapt();
     return true;
@@ -327,6 +332,9 @@ bool NetworkEnvironment::renegotiate(PortableId portable, const qos::QosRequest&
   }
   session.connection = *restored;
   note_session_dwell(portable);
+  // The restored connection was admitted at b_min: re-divide, so a static
+  // session gets back the share it held before the call.
+  adapt();
   return false;
 }
 

@@ -116,9 +116,11 @@ class NetworkEnvironment {
 
   /// Application-initiated renegotiation (Section 5.3: "the network
   /// essentially treats it as a new connection request"): try to move the
-  /// connection to new bounds; on failure the old connection stays intact.
-  /// If the old bounds no longer fit either (a link lost capacity since),
-  /// the session is torn down and false returned. Throws
+  /// connection to new bounds. On success a mobile session's advance
+  /// reservation is placed again at the new b_min. On failure the old
+  /// connection stays intact, its bounds, reservation and share of the cell
+  /// included. If the old bounds no longer fit either (a link lost capacity
+  /// since), the session is torn down and false returned. Throws
   /// std::invalid_argument when the portable has no connection.
   bool renegotiate(PortableId portable, const qos::QosRequest& request);
 

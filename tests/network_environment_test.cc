@@ -449,8 +449,31 @@ TEST_F(NetworkEnvironmentTest, RenegotiationUpAndDown) {
   // An impossible request is refused and the old connection survives.
   EXPECT_FALSE(env_->renegotiate(p, stream_request(qos::mbps(50), qos::mbps(60))));
   EXPECT_TRUE(env_->has_connection(p));
-  env_->adapt();
   EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(512));
+}
+
+TEST_F(NetworkEnvironmentTest, RefusedRenegotiationKeepsTheGrant) {
+  const auto p = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(512))));
+  simulator_.run_until(SimTime::minutes(10));
+  env_->adapt();
+  ASSERT_DOUBLE_EQ(env_->allocated(p), kbps(512));  // static, alone in D
+  // More than D's whole air: refused. The restored connection holds what
+  // it held before the call, not its 64 kb/s minimum.
+  EXPECT_FALSE(env_->renegotiate(p, stream_request(kbps(2000), kbps(4000))));
+  EXPECT_DOUBLE_EQ(env_->allocated(p), kbps(512));
+}
+
+TEST_F(NetworkEnvironmentTest, RenegotiationReservesTheNewMinimumAhead) {
+  const auto p = env_->add_portable(cells_.c, /*home_office=*/cells_.a);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  ASSERT_TRUE(env_->handoff(p, cells_.d));
+  ASSERT_EQ(env_->reservation(p), std::make_pair(cells_.a, kbps(64)));
+  // A handoff into A now needs 256 kb/s, so that is what A's pool holds.
+  ASSERT_TRUE(env_->renegotiate(p, stream_request(kbps(256), kbps(512))));
+  EXPECT_EQ(env_->reservation(p), std::make_pair(cells_.a, kbps(256)));
+  EXPECT_DOUBLE_EQ(env_->network().link(env_->wireless_link(cells_.a)).advance_reserved(),
+                   kbps(256));
 }
 
 TEST_F(NetworkEnvironmentTest, FailedRenegotiationKeepsOldConnection) {

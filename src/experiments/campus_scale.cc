@@ -140,7 +140,8 @@ mobility::CellMap scale_grid_floorplan(std::size_t cells) {
   mobility::CellMap map;
   for (std::size_t i = 0; i < cells; ++i) {
     const std::size_t r = i / side, c = i % side;
-    map.add_cell(classes[i], "g" + std::to_string(r) + "_" + std::to_string(c));
+    std::string name = std::string("g").append(std::to_string(r));
+    map.add_cell(classes[i], name.append("_").append(std::to_string(c)));
   }
   for (std::size_t i = 0; i < cells; ++i) {
     const std::size_t r = i / side, c = i % side;

@@ -122,7 +122,7 @@ CellMap building_environment(const BuildingConfig& config) {
   std::vector<CellId> stairwells;  // one per floor, linking to the next
 
   for (int f = 0; f < config.floors; ++f) {
-    const std::string prefix = "f" + std::to_string(f) + "/";
+    const std::string prefix = std::string("f").append(std::to_string(f)).append("/");
     const ZoneId zone{static_cast<ZoneId::underlying>(f)};
 
     // Corridor backbone of the floor.

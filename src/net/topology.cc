@@ -13,7 +13,7 @@ void Topology::reserve(std::size_t nodes, std::size_t links) {
 
 NodeId Topology::add_node(NodeKind kind, std::string name) {
   const NodeId id{static_cast<NodeId::underlying>(nodes_.size())};
-  if (name.empty()) name = "n" + std::to_string(id.value());
+  if (name.empty()) name = std::string("n").append(std::to_string(id.value()));
   nodes_.push_back(Node{id, kind, std::move(name)});
   adjacency_.emplace_back();
   return id;

@@ -35,7 +35,8 @@ mobility::CellMap service_cell_map(std::size_t cells) {
   std::vector<mobility::CellId> ids;
   ids.reserve(cells);
   for (std::size_t i = 0; i < cells; ++i) {
-    ids.push_back(map.add_cell(mobility::CellClass::kOffice, "s" + std::to_string(i)));
+    ids.push_back(
+        map.add_cell(mobility::CellClass::kOffice, std::string("s").append(std::to_string(i))));
   }
   for (std::size_t i = 1; i < cells; ++i) map.connect(ids[i - 1], ids[i]);
   return map;

@@ -116,7 +116,7 @@ TEST(Building, MultiFloorConnectivity) {
   EXPECT_TRUE(map.neighbor_relation_valid());
   // Every floor's cells exist, with per-floor zones.
   for (int f = 0; f < 3; ++f) {
-    const std::string prefix = "f" + std::to_string(f) + "/";
+    const std::string prefix = std::string("f").append(std::to_string(f)).append("/");
     const auto office = map.find(prefix + "office-0");
     ASSERT_TRUE(office.has_value()) << prefix;
     EXPECT_EQ(map.cell(*office).zone.value(), unsigned(f));

@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
 // event queue throughput, Table 2 admission, one admission-service request,
 // water-filling, advertised-rate recomputation, the distributed protocol
-// end-to-end, the binomial convolution of the probabilistic model, and a
-// full classroom run.
+// end-to-end, the binomial convolution of the probabilistic model, a full
+// classroom run and one campus day per reservation policy.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -332,6 +332,34 @@ BENCHMARK(BM_CampusDaySweep)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();  // the work happens on pool threads, not the timing thread
+
+void BM_CampusDayPolicy(benchmark::State& state, experiments::CampusPolicy policy) {
+  // One default-sized campus day (40 attendees, 10 squatters, seed 5) under
+  // one reservation policy; items are the day's fired events, counted once
+  // by a metered day, so the timed days run unmetered.
+  experiments::CampusDayConfig config;
+  config.policy = policy;
+  obs::Registry registry;
+  config.metrics = &registry;
+  benchmark::DoNotOptimize(experiments::run_campus_day(config));
+  const obs::CounterSample* fired = registry.snapshot().counter("sim.events_fired");
+  const std::int64_t events = fired != nullptr ? std::int64_t(fired->value) : 0;
+  config.metrics = nullptr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(experiments::run_campus_day(config));
+  }
+  state.SetItemsProcessed(state.iterations() * events);
+}
+BENCHMARK_CAPTURE(BM_CampusDayPolicy, none, experiments::CampusPolicy::kNone)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CampusDayPolicy, static, experiments::CampusPolicy::kStatic)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CampusDayPolicy, brute-force, experiments::CampusPolicy::kBruteForce)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CampusDayPolicy, aggregate, experiments::CampusPolicy::kAggregate)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CampusDayPolicy, dispatcher, experiments::CampusPolicy::kDispatcher)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MetricsHotPath(benchmark::State& state) {
   // One counter bump + one gauge set + one histogram record per iteration,

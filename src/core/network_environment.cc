@@ -272,10 +272,18 @@ void NetworkEnvironment::adapt() {
       Session& session = sessions_[p];
       if (!session.open || !session.connection.is_valid()) continue;
       const PortableId portable{PortableId::underlying(p)};
+      const mobility::Portable& record = mobility_.portable(portable);
       const qos::MobilityClass mobility = mobility_.classify(portable);
-      network_->set_mobility(session.connection, mobility);
-      if (mobility == qos::MobilityClass::kStatic) cancel_advance_reservation(session);
-      min_entered_ = std::min(min_entered_, mobility_.portable(portable).entered_cell);
+      const qos::MobilityClass was = network_->set_mobility(session.connection, mobility);
+      if (mobility == qos::MobilityClass::kStatic) {
+        cancel_advance_reservation(session);
+        // Sec. 3.4.2: a portable that turns static has its cached profile
+        // refreshed from the server.
+        if (was == qos::MobilityClass::kMobile) {
+          universe_->server_for_cell(record.current_cell).refresh_on_static(portable);
+        }
+      }
+      min_entered_ = std::min(min_entered_, record.entered_cell);
     }
   }
   maxmin::resolve_conflicts(*network_, /*static_only=*/true);

@@ -54,12 +54,15 @@ class NetworkState {
   void set_allocated(ConnectionId id, qos::BitsPerSecond rate);
 
   /// Updates the connection's static/mobile class (re-classification after
-  /// the T_th dwell changes who participates in adaptation).
-  void set_mobility(ConnectionId id, qos::MobilityClass mobility) {
+  /// the T_th dwell changes who participates in adaptation) and returns the
+  /// class it replaced.
+  qos::MobilityClass set_mobility(ConnectionId id, qos::MobilityClass mobility) {
     Connection& conn = connections_[slot(id)];
-    if (conn.mobility == qos::MobilityClass::kStatic) --static_count_;
+    const qos::MobilityClass was = conn.mobility;
+    if (was == qos::MobilityClass::kStatic) --static_count_;
     if (mobility == qos::MobilityClass::kStatic) ++static_count_;
     conn.mobility = mobility;
+    return was;
   }
 
   /// Throws std::out_of_range when the connection is not live. The

@@ -37,6 +37,7 @@ void ProfileServer::record_handoff(net::PortableId portable, CellId prev, CellId
   portable_profile_mut(portable).record(prev, from, to);
   // Cell profile of the departed cell: <previous cell, next cell>.
   cell_profile_mut(from).record(prev, to);
+  last_handoff_ = {portable, from, revision_};
   ++traffic_.handoff_updates;    // old BS notifies the server
   ++traffic_.profile_transfers;  // old BS forwards the cached profile
 }

@@ -86,6 +86,17 @@ class ProfileServer final : public ProfileSource {
   /// no profile changed.
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
+  /// The latest record_handoff: its portable, the cell it left and the
+  /// revision() its two bumps (that portable's profile, that cell's) left.
+  /// A reader that last saw revision() - 2 and finds `revision` still
+  /// current knows the whole change.
+  struct HandoffMark {
+    net::PortableId portable = net::PortableId::invalid();
+    CellId from = CellId::invalid();
+    std::uint64_t revision = 0;
+  };
+  [[nodiscard]] const HandoffMark& last_handoff() const { return last_handoff_; }
+
   [[nodiscard]] const CacheTraffic& traffic() const { return traffic_; }
   [[nodiscard]] net::ZoneId zone() const { return zone_; }
 
@@ -110,6 +121,7 @@ class ProfileServer final : public ProfileSource {
   std::vector<std::uint64_t> portable_revisions_;
   std::vector<std::uint64_t> cell_revisions_;
   std::uint64_t revision_ = 0;
+  HandoffMark last_handoff_;
   CacheTraffic traffic_;
 };
 

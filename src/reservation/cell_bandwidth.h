@@ -98,6 +98,16 @@ class CellBandwidth {
     reserved_specific_total_ = 0.0;
   }
 
+  /// Replaces the running total of the specific reservations with `total`,
+  /// which the caller summed from those same reservations in its own order.
+  /// A roster policy that edits a cell's reservations in place restates the
+  /// sum a full rebuild would have accumulated, so the total does not
+  /// depend on the order of the edits.
+  void restate_specific_total(qos::BitsPerSecond total) {
+    assert(total >= 0.0);
+    reserved_specific_total_ = total;
+  }
+
   // ---- introspection -----------------------------------------------------
   [[nodiscard]] qos::BitsPerSecond capacity() const { return capacity_; }
   [[nodiscard]] qos::BitsPerSecond allocated() const { return allocated_; }

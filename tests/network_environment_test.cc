@@ -437,6 +437,24 @@ TEST_F(NetworkEnvironmentTest, StaticPortableGivesUpItsReservation) {
                    0.0);
 }
 
+TEST_F(NetworkEnvironmentTest, StaticTransitionRefreshesTheCachedProfile) {
+  // Sec. 3.4.2: when a portable turns static, its base station refreshes the
+  // cached profile from the server, once per transition.
+  const auto p = env_->add_portable(cells_.d);
+  ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(256))));
+  const profiles::ProfileServer& server = env_->profiles();
+  EXPECT_EQ(server.traffic().refreshes, 0u);
+  simulator_.run_until(SimTime::minutes(10));  // past T_th
+  env_->adapt();
+  EXPECT_EQ(server.traffic().refreshes, 1u);
+  env_->adapt();  // still static: no new transition
+  EXPECT_EQ(server.traffic().refreshes, 1u);
+  ASSERT_TRUE(env_->handoff(p, cells_.c));  // mobile again
+  simulator_.run_until(SimTime::minutes(20));
+  env_->adapt();
+  EXPECT_EQ(server.traffic().refreshes, 2u);
+}
+
 TEST_F(NetworkEnvironmentTest, RenegotiationUpAndDown) {
   const auto p = env_->add_portable(cells_.d);
   ASSERT_TRUE(env_->open_connection(p, stream_request(kbps(64), kbps(128))));

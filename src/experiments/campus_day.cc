@@ -84,6 +84,7 @@ class CampusDay {
       ph_refresh_ = profiler_->intern("campus.refresh");
       ph_handoff_ = profiler_->intern("campus.handoff");
       ph_admission_ = profiler_->intern("campus.admission");
+      if (adapt_) ph_adapt_ = profiler_->intern("campus.adapt");
     }
     if (config_.metrics) {
       directory_.bind_metrics(*config_.metrics);
@@ -510,7 +511,10 @@ class CampusDay {
     }
   }
 
+  /// The adaptation step; the controller's renegotiations (adapt_renegotiate)
+  /// run inside its tick.
   void adapt_tick() {
+    const obs::Profiler::Scope scope(profiler_, ph_adapt_);
     adapt_->controller->tick();
     // Re-divide unconditionally: reservations and meeting traffic move the
     // room's excess even between renegotiations.
@@ -869,6 +873,7 @@ class CampusDay {
   obs::PhaseId ph_refresh_ = obs::kInvalidPhase;
   obs::PhaseId ph_handoff_ = obs::kInvalidPhase;
   obs::PhaseId ph_admission_ = obs::kInvalidPhase;
+  obs::PhaseId ph_adapt_ = obs::kInvalidPhase;
   CampusDayResult result_;
   SimTime horizon_;
   // Every event ever scheduled, indexed by serial: fire() is O(1), and a

@@ -89,8 +89,10 @@ struct CampusDayConfig {
   /// Wall-clock phase attribution of a single day (scenario_cli campus
   /// --profile 1): campus.day around the event loop, and inside it
   /// campus.refresh (the reservation policy), campus.handoff (the move with
-  /// its profile bookkeeping) and campus.admission (Table 2 admission of new
-  /// and handed-off connections). Wall time never reaches the result or the
+  /// its profile bookkeeping), campus.admission (Table 2 admission of new
+  /// and handed-off connections) and, with the adaptation loop on,
+  /// campus.adapt (the controller's tick, its renegotiations and the max-min
+  /// re-division). Wall time never reaches the result or the
   /// metrics. The sweep ignores it (it times whole replications instead).
   obs::Profiler* profiler = nullptr;
 };

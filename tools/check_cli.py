@@ -10,8 +10,9 @@ Three checks against one scenario_cli binary:
      names the workload a report measured, so a flag-table change must
      leave it byte-identical.
   2. profile — every invocation in PROFILED, run with --profile 1, must
-     write a non-empty `profile` block: the modes that keep the flag honour
-     it (the others refuse it with exit 2).
+     write a non-empty `profile` block naming the phases PROFILED_PHASES
+     lists for it: the modes that keep the flag honour it (the others
+     refuse it with exit 2).
   3. strictness — for every command and flag listed in the usage text
      (scenario_cli with no arguments), a malformed value of the flag's type
      must exit 2 with a diagnostic naming the flag.
@@ -105,12 +106,18 @@ REPORT_FIELDS = {
 PROFILED = [
     ["maxmin"],
     ["campus", "--attendees", "8", "--squatters", "2"],
+    ["campus", "--adapt-loop", "1", "--attendees", "8", "--squatters", "2"],
     ["campus", "--replications", "2", "--attendees", "8", "--squatters", "2"],
     ["campus", "--shards", "2", "--cells", "8", "--portables", "4", "--hours", "1"],
     ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
      "--shards", "2"],
     ["drive", "--duration", "2"],
 ]
+
+# Phases a profiled run must name, keyed by its arguments.
+PROFILED_PHASES = {
+    ("campus", "--adapt-loop", "1", "--attendees", "8", "--squatters", "2"): ["campus.adapt"],
+}
 
 # A value of each usage type that the parser must refuse.
 MALFORMED = {"count": "4x", "number": "nan", "probability": "1.5"}
@@ -180,6 +187,9 @@ def check_profiles(cli, tmp):
         profile = json.loads(text).get("profile") or {}
         if not profile.get("phases"):
             fail(f"`{' '.join(args)} --profile 1` wrote no profile phases")
+        for phase in PROFILED_PHASES.get(tuple(args), []):
+            if phase not in profile["phases"]:
+                fail(f"`{' '.join(args)} --profile 1` names no {phase} phase")
     print(f"OK: {len(PROFILED)} --profile 1 runs write a profile block")
 
 

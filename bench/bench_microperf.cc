@@ -95,11 +95,10 @@ void BM_EventQueueEqualTimeFanIn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueEqualTimeFanIn)->Arg(1000)->Arg(10000);
 
-void BM_ShardedExchange(benchmark::State& state, bool rows) {
+void BM_ShardedExchange(benchmark::State& state) {
   // The grid's boundary pattern: kSources domains each post kPerSource
-  // one-window messages that all reach domain 0 at the same instant. The
-  // callback path costs one queue event per message; the row path drains
-  // the whole fan-in with one.
+  // one-window rows that all reach domain 0 at the same instant, where one
+  // drain runs the whole fan-in.
   constexpr std::size_t kSources = 64;
   constexpr int kPerSource = 16;
   const sim::Duration window = sim::Duration::millis(1.0);
@@ -110,13 +109,9 @@ void BM_ShardedExchange(benchmark::State& state, bool rows) {
   sim::SimTime t = sim::SimTime::zero();
   for (auto _ : state) {
     for (std::size_t src = 1; src <= kSources; ++src) {
-      runner.domain(src).at(t, [&runner, &delivered, src, rows, window] {
+      runner.domain(src).at(t, [&runner, src, window] {
         for (int i = 0; i < kPerSource; ++i) {
-          if (rows) {
-            runner.post_row(src, 0, window, std::uint64_t(1));
-          } else {
-            runner.post(src, 0, window, [&delivered] { delivered += 1; });
-          }
+          runner.post_row(src, 0, window, std::uint64_t(1));
         }
       });
     }
@@ -126,8 +121,7 @@ void BM_ShardedExchange(benchmark::State& state, bool rows) {
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(std::int64_t(delivered));
 }
-BENCHMARK_CAPTURE(BM_ShardedExchange, callbacks, false);
-BENCHMARK_CAPTURE(BM_ShardedExchange, rows, true);
+BENCHMARK(BM_ShardedExchange);
 
 void BM_AdmissionPipeline(benchmark::State& state) {
   qos::QosRequest request;

@@ -20,6 +20,20 @@ namespace {
 // first, tight enough that abandoned bandwidth is reclaimed within the run.
 constexpr double kLeaseSlackFactor = 4.0;
 
+/// Every corridor message, as one boundary row. `cell` is the prober for a
+/// probe and the probed cell for its reply; a handoff uses no field and a
+/// release only `session`.
+struct CorridorRow {
+  enum Kind : std::uint8_t { kHandoff, kProbe, kProbeReply, kRelease };
+  Kind kind = kHandoff;
+  std::uint8_t ok = 0;
+  std::uint32_t cell = 0;
+  std::uint64_t session = 0;
+  double sent_s = 0.0;
+};
+static_assert(sizeof(CorridorRow) <= sim::ShardedRunner::kRowBytes,
+              "a corridor message must fit one boundary row");
+
 class CampusGrid {
  public:
   explicit CampusGrid(const ShardedCampusConfig& config)
@@ -36,6 +50,8 @@ class CampusGrid {
           i, sim::replication_seed(config_.seed, i)));
       cells_.back()->sim = &runner_.domain(i);
     }
+    runner_.set_row_handler<CorridorRow>(
+        [this](std::size_t to, const CorridorRow& row) { on_row(cell(to), row); });
     for (auto& cell : cells_) {
       for (std::size_t p = 0; p < config_.portables_per_cell; ++p) {
         schedule_idle(*cell);
@@ -139,6 +155,27 @@ class CampusGrid {
                                   double(hops == 0 ? 1 : hops));
   }
 
+  void send(const Cell& from, std::size_t to, const CorridorRow& row) {
+    runner_.post_row(from.index, to, hop_latency(from.index, to), row);
+  }
+
+  void on_row(Cell& d, const CorridorRow& row) {
+    switch (row.kind) {
+      case CorridorRow::kHandoff:
+        on_handoff(d);
+        break;
+      case CorridorRow::kProbe:
+        on_probe(d, row.cell, row.session, row.sent_s);
+        break;
+      case CorridorRow::kProbeReply:
+        on_probe_reply(d, row.ok != 0, row.cell, row.session, row.sent_s);
+        break;
+      case CorridorRow::kRelease:
+        on_release(d, row.session);
+        break;
+    }
+  }
+
   void set_allocated(Cell& c, double bps) {
     c.allocated = bps;
     c.allocated_gauge.set(bps);
@@ -193,8 +230,7 @@ class CampusGrid {
         next = c.rng.bernoulli(0.5) ? c.index + 1 : c.index - 1;
       }
       c.handoff_out.add();
-      runner_.post(c.index, next, hop_latency(c.index, next),
-                   [this, dest = &cell(next)] { on_handoff(*dest); });
+      send(c, next, CorridorRow{CorridorRow::kHandoff});
       return;
     }
     schedule_idle(c);
@@ -223,10 +259,8 @@ class CampusGrid {
         (std::uint64_t(c.index) << 32) | c.next_session++;
     c.probe_tx.add();
     const double sent_s = c.sim->now().to_seconds();
-    runner_.post(c.index, target, hop_latency(c.index, target),
-                 [this, tp = &cell(target), from = c.index, session, sent_s] {
-                   on_probe(*tp, from, session, sent_s);
-                 });
+    send(c, target,
+         CorridorRow{CorridorRow::kProbe, 0, std::uint32_t(c.index), session, sent_s});
   }
 
   void on_probe(Cell& t, std::size_t from, std::uint64_t session, double sent_s) {
@@ -240,9 +274,8 @@ class CampusGrid {
     } else {
       t.probe_reject.add();
     }
-    runner_.post(t.index, from, hop_latency(t.index, from),
-                 [this, cp = &cell(from), ok, target = std::uint32_t(t.index), session,
-                  sent_s] { on_probe_reply(*cp, ok, target, session, sent_s); });
+    send(t, from, CorridorRow{CorridorRow::kProbeReply, std::uint8_t(ok),
+                              std::uint32_t(t.index), session, sent_s});
   }
 
   void on_probe_reply(Cell& c, bool ok, std::uint32_t target,
@@ -265,8 +298,7 @@ class CampusGrid {
   void end_remote_session(Cell& c, std::uint32_t target, std::uint64_t session,
                           bool abandon) {
     if (!abandon) {
-      runner_.post(c.index, target, hop_latency(c.index, target),
-                   [this, tp = &cell(target), session] { on_release(*tp, session); });
+      send(c, target, CorridorRow{CorridorRow::kRelease, 0, 0, session});
     }
     schedule_idle(c);
   }

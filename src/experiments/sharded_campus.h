@@ -4,9 +4,10 @@
 // harness scales the other axis: a corridor of N cells, each with its own
 // portable population, executed as N sim::ShardedRunner domains. All
 // cross-cell traffic — corridor handoffs, remote-bandwidth admission probes
-// and their accept/reject/release signaling — travels as boundary messages
-// through ShardedRunner::post with latency proportional to the corridor hop
-// count, so the conservative window equals one hop.
+// and their accept/reject/release signaling — travels as one 24-byte
+// boundary row type through ShardedRunner::post_row, with latency
+// proportional to the corridor hop count, so the conservative window equals
+// one hop.
 //
 // The scenario exercises the paper's admission/handoff mechanics at campus
 // scale: portables alternate idle and active periods; an active session

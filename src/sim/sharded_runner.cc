@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace imrm::sim {
 
@@ -13,8 +12,7 @@ namespace {
 constexpr int kBarrierSpinLimit = 64;
 }  // namespace
 
-// Half the callback envelope: the row path's whole point. A wider row type
-// or a fatter header would show up here first.
+// A wider row type or a fatter header would show up here first.
 static_assert(ShardedRunner::kRowEnvelopeBytes == 40,
               "a row envelope is deliver time, destination and a 24-byte row");
 
@@ -29,7 +27,6 @@ ShardedRunner::ShardedRunner(const Config& config) : config_(config) {
   for (std::size_t d = 0; d < config_.domains; ++d) {
     sims_.push_back(std::make_unique<Simulator>());
   }
-  outboxes_.resize(config_.domains);
   row_outboxes_.resize(config_.domains);
   inboxes_.resize(config_.domains);
 
@@ -56,13 +53,6 @@ ShardedRunner::~ShardedRunner() {
     round_cv_.notify_all();
     for (std::thread& t : pool_) t.join();
   }
-}
-
-void ShardedRunner::post(std::size_t from, std::size_t to, Duration latency,
-                         EventQueue::Callback deliver) {
-  check_post(from, to, latency);
-  outboxes_[from].push_back(
-      Envelope{sims_[from]->now() + latency, to, std::move(deliver)});
 }
 
 void ShardedRunner::arm_profiling() {
@@ -301,7 +291,7 @@ void ShardedRunner::export_profile(obs::ProfileSnapshot& out) const {
   out.windows = profiled_windows_;
   out.profiled_wall_ns = profiled_wall_ns_;
   out.boundary_messages = stats_.boundary_messages;
-  out.boundary_bytes = stats_.boundary_bytes;
+  out.boundary_bytes = stats_.boundary_messages * kRowEnvelopeBytes;
   for (std::size_t w = 0; w < out.shards.size(); ++w) {
     obs::ShardLaneSample& lane = out.shards[w];
     lane.domain_begin = block_begin(w);
@@ -368,27 +358,17 @@ void ShardedRunner::worker_loop(std::size_t worker) {
 
 void ShardedRunner::exchange() {
   // Inject straight from the outboxes, visiting sources in domain order, so
-  // each destination receives its messages in (source domain, posting
-  // serial) order. The destination queue orders events by (time, FIFO
-  // sequence), and one exchange's injections into a destination take a
-  // contiguous block of sequence numbers, so the queue executes them in the
-  // canonical (deliver time, source domain, serial) order. Every component
-  // is a partition-invariant property of the simulation, so the execution
-  // order is identical for any worker count. Each callback moves once.
-  for (std::vector<Envelope>& outbox : outboxes_) {
-    for (Envelope& e : outbox) {
-      sims_[e.to]->at(e.deliver_time, std::move(e.callback));
-    }
-    stats_.boundary_messages += outbox.size();
-    stats_.boundary_bytes += outbox.size() * kCallbackEnvelopeBytes;
-    outbox.clear();
-  }
-  // Rows follow in the same walk, grouped into one drain per (destination,
-  // deliver instant); the header proves the grouping keeps the order.
+  // each destination receives its rows in (source domain, posting serial)
+  // order, grouped into one drain per (destination, deliver instant). The
+  // destination queue orders events by (time, FIFO sequence), and one
+  // exchange's drains at a destination take a contiguous block of sequence
+  // numbers, so the queue executes the rows in the canonical (deliver time,
+  // source domain, serial) order; the header proves the grouping keeps it.
+  // Every component is a partition-invariant property of the simulation,
+  // so the execution order is identical for any worker count.
   for (std::vector<RowEnvelope>& outbox : row_outboxes_) {
     for (const RowEnvelope& e : outbox) inject_row(e);
     stats_.boundary_messages += outbox.size();
-    stats_.boundary_bytes += outbox.size() * kRowEnvelopeBytes;
     outbox.clear();
   }
   for (const std::size_t to : open_inboxes_) inboxes_[to].open.clear();

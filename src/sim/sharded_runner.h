@@ -50,12 +50,11 @@
 //  * every cross-domain message goes through the outbox/exchange path — even
 //    when source and destination happen to run on the same worker — so the
 //    delivery schedule is identical at K = 1 and K = 8;
-//  * at each exchange, callback messages are injected first, in source-domain
-//    order, each source's in posting order; row messages follow in the same
-//    walk. The destination queue's (time, FIFO sequence) order then executes
-//    them in the canonical order (deliver time, path, source domain,
-//    per-source serial), all of which are partition-invariant, so equal-time
-//    ties break identically for any K;
+//  * each exchange walks the outboxes in source-domain order, each source's
+//    rows in posting order. The destination then executes them in the
+//    canonical order (deliver time, source domain, per-source serial), all
+//    of which are partition-invariant, so equal-time ties break identically
+//    for any K;
 //  * burst boundaries only decide when the coordinator thread regains
 //    control — the sub-window targets, exchange contents and exchange order
 //    are computed by the same code from the same simulation state whether a
@@ -65,30 +64,29 @@
 // suite assert byte-identical metrics at K in {1, 2, 4, 8} and batch in
 // {1, 8, 64, auto}.
 //
-// Two boundary paths. post(Callback) ships a type-erased callback in an
-// 80-byte envelope and costs one queue event per message; the corridor day
-// sends its handoffs, probes and releases this way. post_row() ships
-// one trivially copyable row (at most kRowBytes) in a 40-byte envelope to
-// the single handler the scenario registered with set_row_handler(); the
-// grid sends all its hops, reservations and cancels this way. For each
-// (destination, deliver instant) that appears in one exchange, the row
-// path schedules exactly one queue event — a *drain* — at the moment that
-// group's first row would have been scheduled as its own event, and the
-// drain runs the group's rows in exchange order.
+// One boundary path. A scenario registers one trivially copyable row type
+// (at most kRowBytes) and the single handler that receives it with
+// set_row_handler(); post_row() appends the row to its source's outbox in a
+// 40-byte envelope. The grid sends its hops, reservations and cancels this
+// way, the corridor day its handoffs, probes, probe replies and releases.
+// For each (destination, deliver instant) that appears in one exchange, the
+// exchange schedules exactly one queue event — a *drain* — at the moment
+// that group's first row would have been scheduled as its own event, and
+// the drain runs the group's rows in exchange order.
 //
 // Why the drain keeps the delivery order. One exchange's injections into a
 // destination take a contiguous block of that queue's sequence numbers, and
-// inside the row walk every event scheduled at a destination is a drain for
-// a distinct instant. At instant t the destination therefore runs: its
-// events with seq below the block (local ones, earlier exchanges), then the
-// block's events at t in seq order, then later-scheduled events (including
-// ones the delivered rows chain at zero delay). With one event per row, the
-// block's events at t are exactly the group's rows in exchange order; with a
-// drain, they are the group's drain, which sits at the group's first seq and
-// runs the same rows in the same order. Nothing else lies between them, so
-// the executed sequence is identical, for any worker count and batch size.
-// On such a domain Simulator::events_fired() counts one per drain, not one
-// per row; Stats::boundary_messages keeps counting messages.
+// every event the exchange schedules at a destination is a drain for a
+// distinct instant. At instant t the destination therefore runs: its events
+// with seq below the block (local ones, earlier exchanges), then the block's
+// events at t in seq order, then later-scheduled events (including ones the
+// delivered rows chain at zero delay). With one event per row, the block's
+// events at t would be exactly the group's rows in exchange order; with a
+// drain, they are the group's drain, which sits at the group's first seq
+// and runs the same rows in the same order. Nothing else lies between them,
+// so the executed sequence is the one-event-per-row sequence, for any
+// worker count and batch size. On a domain Simulator::events_fired() counts
+// one per drain, not one per row; Stats::boundary_messages counts messages.
 #pragma once
 
 #include <atomic>
@@ -106,7 +104,6 @@
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/tracer.h"
-#include "sim/event_queue.h"
 #include "sim/inplace_function.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -122,11 +119,6 @@ class ShardedRunner {
   struct alignas(8) RowBytes {
     unsigned char bytes[kRowBytes];
   };
-  struct Envelope {
-    SimTime deliver_time;
-    std::size_t to = 0;
-    EventQueue::Callback callback;
-  };
   struct RowEnvelope {
     SimTime deliver_time;
     std::size_t to = 0;
@@ -134,9 +126,8 @@ class ShardedRunner {
   };
 
  public:
-  /// Bytes each boundary message occupies in its source outbox, per path;
-  /// Stats::boundary_bytes sums them over the messages exchanged.
-  static constexpr std::size_t kCallbackEnvelopeBytes = sizeof(Envelope);
+  /// Bytes each boundary message occupies in its source outbox; the
+  /// profile's boundary_bytes is boundary_messages times this.
   static constexpr std::size_t kRowEnvelopeBytes = sizeof(RowEnvelope);
 
   /// Chrome-trace pid claimed for the wall-clock shard lanes; pid 1 stays
@@ -158,7 +149,7 @@ class ShardedRunner {
     /// clamped to `domains`. 1 runs inline with no thread pool.
     std::size_t workers = 1;
     /// Conservative window width; must be <= the smallest latency ever
-    /// passed to post() or post_row(). For the campus this is the corridor
+    /// passed to post_row(). For the campus this is the corridor
     /// hop latency, for the grid the scheduler tick.
     Duration window = Duration::millis(1.0);
     /// Windows executed per coordinator dispatch. 0 (the default) enables
@@ -191,10 +182,7 @@ class ShardedRunner {
   struct Stats {
     std::uint64_t windows = 0;            ///< lockstep windows executed
     std::uint64_t boundary_messages = 0;  ///< cross-domain messages delivered
-    /// Outbox bytes of the messages exchanged: kCallbackEnvelopeBytes per
-    /// callback plus kRowEnvelopeBytes per row.
-    std::uint64_t boundary_bytes = 0;
-    /// Queue events the row path scheduled: one drain per (destination,
+    /// Queue events the exchange scheduled: one drain per (destination,
     /// deliver instant) of each exchange.
     std::uint64_t row_drains = 0;
     /// Coordinator dispatches (full-stop barriers with a condvar round
@@ -215,21 +203,6 @@ class ShardedRunner {
   [[nodiscard]] Simulator& domain(std::size_t d) { return *sims_[d]; }
   [[nodiscard]] const Simulator& domain(std::size_t d) const { return *sims_[d]; }
 
-  /// Posts a cross-domain message: `deliver` runs on domain `to`'s simulator
-  /// `latency` after domain `from`'s current time. `latency` must be >= the
-  /// configured window — that bound is what lets whole windows run without
-  /// intermediate synchronization — and a shorter one, or a `from` or `to`
-  /// that is not a domain, throws std::invalid_argument in every build type.
-  /// The throw is recoverable only before or between runs: from an event on
-  /// a pool worker (K > 1) nothing catches it and the process terminates, and
-  /// from an inline run (one worker) it leaves run_until partway through a
-  /// burst, after which the runner must not be used again. Always buffered
-  /// through the exchange, never scheduled directly, even for from == to;
-  /// see the determinism contract above. Scenarios that send one kind of
-  /// small message should use post_row(), which builds no callback.
-  void post(std::size_t from, std::size_t to, Duration latency,
-            EventQueue::Callback deliver);
-
   /// Registers the scenario's boundary row type and the handler that
   /// receives each row on its destination domain, as handler(domain, row),
   /// at the row's deliver time. Call it before the first post_row().
@@ -249,9 +222,17 @@ class ShardedRunner {
   }
 
   /// Posts `row` from domain `from` to the registered handler on domain
-  /// `to`, `latency` after `from`'s current time. The same checks and
-  /// recovery rules as post() apply; a Row other than the registered type
-  /// throws std::logic_error.
+  /// `to`, `latency` after `from`'s current time. `latency` must be >= the
+  /// configured window — that bound is what lets whole windows run without
+  /// intermediate synchronization — and a shorter one, or a `from` or `to`
+  /// that is not a domain, throws std::invalid_argument in every build type;
+  /// a Row other than the registered type throws std::logic_error. A throw
+  /// is recoverable only before or between runs: from an event on a pool
+  /// worker (K > 1) nothing catches it and the process terminates, and from
+  /// an inline run (one worker) it leaves run_until partway through a
+  /// burst, after which the runner must not be used again. Always buffered
+  /// through the exchange, never scheduled directly, even for from == to;
+  /// see the determinism contract above.
   template <class Row>
   void post_row(std::size_t from, std::size_t to, Duration latency, const Row& row) {
     check_post(from, to, latency);
@@ -323,13 +304,13 @@ class ShardedRunner {
   }
   void check_post(std::size_t from, std::size_t to, Duration latency) const {
     if (from >= sims_.size() || to >= sims_.size()) {
-      throw std::invalid_argument("ShardedRunner::post: domain out of range");
+      throw std::invalid_argument("ShardedRunner::post_row: domain out of range");
     }
     // A shorter latency would deliver into a window the destination has
     // already executed, and the destination's clock would run backwards.
     if (!(latency >= config_.window)) {
       throw std::invalid_argument(
-          "ShardedRunner::post: cross-domain latency below the conservative "
+          "ShardedRunner::post_row: cross-domain latency below the conservative "
           "window would deliver into an already-executed window");
     }
   }
@@ -350,7 +331,6 @@ class ShardedRunner {
   // only by the worker executing domain d, and the serializer drains them
   // only between sub-windows (inside the burst barrier), so no per-message
   // lock.
-  std::vector<std::vector<Envelope>> outboxes_;
   std::vector<std::vector<RowEnvelope>> row_outboxes_;
   std::vector<RowInbox> inboxes_;
   std::vector<std::size_t> open_inboxes_;  // destinations with open drains

@@ -52,9 +52,12 @@ void grid_entry(std::ostream& os, const char* name, std::size_t cells,
 
 /// One corridor campus (`scenario_cli campus --shards 1 --cells C
 /// --portables P --hours H --seed S`): the runner's other client, whose
-/// probes and leases travel several hops. At 12 cells its exchanges are
-/// sparse (one message each); the grid points are the ones whose batches
-/// arrive out of delivery order (about one in six).
+/// probes and leases travel several hops as the same boundary rows the grid
+/// sends. At 12 cells its exchanges are sparse (one message each); the grid
+/// points are the ones whose batches arrive out of delivery order (about
+/// one in six). Corridor send times are continuous, so no two of its rows
+/// share a (destination, instant): each drain carries one row, and
+/// `events` counts one queue event per message.
 void corridor_entry(std::ostream& os, const char* name, std::size_t cells,
                     std::size_t portables_per_cell, double hours, std::uint64_t seed) {
   ShardedCampusConfig config;

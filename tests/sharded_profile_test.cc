@@ -79,7 +79,7 @@ TEST(ShardedProfile, LaneAccountingIsConsistent) {
   EXPECT_LT(p.barriers, p.windows);
   EXPECT_GT(p.barriers, 0u);
   EXPECT_EQ(p.boundary_messages, r.boundary_messages);
-  EXPECT_GT(p.boundary_bytes, p.boundary_messages);  // sizeof(Envelope) > 1
+  EXPECT_EQ(p.boundary_bytes, 40 * p.boundary_messages);  // one row envelope each
   std::uint64_t stragglers = 0;
   for (const obs::ShardLaneSample& lane : p.shards) {
     stragglers += lane.straggler_windows;

@@ -3,12 +3,15 @@
 
 Two sweeps through scenario_cli, each with identical scenario flags:
 
-  * the corridor campus ("campus --shards K") at K in {1, 2, 4, 8}, and
-  * the grid campus ("campus-scale --shards K --batch B") over the full
-    batch {1, 8, 64, auto} x K {1, 2, 4, 8} matrix, so window batching is
-    pinned as an execution knob that can never leak into results, plus the
-    bare invocation with neither flag, so the default path is pinned to
-    the same bytes.
+  * the corridor campus ("campus --shards K --batch B") and
+  * the grid campus ("campus-scale --shards K --batch B"),
+
+each over the full batch {1, 8, 64, auto} x K {1, 2, 4, 8} matrix, so
+window batching is pinned as an execution knob that can never leak into
+results, plus the bare invocation, so the default path is pinned to the
+same bytes. The grid's bare run has neither flag; the corridor's keeps
+"--shards 1", which is what selects the corridor over the campus day, and
+drops only --batch.
 
 Each sweep also repeats one K=2 run with --profile 1: the profiler only
 reads clocks, so it must never move a simulation result.
@@ -37,6 +40,8 @@ from pathlib import Path
 SHARDS = [1, 2, 4, 8]
 BATCHES = [1, 8, 64, 0]  # 0 = adaptive controller
 
+MATRIX = [["--shards", str(k), "--batch", str(b)]
+          for k in SHARDS for b in BATCHES]
 PROFILED = ["--shards", "2", "--profile", "1"]
 
 # (name, scenario flags, the execution flags of each run; the first run is
@@ -45,12 +50,11 @@ SWEEPS = [
     ("campus",
      ["campus", "--cells", "12", "--portables", "4", "--hours", "1",
       "--seed", "9"],
-     [["--shards", str(k)] for k in SHARDS] + [PROFILED]),
+     [["--shards", "1"]] + MATRIX + [PROFILED]),
     ("campus-scale",
      ["campus-scale", "--cells", "25", "--portables", "120",
       "--duration", "900", "--tick", "5", "--seed", "7"],
-     [[]] + [["--shards", str(k), "--batch", str(b)]
-             for k in SHARDS for b in BATCHES] + [PROFILED]),
+     [[]] + MATRIX + [PROFILED]),
 ]
 
 

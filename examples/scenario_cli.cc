@@ -43,7 +43,6 @@
 #include "experiments/campus_day.h"
 #include "experiments/campus_scale.h"
 #include "experiments/classroom.h"
-#include "experiments/sharded_campus.h"
 #include "experiments/fig4_mobility.h"
 #include "experiments/twocell.h"
 #include "fault/convergence.h"
@@ -74,13 +73,6 @@ class Args;
 /// When a row's config echo applies, judged on the parsed flags.
 using Condition = bool (*)(const Args&);
 
-/// One mode of a command, judged on the parsed flags: campus runs the day,
-/// or the sharded corridor under --shards K.
-struct Mode {
-  Condition holds;
-  const char* name;
-};
-
 /// One row of a command's flag table.
 struct Flag {
   std::string name;
@@ -89,20 +81,12 @@ struct Flag {
   std::string choices;   // kChoice: the allowed values, '|'-separated
   int echo = -1;         // config echo: -1 = none, else decimals for numbers
   Condition condition = nullptr;  // echo only when this holds
-  const Mode* mode = nullptr;     // the only mode that takes the flag
 
   /// The same row, echoed into the config block (numbers to `decimals`).
   [[nodiscard]] Flag echoed(int decimals = 0, Condition when = nullptr) const {
     Flag row = *this;
     row.echo = decimals;
     row.condition = when;
-    return row;
-  }
-  /// The same row, taken only in mode `m`: given in another mode it is
-  /// refused, and it is never echoed there.
-  [[nodiscard]] Flag in(const Mode& m) const {
-    Flag row = *this;
-    row.mode = &m;
     return row;
   }
 };
@@ -204,16 +188,13 @@ std::string type_name(const Flag& row) {
   return "";
 }
 
-/// The report's config block: every echoed row whose mode and condition
-/// hold, in table order. It names the workload a report measured.
+/// The report's config block: every echoed row whose condition holds, in
+/// table order. It names the workload a report measured.
 std::vector<std::pair<std::string, std::string>> config_echo(const std::vector<Flag>& table,
                                                              const Args& args) {
   std::vector<std::pair<std::string, std::string>> config;
   for (const Flag& row : table) {
-    if (row.echo < 0 || (row.mode != nullptr && !row.mode->holds(args)) ||
-        (row.condition != nullptr && !row.condition(args))) {
-      continue;
-    }
+    if (row.echo < 0 || (row.condition != nullptr && !row.condition(args))) continue;
     std::string value = args.text(row.name);
     if (row.kind == Kind::kCount) value = stats::fmt(double(args.count(row.name)), 0);
     if (row.kind == Kind::kNumber || row.kind == Kind::kProbability) {
@@ -225,18 +206,12 @@ std::vector<std::pair<std::string, std::string>> config_echo(const std::vector<F
 }
 
 // Echo conditions.
-bool sharded(const Args& a) { return a.count("shards") > 0; }
 bool batched(const Args& a) { return a.count("batch") > 0; }
-bool unsharded(const Args& a) { return !sharded(a); }
 bool faulted(const Args& a) { return a.number("faults") > 0.0; }
 bool adapting(const Args& a) { return a.on("adapt-loop"); }
 bool warm_barrier(const Args& a) { return a.number("faults-start") > 0.0; }
 bool trace_arrivals(const Args& a) { return a.text("arrivals") == "trace"; }
 bool over_socket(const Args& a) { return a.text("transport") == "socket"; }
-
-// The modes of campus.
-const Mode kDay{unsharded, "the campus day, without --shards"};
-const Mode kCorridor{sharded, "the sharded corridor, with --shards K"};
 
 int refuse(const std::string& message) {
   std::cerr << "scenario_cli: " << message << '\n';
@@ -493,40 +468,6 @@ int run_maxmin_cmd(Args& args, ObsSession& obs) {
   return obs.finish("maxmin", obs.registry.snapshot());
 }
 
-/// `campus --shards K`: the sharded multi-cell corridor scenario. K is the
-/// worker count only — cells are the determinism unit, so the metrics block
-/// of --metrics-json is byte-identical for any K (asserted by the
-/// shard-labeled ctests through tools/check_shard_determinism.py).
-int run_campus_sharded_cmd(const Args& args, ObsSession& obs) {
-  const std::size_t cells = args.count("cells");
-  const std::size_t shards = args.count("shards");
-  const double hop_ms = args.number("hop-ms");
-  if (cells == 0) return refuse("--cells must be at least 1");
-  if (hop_ms <= 0.0) {
-    return refuse("--hop-ms must be positive (it is the conservative window width)");
-  }
-  ShardedCampusConfig config;
-  config.cells = cells;
-  config.shards = shards;
-  config.batch = args.count("batch");
-  config.portables_per_cell = args.count("portables");
-  config.seed = std::uint64_t(args.count("seed"));
-  config.horizon = sim::SimTime::hours(args.number("hours"));
-  config.hop_latency = sim::Duration::millis(hop_ms);
-  config.profiler = obs.profiler_or_null();
-  config.tracer = obs.tracer_or_null();
-  config.progress = obs.progress_or_null();
-
-  const ShardedCampusResult r = run_sharded_campus(config);
-  std::cout << "cells=" << cells << " shards=" << shards
-            << " events=" << r.events_fired << " windows=" << r.windows
-            << " boundary=" << r.boundary_messages << " admits=" << r.admits
-            << " blocks=" << r.blocks << " handoffs=" << r.handoffs
-            << " drops=" << r.handoff_drops << " reclaims=" << r.lease_reclaims
-            << '\n';
-  return obs.finish("campus-sharded", r.metrics, &r.profile);
-}
-
 /// Builds the schema-v4 adaptation block from the run's metric snapshot plus
 /// the grant trajectory (single runs only; sweep aggregates leave it zero).
 obs::AdaptationBlock make_adaptation_block(const CampusDayConfig& config,
@@ -566,8 +507,6 @@ obs::AdaptationBlock make_adaptation_block(const CampusDayConfig& config,
 }
 
 int run_campus_cmd(Args& args, ObsSession& obs) {
-  if (sharded(args)) return run_campus_sharded_cmd(args, obs);
-
   const std::size_t replications = args.count("replications");
   if (replications == 0) {
     // A 0-replication sweep used to fall through to a single run, silently
@@ -1138,35 +1077,25 @@ std::vector<Command> build_commands() {
            count("seed", "1"),
            toggle("profile"),
        }},
-      {"campus",
-       "the campus day (the command for bare flags); --shards K runs the sharded "
-       "corridor",
-       run_campus_cmd,
+      {"campus", "the campus day (the command for bare flags)", run_campus_cmd,
        {
-           probability("faults", "0").echoed(4, faulted).in(kDay),
-           count("fault-retries", "3").echoed(0, faulted).in(kDay),
-           choice("policy", choices_of(kCampusPolicies), "dispatcher").echoed().in(kDay),
-           count("attendees", "40").echoed().in(kDay),
-           count("squatters", "10").echoed().in(kDay),
-           count("cells", "24").echoed().in(kCorridor),
-           count("shards", "0").echoed(0, sharded),
-           count("batch", "0").echoed(0, batched).in(kCorridor),
-           count("portables", "8").echoed().in(kCorridor),
+           probability("faults", "0").echoed(4, faulted),
+           count("fault-retries", "3").echoed(0, faulted),
+           choice("policy", choices_of(kCampusPolicies), "dispatcher").echoed(),
+           count("attendees", "40").echoed(),
+           count("squatters", "10").echoed(),
            count("seed", "5").echoed(),
-           count("replications", "1").echoed().in(kDay),
-           number("hours", "4").echoed(2).in(kCorridor),
-           toggle("adapt-loop").echoed(0, adapting).in(kDay),
-           count("adapt-flows", "4").echoed(0, adapting).in(kDay),
-           probability("adapt-fault", "0.8").echoed(4, adapting).in(kDay),
-           number("adapt-fault-start", "60").echoed(1, adapting).in(kDay),
-           number("adapt-fault-stop", "100").echoed(1, adapting).in(kDay),
-           number("hop-ms", "5").in(kCorridor),
-           count("threads", "0").in(kDay),
-           number("checkpoint-at", "60").in(kDay),
-           path("checkpoint-out").in(kDay),
-           path("checkpoint-in").in(kDay),
+           count("replications", "1").echoed(),
+           toggle("adapt-loop").echoed(0, adapting),
+           count("adapt-flows", "4").echoed(0, adapting),
+           probability("adapt-fault", "0.8").echoed(4, adapting),
+           number("adapt-fault-start", "60").echoed(1, adapting),
+           number("adapt-fault-stop", "100").echoed(1, adapting),
+           count("threads", "0"),
+           number("checkpoint-at", "60"),
+           path("checkpoint-out"),
+           path("checkpoint-in"),
            toggle("profile"),
-           number("progress", "0").in(kCorridor),
        }},
       {"campus-scale",
        "the grid campus at scale: one sharded-runner domain per cell, --shards workers",
@@ -1275,12 +1204,6 @@ std::optional<Args> parse_flags(const Command& command, int argc, char** argv, i
       return reject("invalid " + token + " value '" + value + "' (expected " + expected + ")");
     }
     args.set(name, value, true);
-  }
-  // A flag the chosen mode ignores is refused, not silently dropped.
-  for (const Flag& row : command.flags) {
-    if (row.mode != nullptr && args.given(row.name) && !row.mode->holds(args)) {
-      return reject("invalid --" + row.name + " (it applies only to " + row.mode->name + ")");
-    }
   }
   return args;
 }

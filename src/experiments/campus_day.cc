@@ -647,6 +647,9 @@ class CampusDay {
   void retry_squat(PortableId p, double at_minutes) {
     PendingEvent e;
     e.at = SimTime::minutes(at_minutes);
+    // A squatter still blocked when the day ends gives up: past the horizon
+    // nothing frees the room, so the retries would never stop.
+    if (e.at > horizon_) return;
     e.kind = EventKind::kSquatterTry;
     e.portable = p;
     schedule_event(e);

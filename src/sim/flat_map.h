@@ -119,36 +119,13 @@ class FlatMap {
   /// Visits every (key, value) pair in unspecified order. The callback must
   /// not insert into or erase from the map: backward-shift deletion moves
   /// entries across the scan cursor, so a mid-iteration erase() can skip an
-  /// entry that was shifted behind the cursor (or visit one twice). Use
-  /// erase_if for conditional removal during a sweep.
+  /// entry that was shifted behind the cursor (or visit one twice). Collect
+  /// the keys first and erase them after the visit.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Cell& cell : cells_) {
       if (cell.occupied) fn(cell.key, cell.value);
     }
-  }
-
-  /// Erases every entry for which pred(key, value) returns true and returns
-  /// how many were erased. Safe against the backward-shift relocations that
-  /// make erase()-inside-for_each skip entries: after an erase the cursor is
-  /// NOT advanced, so an entry shifted into the vacated cell is examined
-  /// next. Relocation across the table's wrap-around can move an
-  /// already-kept entry behind the cursor and re-present it later, so the
-  /// predicate must be pure — it may be invoked more than once per surviving
-  /// entry, and must answer consistently.
-  template <typename Pred>
-  std::size_t erase_if(Pred&& pred) {
-    std::size_t erased = 0;
-    for (std::size_t i = 0; i < cells_.size();) {
-      Cell& cell = cells_[i];
-      if (cell.occupied && pred(std::as_const(cell.key), std::as_const(cell.value))) {
-        erase(cell.key);  // may backfill cells_[i]; re-examine it
-        ++erased;
-      } else {
-        ++i;
-      }
-    }
-    return erased;
   }
 
  private:

@@ -1,10 +1,10 @@
 // Sharded conservative-window execution of multi-domain simulations
 // (ISSUE 5), with window-batched barriers (ISSUE 10).
 //
-// The campus scenarios partition naturally by cell: every intra-cell event
+// The grid campus partitions naturally by cell: every intra-cell event
 // (arrivals, departures, local admission) touches one cell's state only,
-// while cross-cell traffic (handoff signaling, admission probes, routed
-// reservations) rides the backbone and therefore pays at least one
+// while cross-cell traffic (handoff signaling, routed reservations and their
+// cancels) rides the backbone and therefore pays at least one
 // control-plane hop of latency. ShardedRunner exploits that structure: each
 // *domain* (one cell) owns a private Simulator, event queue, and whatever
 // per-domain state the experiment hangs off it, and K worker threads execute
@@ -30,9 +30,9 @@
 // What ISSUE 10 changes is *who synchronizes where*, not the window
 // sequence. ISSUE 5 paid a full coordinator round trip (mutex + two condvar
 // hops + a sleeping-thread wakeup) per window — BENCH_5/BENCH_7 measured
-// ~80k such barriers on the campus day with ~1.2 events between them, ~90%
-// of worker wall in `barrier_wait`. Now the coordinator dispatches a *burst*
-// of up to `batch` windows at a time. Inside a burst, workers meet at a
+// ~80k such barriers on the corridor day of the time (since deleted) with
+// ~1.2 events between them, ~90% of worker wall in `barrier_wait`. Now the
+// coordinator dispatches a *burst* of up to `batch` windows at a time. Inside a burst, workers meet at a
 // lightweight sense-reversing atomic barrier between sub-windows; the last
 // worker to arrive (the serializer) performs the exchange, scans the queue
 // heads for the next window target, and publishes it (or the burst-done
@@ -60,7 +60,7 @@
 //    are computed by the same code from the same simulation state whether a
 //    window is the first of a burst or the hundredth, so `batch` (and the
 //    adaptive controller's choices) can never leak into results.
-// tests/sharded_runner_test.cc and the shard-labeled campus determinism
+// tests/sharded_runner_test.cc and the shard-labeled grid determinism
 // suite assert byte-identical metrics at K in {1, 2, 4, 8} and batch in
 // {1, 8, 64, auto}.
 //
@@ -68,7 +68,7 @@
 // (at most kRowBytes) and the single handler that receives it with
 // set_row_handler(); post_row() appends the row to its source's outbox in a
 // 40-byte envelope. The grid sends its hops, reservations and cancels this
-// way, the corridor day its handoffs, probes, probe replies and releases.
+// way.
 // For each (destination, deliver instant) that appears in one exchange, the
 // exchange schedules exactly one queue event — a *drain* — at the moment
 // that group's first row would have been scheduled as its own event, and
@@ -149,8 +149,7 @@ class ShardedRunner {
     /// clamped to `domains`. 1 runs inline with no thread pool.
     std::size_t workers = 1;
     /// Conservative window width; must be <= the smallest latency ever
-    /// passed to post_row(). For the campus this is the corridor
-    /// hop latency, for the grid the scheduler tick.
+    /// passed to post_row(). For the grid this is the scheduler tick.
     Duration window = Duration::millis(1.0);
     /// Windows executed per coordinator dispatch. 0 (the default) enables
     /// the adaptive controller: start at kAutoBatchMin, double whenever a

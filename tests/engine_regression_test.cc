@@ -2,10 +2,7 @@
 //  * EventQueue: per-slot generation saturation (wraparound could alias a
 //    stale EventId onto a live event after 2^32 slot reuses);
 //  * ReplicationRunner: deterministic lowest-index error reporting and
-//    stop-claiming-on-failure;
-//  * FlatMap: erase_if as the safe form of erase-during-iteration (plain
-//    erase inside for_each can skip entries relocated by backward-shift
-//    deletion).
+//    stop-claiming-on-failure.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,14 +10,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.h"
-#include "sim/flat_map.h"
-#include "sim/random.h"
 #include "sim/replication.h"
 
 namespace imrm::sim {
@@ -132,71 +126,6 @@ TEST(ReplicationRunnerErrors, RunRethrowsBeforeResultsEscape) {
                          return int(index);
                        }),
       std::runtime_error);
-}
-
-// ---- FlatMap::erase_if --------------------------------------------------
-
-TEST(FlatMapEraseIf, ErasesExactlyThePredicatedKeys) {
-  FlatMap<std::uint64_t, int> map;
-  for (std::uint64_t k = 0; k < 257; ++k) map.insert(k, int(k));
-  const std::size_t erased =
-      map.erase_if([](std::uint64_t k, int) { return k % 3 == 0; });
-  EXPECT_EQ(erased, 86u);  // 0, 3, ..., 255
-  EXPECT_EQ(map.size(), 257u - 86u);
-  for (std::uint64_t k = 0; k < 257; ++k) {
-    EXPECT_EQ(map.contains(k), k % 3 != 0) << k;
-  }
-}
-
-TEST(FlatMapEraseIf, MatchesReferenceUnderRandomizedChurn) {
-  // Heavy insert/erase churn maximizes backward-shift relocation (including
-  // across the table's wrap-around), the mechanism that makes plain
-  // erase-inside-iteration skip entries.
-  Rng rng(1234);
-  FlatMap<std::uint64_t, int> map;
-  std::unordered_map<std::uint64_t, int> reference;
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      const auto key = std::uint64_t(rng.uniform_int(0, 600));
-      const int value = rng.uniform_int(0, 1 << 20);
-      if (map.insert(key, value)) {
-        ASSERT_TRUE(reference.emplace(key, value).second);
-      }
-    }
-    const auto modulus = std::uint64_t(rng.uniform_int(2, 7));
-    const auto residue = std::uint64_t(rng.uniform_int(0, int(modulus) - 1));
-    const auto pred = [&](std::uint64_t key, int) { return key % modulus == residue; };
-    const std::size_t erased = map.erase_if(pred);
-    std::size_t reference_erased = 0;
-    for (auto it = reference.begin(); it != reference.end();) {
-      if (pred(it->first, it->second)) {
-        it = reference.erase(it);
-        ++reference_erased;
-      } else {
-        ++it;
-      }
-    }
-    ASSERT_EQ(erased, reference_erased) << "round " << round;
-    ASSERT_EQ(map.size(), reference.size()) << "round " << round;
-    std::size_t visited = 0;
-    map.for_each([&](std::uint64_t key, int value) {
-      ++visited;
-      const auto it = reference.find(key);
-      ASSERT_NE(it, reference.end()) << key;
-      ASSERT_EQ(it->second, value) << key;
-    });
-    ASSERT_EQ(visited, reference.size());
-  }
-}
-
-TEST(FlatMapEraseIf, EraseAllAndEraseNone) {
-  FlatMap<std::uint64_t, int> map;
-  EXPECT_EQ(map.erase_if([](std::uint64_t, int) { return true; }), 0u);
-  for (std::uint64_t k = 100; k < 200; ++k) map.insert(k, 1);
-  EXPECT_EQ(map.erase_if([](std::uint64_t, int) { return false; }), 0u);
-  EXPECT_EQ(map.size(), 100u);
-  EXPECT_EQ(map.erase_if([](std::uint64_t, int) { return true; }), 100u);
-  EXPECT_TRUE(map.empty());
 }
 
 }  // namespace

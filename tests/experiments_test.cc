@@ -281,5 +281,18 @@ TEST(CampusDay, Deterministic) {
   EXPECT_EQ(a.squatter_blocks, b.squatter_blocks);
 }
 
+TEST(CampusDay, BlockedSquattersStopRetryingAtTheHorizon) {
+  // The default crowd with the adaptation loop still fills the room when
+  // the day ends (meeting stop + 40 min = minute 180). A blocked squatter
+  // retries every 5 min from no earlier than minute 40, so it has at most
+  // 29 tries; a retry scheduled past the horizon would repeat with nothing
+  // to stop it, and the day would never end.
+  CampusDayConfig config;
+  config.adapt.enabled = true;
+  const CampusDayResult r = run_campus_day(config);
+  EXPECT_GT(r.squatter_blocks, 0u);
+  EXPECT_LE(r.squatter_blocks, config.squatters * 29);
+}
+
 }  // namespace
 }  // namespace imrm::experiments

@@ -1,9 +1,8 @@
-// Cross-version golden for the sharded grid campus and the sharded corridor
-// campus. Where sharded_scale_test.cc checks that one build gives the same
-// bytes for every (shards, batch) pair, this test pins those bytes across
-// builds: any change to the runner's exchange or the grid's cell tick must
-// leave every decision, every window and every boundary message exactly
-// where it was. tests/golden/grid_golden.json holds the reference text;
+// Cross-version golden for the sharded grid campus. Where
+// sharded_scale_test.cc checks that one build gives the same bytes for every
+// (shards, batch) pair, this test pins those bytes across builds: any change
+// to the runner's exchange or the grid's cell tick must leave every
+// decision, every window and every boundary message exactly where it was. tests/golden/grid_golden.json holds the reference text;
 // regenerate it by running this test with IMRM_REGEN_GOLDEN=1 in the
 // environment, and only when a change of outcome is intended.
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <string>
 
 #include "experiments/campus_scale.h"
-#include "experiments/sharded_campus.h"
 #include "obs/metrics.h"
 
 namespace imrm::experiments {
@@ -50,30 +48,6 @@ void grid_entry(std::ostream& os, const char* name, std::size_t cells,
   os << "}";
 }
 
-/// One corridor campus (`scenario_cli campus --shards 1 --cells C
-/// --portables P --hours H --seed S`): the runner's other client, whose
-/// probes and leases travel several hops as the same boundary rows the grid
-/// sends. At 12 cells its exchanges are sparse (one message each); the grid
-/// points are the ones whose batches arrive out of delivery order (about
-/// one in six). Corridor send times are continuous, so no two of its rows
-/// share a (destination, instant): each drain carries one row, and
-/// `events` counts one queue event per message.
-void corridor_entry(std::ostream& os, const char* name, std::size_t cells,
-                    std::size_t portables_per_cell, double hours, std::uint64_t seed) {
-  ShardedCampusConfig config;
-  config.cells = cells;
-  config.shards = 1;
-  config.portables_per_cell = portables_per_cell;
-  config.horizon = sim::SimTime::hours(hours);
-  config.seed = seed;
-  const ShardedCampusResult r = run_sharded_campus(config);
-  os << "  {\"point\": \"" << name << "\", \"events\": " << r.events_fired
-     << ", \"windows\": " << r.windows
-     << ", \"boundary_messages\": " << r.boundary_messages << ",\n   \"metrics\": ";
-  r.metrics.write_json(os);
-  os << "}";
-}
-
 std::string golden_text() {
   std::ostringstream os;
   os << "[\n";
@@ -84,14 +58,9 @@ std::string golden_text() {
   grid_entry(os, "grid-100x10000-seed42", 100, 10000, 3600.0, 5.0, 42);
   os << ",\n";
   grid_entry(os, "grid-100x10000-tick0.7-900s-seed3", 100, 10000, 900.0, 0.7, 3);
-  os << ",\n";
-  corridor_entry(os, "corridor-12x4-1h-seed9", 12, 4, 1.0, 9);
-  // The historical benchmark points: the corridor day at 32 cells x 32
-  // portables over 4 h, and the grid curve over {10,100,1000} cells x
-  // {1k,10k,100k} portables for one day at a 5 s tick, seed 5. The
+  // The historical benchmark points: the grid curve over {10,100,1000}
+  // cells x {1k,10k,100k} portables for one day at a 5 s tick, seed 5. The
   // 100x10000 point is also perfbench's pinned grid workload.
-  os << ",\n";
-  corridor_entry(os, "corridor-32x32-4h-seed11", 32, 32, 4.0, 11);
   for (const std::size_t cells : {std::size_t(10), std::size_t(100), std::size_t(1000)}) {
     for (const std::size_t portables :
          {std::size_t(1000), std::size_t(10000), std::size_t(100000)}) {

@@ -8,7 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "experiments/sharded_campus.h"
+#include "experiments/campus_scale.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/tracer.h"
@@ -17,46 +18,57 @@
 namespace imrm::experiments {
 namespace {
 
-ShardedCampusConfig small_config(std::size_t shards) {
-  ShardedCampusConfig config;
-  config.cells = 10;
-  config.shards = shards;
-  config.portables_per_cell = 5;
-  config.horizon = sim::SimTime::minutes(20);
+/// A small grid day: 16 cells, 200 portables, 20 minutes at a 5 s tick.
+CampusScaleConfig small_config(std::size_t shards) {
+  CampusScaleConfig config;
+  config.cells = 16;
+  config.portables = 200;
+  config.duration = sim::Duration::minutes(20);
   config.seed = 42;
+  config.shards = shards;
   return config;
 }
 
-std::string metrics_json(const ShardedCampusResult& result) {
+/// One grid day's result and the JSON of its metrics.
+struct GridDay {
+  CampusScaleResult result;
+  std::string metrics;
+};
+
+GridDay run_with_metrics(CampusScaleConfig config) {
+  obs::Registry registry;
+  config.metrics = &registry;
+  GridDay run{run_campus_scale_sharded(config), {}};
   std::ostringstream os;
-  result.metrics.write_json(os);
-  return os.str();
+  registry.snapshot().write_json(os);
+  run.metrics = os.str();
+  return run;
 }
 
 TEST(ShardedProfile, MetricsByteIdenticalAcrossProfilingModes) {
-  const ShardedCampusResult clean = run_sharded_campus(small_config(2));
-  EXPECT_TRUE(clean.profile.empty());
-  const std::string golden = metrics_json(clean);
+  const GridDay clean = run_with_metrics(small_config(2));
+  EXPECT_TRUE(clean.result.profile.empty());
+  const std::string& golden = clean.metrics;
 
   // Runtime-disabled profiler: config carries the pointer, but nothing is
   // armed — no profile block, identical metrics.
   obs::Profiler off;
-  ShardedCampusConfig off_config = small_config(2);
+  CampusScaleConfig off_config = small_config(2);
   off_config.profiler = &off;
-  const ShardedCampusResult disabled = run_sharded_campus(off_config);
-  EXPECT_TRUE(disabled.profile.empty());
-  EXPECT_EQ(metrics_json(disabled), golden);
+  const GridDay disabled = run_with_metrics(off_config);
+  EXPECT_TRUE(disabled.result.profile.empty());
+  EXPECT_EQ(disabled.metrics, golden);
 
   obs::Profiler on;
   on.set_enabled(true);
-  ShardedCampusConfig on_config = small_config(2);
+  CampusScaleConfig on_config = small_config(2);
   on_config.profiler = &on;
-  const ShardedCampusResult profiled = run_sharded_campus(on_config);
-  EXPECT_EQ(metrics_json(profiled), golden);
+  const GridDay profiled = run_with_metrics(on_config);
+  EXPECT_EQ(profiled.metrics, golden);
   if (obs::Profiler::compiled_in()) {
-    EXPECT_FALSE(profiled.profile.empty());
+    EXPECT_FALSE(profiled.result.profile.empty());
   } else {
-    EXPECT_TRUE(profiled.profile.empty());
+    EXPECT_TRUE(profiled.result.profile.empty());
   }
 }
 
@@ -65,9 +77,9 @@ TEST(ShardedProfile, MetricsByteIdenticalAcrossProfilingModes) {
 TEST(ShardedProfile, LaneAccountingIsConsistent) {
   obs::Profiler profiler;
   profiler.set_enabled(true);
-  ShardedCampusConfig config = small_config(2);
+  CampusScaleConfig config = small_config(2);
   config.profiler = &profiler;
-  const ShardedCampusResult r = run_sharded_campus(config);
+  const CampusScaleResult r = run_campus_scale_sharded(config);
   const obs::ProfileSnapshot& p = r.profile;
 
   // One lane per worker; profiling covered the whole run, so the profile's
@@ -123,17 +135,17 @@ TEST(ShardedProfile, WallLanesLandOnShardPidOnly) {
   profiler.set_enabled(true);
   obs::Tracer tracer(1 << 20);
   tracer.set_enabled(true);
-  ShardedCampusConfig config = small_config(2);
+  CampusScaleConfig config = small_config(2);
   config.profiler = &profiler;
   config.tracer = &tracer;
-  const ShardedCampusResult r = run_sharded_campus(config);
+  const CampusScaleResult r = run_campus_scale_sharded(config);
   ASSERT_EQ(tracer.dropped(), 0u);
 
   const std::size_t workers = 2;
   std::uint64_t busy_spans = 0;
   std::uint64_t barrier_spans = 0;
   tracer.records().for_each([&](const obs::TraceRecord& rec) {
-    // The harness emits no simulated-time records, so everything here is a
+    // The grid emits no simulated-time records, so everything here is a
     // coordinator-written wall span on the shard-lane pid.
     EXPECT_EQ(rec.pid, sim::ShardedRunner::kShardLanePid);
     EXPECT_EQ(rec.phase, 'X');
@@ -164,10 +176,10 @@ TEST(ShardedProfile, TracerWithoutProfilerRecordsNothing) {
   // yield byte-identical trace output to an untraced-by-the-runner run.
   obs::Tracer tracer;
   tracer.set_enabled(true);
-  ShardedCampusConfig config = small_config(2);
+  CampusScaleConfig config = small_config(2);
   config.tracer = &tracer;
-  const ShardedCampusResult r = run_sharded_campus(config);
-  EXPECT_GT(r.events_fired, 0u);
+  const CampusScaleResult r = run_campus_scale_sharded(config);
+  EXPECT_GT(r.events, 0u);
   EXPECT_EQ(tracer.records().size(), 0u);
 
   std::ostringstream with_runner, fresh;
@@ -182,10 +194,10 @@ TEST(ShardedProfile, ProgressHeartbeatReportsStraggler) {
   profiler.set_enabled(true);
   std::ostringstream heartbeat;
   obs::ProgressMeter progress(1e-9, &heartbeat);  // emit on every poll
-  ShardedCampusConfig config = small_config(2);
+  CampusScaleConfig config = small_config(2);
   config.profiler = &profiler;
   config.progress = &progress;
-  (void)run_sharded_campus(config);
+  (void)run_campus_scale_sharded(config);
   const std::string lines = heartbeat.str();
   EXPECT_NE(lines.find("progress:"), std::string::npos);
   EXPECT_NE(lines.find("% sim-time"), std::string::npos);
@@ -195,9 +207,9 @@ TEST(ShardedProfile, ProgressHeartbeatReportsStraggler) {
 TEST(ShardedProfile, SingleShardStillProfiles) {
   obs::Profiler profiler;
   profiler.set_enabled(true);
-  ShardedCampusConfig config = small_config(1);
+  CampusScaleConfig config = small_config(1);
   config.profiler = &profiler;
-  const ShardedCampusResult r = run_sharded_campus(config);
+  const CampusScaleResult r = run_campus_scale_sharded(config);
   ASSERT_EQ(r.profile.shards.size(), 1u);
   EXPECT_EQ(r.profile.shards[0].straggler_windows, r.profile.barriers);
   EXPECT_GT(r.profile.shards[0].busy_ns, 0u);

@@ -1,6 +1,6 @@
 // ShardedRunner: conservative-window correctness and worker-count
 // invariance at the engine level (the campus-level suite is
-// sharded_campus_test.cc).
+// sharded_scale_test.cc).
 #include <algorithm>
 #include <array>
 #include <cstdint>

@@ -39,6 +39,9 @@ TRACE = "0.00 admit 0 0\n0.01 admit 1 1\n0.02 handoff 0 1\n"
 # warm checkpoint): the historical benchmark invocations.
 ADAPT_DAY = ["campus", "--adapt-loop", "1", "--attendees", "0", "--squatters", "0",
              "--seed", "5"]
+# The adaptation loop at the default crowd, which leaves squatters blocked at
+# the end of the day: their retries must stop at the horizon.
+CROWDED_ADAPT_DAY = ["campus", "--adapt-loop", "1"]
 FAULTS_SWEEP = ["faults", "--topology", "campus", "--cells", "12", "--conns", "48",
                 "--faults-start", "60", "--stop", "0.5", "--drop", "0.2", "--flaps",
                 "2", "--crashes", "1", "--replications", "8", "--threads", "1",
@@ -68,9 +71,7 @@ CASES = [
      "--squatters", "0"],
     ["campus", "--adapt-loop", "1", "--replications", "2", "--attendees", "0",
      "--squatters", "0"],
-    ["campus", "--shards", "1"],
-    ["campus", "--shards", "2", "--batch", "8", "--cells", "8", "--portables", "4",
-     "--hours", "1", "--hop-ms", "4", "--seed", "7"],
+    CROWDED_ADAPT_DAY,
     ["faults"],
     ["faults", "--replications", "1"],
     ["faults", "--topology", "campus", "--cells", "6", "--conns", "12", "--drop",
@@ -97,9 +98,14 @@ CASES = [
 # trajectory, and the whole metrics object of both faults sweeps.
 REPORT_FIELDS = {
     tuple(ADAPT_DAY): ("events_fired", "adaptation"),
+    tuple(CROWDED_ADAPT_DAY): ("events_fired", "adaptation"),
     tuple(FAULTS_SWEEP): ("events_fired", "metrics"),
     tuple(FAULTS_SWEEP + ["--fork", "1"]): ("events_fired", "metrics"),
 }
+
+# A small grid day on two shards, the sharded run the profile check uses.
+SHARDED_GRID = ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
+                "--shards", "2"]
 
 # Invocations that accept --profile 1 must write a non-empty profile block;
 # the other modes refuse the flag (pinned by scenario_cli_rejects_* ctests).
@@ -108,15 +114,14 @@ PROFILED = [
     ["campus", "--attendees", "8", "--squatters", "2"],
     ["campus", "--adapt-loop", "1", "--attendees", "8", "--squatters", "2"],
     ["campus", "--replications", "2", "--attendees", "8", "--squatters", "2"],
-    ["campus", "--shards", "2", "--cells", "8", "--portables", "4", "--hours", "1"],
-    ["campus-scale", "--cells", "20", "--portables", "200", "--duration", "600",
-     "--shards", "2"],
+    SHARDED_GRID,
     ["drive", "--duration", "2"],
 ]
 
 # Phases a profiled run must name, keyed by its arguments.
 PROFILED_PHASES = {
     ("campus", "--adapt-loop", "1", "--attendees", "8", "--squatters", "2"): ["campus.adapt"],
+    tuple(SHARDED_GRID): ["shard.window", "shard.exchange"],
 }
 
 # A value of each usage type that the parser must refuse.

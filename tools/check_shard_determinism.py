@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
-"""End-to-end contract for the sharded campus executions (ISSUE 5 + 10).
+"""End-to-end contract for the sharded grid campus.
 
-Two sweeps through scenario_cli, each with identical scenario flags:
+One sweep through scenario_cli with identical scenario flags: the grid
+campus ("campus-scale --shards K --batch B") over the full batch
+{1, 8, 64, auto} x K {1, 2, 4, 8} matrix, so window batching is pinned as
+an execution knob that can never leak into results, plus the bare
+invocation (neither flag), so the default path is pinned to the same bytes.
 
-  * the corridor campus ("campus --shards K --batch B") and
-  * the grid campus ("campus-scale --shards K --batch B"),
-
-each over the full batch {1, 8, 64, auto} x K {1, 2, 4, 8} matrix, so
-window batching is pinned as an execution knob that can never leak into
-results, plus the bare invocation, so the default path is pinned to the
-same bytes. The grid's bare run has neither flag; the corridor's keeps
-"--shards 1", which is what selects the corridor over the campus day, and
-drops only --batch.
-
-Each sweep also repeats one K=2 run with --profile 1: the profiler only
+The sweep also repeats one K=2 run with --profile 1: the profiler only
 reads clocks, so it must never move a simulation result.
 
-Every run in a sweep must produce:
+Every run in the sweep must produce:
 
   * identical stdout summary lines (events, windows, boundary messages,
     and all scenario counts; the shards=/batch= echo tokens are stripped
@@ -44,18 +38,11 @@ MATRIX = [["--shards", str(k), "--batch", str(b)]
           for k in SHARDS for b in BATCHES]
 PROFILED = ["--shards", "2", "--profile", "1"]
 
-# (name, scenario flags, the execution flags of each run; the first run is
-# the sweep's reference).
-SWEEPS = [
-    ("campus",
-     ["campus", "--cells", "12", "--portables", "4", "--hours", "1",
-      "--seed", "9"],
-     [["--shards", "1"]] + MATRIX + [PROFILED]),
-    ("campus-scale",
-     ["campus-scale", "--cells", "25", "--portables", "120",
-      "--duration", "900", "--tick", "5", "--seed", "7"],
-     [[]] + MATRIX + [PROFILED]),
-]
+# The scenario flags, and the execution flags of each run; the first run is
+# the sweep's reference.
+FLAGS = ["campus-scale", "--cells", "25", "--portables", "120",
+         "--duration", "900", "--tick", "5", "--seed", "7"]
+POINTS = [[]] + MATRIX + [PROFILED]
 
 
 def run(cli, flags, execution, metrics_path):
@@ -118,8 +105,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
     cli = sys.argv[1]
-    ok = all(sweep(cli, name, flags, points)
-             for name, flags, points in SWEEPS)
+    ok = sweep(cli, "campus-scale", FLAGS, POINTS)
     print("OK: metrics byte-identical across shard and batch counts and "
           "with --profile 1"
           if ok else "FAILED")

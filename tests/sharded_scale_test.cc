@@ -32,11 +32,8 @@ struct Outcome {
   std::string metrics_json;
 };
 
-Outcome run(std::size_t shards, std::size_t batch, std::size_t cells = 25) {
+Outcome run(CampusScaleConfig config) {
   obs::Registry registry;
-  CampusScaleConfig config = small_config(cells);
-  config.shards = shards;
-  config.batch = batch;
   config.metrics = &registry;
   Outcome out;
   out.result = run_campus_scale_sharded(config);
@@ -45,6 +42,13 @@ Outcome run(std::size_t shards, std::size_t batch, std::size_t cells = 25) {
   out.metrics.write_json(os);
   out.metrics_json = os.str();
   return out;
+}
+
+Outcome run(std::size_t shards, std::size_t batch, std::size_t cells = 25) {
+  CampusScaleConfig config = small_config(cells);
+  config.shards = shards;
+  config.batch = batch;
+  return run(config);
 }
 
 /// The exported counters and gauges carry exactly the result's totals.
@@ -180,6 +184,70 @@ TEST(ShardedScale, WalkersConsumeTheirReservations) {
       EXPECT_EQ(r.reservations_parked_at_end, 0u) << label;
     }
   }
+}
+
+// Two runs of one layout render the same bytes: the adaptive batch steers on
+// wall time, which must never reach a decision.
+TEST(ShardedScale, RepeatedRunsAreByteIdentical) {
+  const Outcome a = run(4, 0);
+  const Outcome b = run(4, 0);
+  EXPECT_EQ(a.result.outcome_hash, b.result.outcome_hash);
+  EXPECT_EQ(a.result.windows, b.result.windows);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+}
+
+TEST(ShardedScale, ScenarioInvariantsHold) {
+  const CampusScaleResult r = run(2, 0).result;
+  ASSERT_EQ(r.departures, small_config().portables);
+  // Every portable fires its four milestones and every hop is processed
+  // once at its destination; nothing else counts as an event.
+  EXPECT_EQ(r.events, r.handoffs + 4 * r.departures);
+  // Only a connected walker asks for handoff admission, and it is admitted
+  // or dropped.
+  EXPECT_GT(r.handoff_admitted, 0u);
+  EXPECT_LE(r.handoff_admitted + r.handoff_dropped, r.handoffs);
+  // A reservation is consumed or cancelled at most once.
+  EXPECT_LE(r.reservations_consumed, r.reservations_placed);
+  EXPECT_LE(r.reservations_cancelled, r.reservations_placed);
+  // Conservative windows carried every cross-cell row.
+  EXPECT_GT(r.ticks, 0u);
+  EXPECT_GT(r.windows, 0u);
+  EXPECT_GT(r.boundary_messages, 0u);
+}
+
+// The finest layout the CLI accepts, one shard per cell, decides as one
+// shard does.
+TEST(ShardedScale, OneShardPerCellMatchesOneShard) {
+  for (const std::size_t cells : {std::size_t(2), std::size_t(4), std::size_t(9)}) {
+    const std::string label = std::to_string(cells) + " cells";
+    const Outcome one = run(1, 1, cells);
+    const Outcome each = run(cells, 0, cells);
+    ASSERT_GT(one.result.handoffs, 0u) << label;
+    EXPECT_EQ(each.result.outcome_hash, one.result.outcome_hash) << label;
+    EXPECT_EQ(each.result.windows, one.result.windows) << label;
+    EXPECT_EQ(each.metrics_json, one.metrics_json) << label;
+  }
+}
+
+// 400 portables on a 7-cell grid, where an office is also the cell outside
+// a meeting room: attendees settled there hold their bandwidth, so new
+// connections block and handoffs drop. Every portable still departs, and the
+// contended decisions are the same at any worker count.
+TEST(ShardedScale, OversubscribedGridBlocksAndDropsDeterministically) {
+  CampusScaleConfig config = small_config(7);
+  config.portables = 400;
+  config.shards = 1;
+  config.batch = 1;
+  const Outcome base = run(config);
+  EXPECT_GT(base.result.new_blocked, 0u);
+  EXPECT_GT(base.result.handoff_dropped, 0u);
+  EXPECT_EQ(base.result.departures, config.portables);
+  EXPECT_EQ(base.result.reservations_parked_at_end, 0u);
+  config.shards = 4;
+  config.batch = 0;
+  const Outcome got = run(config);
+  EXPECT_EQ(got.result.outcome_hash, base.result.outcome_hash);
+  EXPECT_EQ(got.metrics_json, base.metrics_json);
 }
 
 TEST(ShardedScale, SeedChangesOutcome) {

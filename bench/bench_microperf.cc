@@ -378,7 +378,7 @@ BENCHMARK(BM_MetricsHotPath);
 
 void BM_TracerInstant(benchmark::State& state) {
   // Arg 0: tracer disabled (the always-paid guard branch). Arg 1: enabled
-  // (ring-buffer append). With IMRM_TRACING=OFF both compile to the guard.
+  // (ring-buffer append).
   obs::Tracer tracer(1 << 16);
   tracer.set_enabled(state.range(0) != 0);
   const obs::NameId name = tracer.intern("e", "bench");
@@ -395,8 +395,7 @@ BENCHMARK(BM_TracerInstant)->Arg(0)->Arg(1);
 void BM_ProfilerScope(benchmark::State& state) {
   // Arg 0: profiler runtime-disabled (the guard branch every instrumented
   // call site pays). Arg 1: enabled — two steady_clock reads plus the frame
-  // push/pop and phase accounting. With IMRM_PROFILING=OFF both args
-  // measure the compiled-out stub.
+  // push/pop and phase accounting.
   obs::Profiler profiler;
   profiler.set_enabled(state.range(0) != 0);
   const obs::PhaseId phase = profiler.intern("bench.scope");

@@ -235,11 +235,6 @@ struct ObsSession {
         table_(table),
         args_(args) {
     want_profile_ = args.has("profile") && args.on("profile");
-    if (want_profile_ && !obs::Profiler::compiled_in()) {
-      std::cerr << "scenario_cli: --profile requested but profiling is "
-                   "compiled out (IMRM_PROFILING=0); running without it\n";
-      want_profile_ = false;
-    }
     profiler.set_enabled(want_profile_);
     progress = obs::ProgressMeter(args.has("progress") ? args.number("progress") : 0.0);
     tracer.set_enabled(want_trace());
@@ -592,11 +587,6 @@ int run_campus_cmd(Args& args, ObsSession& obs) {
   config.metrics = obs.registry_or_null();
   config.tracer = obs.tracer_or_null();
   config.profiler = obs.profiler_or_null();
-  // A single interactive run may record the (nondeterministic) wall-clock
-  // handoff latency histogram; sweeps never do. Checkpointed runs also keep
-  // it off so the restored run's metrics JSON is byte-identical to an
-  // uninterrupted one.
-  config.wall_metrics = obs.want_metrics() && ckpt_out.empty() && ckpt_in.empty();
 
   if (!ckpt_out.empty()) {
     // Run the day up to the barrier and freeze it; a later --checkpoint-in

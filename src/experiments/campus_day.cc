@@ -89,7 +89,6 @@ class CampusDay {
     if (config_.metrics) {
       directory_.bind_metrics(*config_.metrics);
       manager_.bind_metrics(*config_.metrics);
-      if (config_.wall_metrics) manager_.bind_latency_metrics(*config_.metrics);
       if (probe_) probe_->bind_metrics(config_.metrics);
     }
   }
@@ -914,16 +913,14 @@ CampusSweepResult run_campus_day_sweep(const CampusSweepConfig& config) {
       runner.run(
           config.replications, config.base_seed,
           [&](std::uint64_t seed, std::size_t) {
-            // Each replication collects into its own registry; wall
-            // metrics and tracing stay off so every snapshot is a
-            // pure function of the seed.
+            // Each replication collects into its own registry; tracing
+            // and profiling stay off.
             obs::Registry registry;
             CampusDayConfig day = config.base;
             day.seed = seed;
             day.metrics = &registry;
             day.tracer = nullptr;
             day.profiler = nullptr;
-            day.wall_metrics = false;
             Replication r;
             r.day = run_campus_day(day);
             r.metrics = registry.snapshot();

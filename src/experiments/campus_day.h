@@ -82,10 +82,6 @@ struct CampusDayConfig {
   /// Tracer to attach to the day's simulator (spans/instants/counters from
   /// every instrumented module).
   obs::Tracer* tracer = nullptr;
-  /// Also bind the wall-clock handoff-latency histogram. Wall time is not
-  /// deterministic — leave false whenever snapshots must be byte-comparable
-  /// across runs or thread counts (the sweep always leaves it false).
-  bool wall_metrics = false;
   /// Wall-clock phase attribution of a single day (scenario_cli campus
   /// --profile 1): campus.day around the event loop, and inside it
   /// campus.refresh (the reservation policy), campus.handoff (the move with

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 #include "obs/metrics.h"
 
@@ -10,11 +9,6 @@ namespace imrm::mobility {
 
 void MobilityManager::bind_metrics(obs::Registry& registry) {
   handoff_counter_ = &registry.counter("mobility.handoffs");
-}
-
-void MobilityManager::bind_latency_metrics(obs::Registry& registry) {
-  handoff_wall_us_ = &registry.histogram(
-      "mobility.handoff_wall_us", obs::HistogramSpec::log2(0.01, 1e5, 4));
 }
 
 void MobilityManager::reserve(std::size_t portables) {
@@ -81,15 +75,7 @@ void MobilityManager::move(PortableId id, CellId to) {
                     double(to.value()));
   }
 
-  if (handoff_wall_us_) {
-    const auto wall_start = std::chrono::steady_clock::now();
-    for (const HandoffListener& listener : listeners_) listener(event);
-    const auto wall_end = std::chrono::steady_clock::now();
-    handoff_wall_us_->record(
-        std::chrono::duration<double, std::micro>(wall_end - wall_start).count());
-  } else {
-    for (const HandoffListener& listener : listeners_) listener(event);
-  }
+  for (const HandoffListener& listener : listeners_) listener(event);
 }
 
 void MobilityManager::save_state(sim::CheckpointWriter& w) const {

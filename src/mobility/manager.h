@@ -93,13 +93,6 @@ class MobilityManager {
   /// tracer attached. Deterministic across replications.
   void bind_metrics(obs::Registry& registry);
 
-  /// Registers mobility.handoff_wall_us — a wall-clock histogram of the
-  /// listener fan-out latency per handoff, measured with steady_clock. Wall
-  /// time is NOT deterministic, so sweeps that compare snapshots across
-  /// thread counts must leave this unbound (see experiments::CampusDayConfig
-  /// ::wall_metrics).
-  void bind_latency_metrics(obs::Registry& registry);
-
   [[nodiscard]] const CellMap& map() const { return *map_; }
   [[nodiscard]] sim::Simulator& simulator() { return *simulator_; }
 
@@ -128,7 +121,6 @@ class MobilityManager {
   std::uint64_t revision_ = 0;
   PortableId last_changed_ = PortableId::invalid();
   obs::Counter* handoff_counter_ = nullptr;
-  obs::Histogram* handoff_wall_us_ = nullptr;
   obs::NameId trace_handoff_name_ = obs::kInvalidName;
 };
 

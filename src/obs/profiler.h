@@ -8,17 +8,14 @@
 // (phases are interned once at setup; begin/end/record touch only
 // pre-allocated storage plus two steady_clock reads).
 //
-// Two switches gate the cost, exactly like the tracer:
-//  * compile time — building with -DIMRM_PROFILING=0 (CMake option
-//    IMRM_PROFILING=OFF) turns every begin/end/record into an empty inline;
-//  * runtime — a profiler starts disabled; calls on a disabled profiler are
-//    a single predictable branch and read no clock.
+// A profiler starts disabled; calls on a disabled profiler are a single
+// predictable branch and read no clock.
 //
 // Determinism boundary: wall-clock numbers NEVER land in the metrics
 // Snapshot or the simulated-time trace records. They are exported through a
 // separate ProfileSnapshot that becomes the `profile` block of the v2
 // RunReport, so golden metrics JSON and trace bytes stay byte-identical
-// whether profiling is off, runtime-disabled, or enabled (asserted by
+// whether profiling is disabled or enabled (asserted by
 // tests/obs_profiler_test.cc and tests/sharded_profile_test.cc).
 //
 // Threading discipline mirrors the Registry: a Profiler instance belongs to
@@ -36,10 +33,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-
-#ifndef IMRM_PROFILING
-#define IMRM_PROFILING 1
-#endif
 
 namespace imrm::obs {
 
@@ -134,11 +127,8 @@ class Profiler {
   /// the innermost open frame instead of crashing.
   static constexpr std::size_t kMaxDepth = 64;
 
-  /// Compile-time availability of profiling in this build.
-  [[nodiscard]] static constexpr bool compiled_in() { return IMRM_PROFILING != 0; }
-
   [[nodiscard]] bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on && compiled_in(); }
+  void set_enabled(bool on) { enabled_ = on; }
 
   /// Monotonic nanoseconds (steady_clock). The one clock every wall number
   /// in the profile comes from.
@@ -154,19 +144,14 @@ class Profiler {
 
   /// Opens a phase frame. Allocation-free; no-op (one branch) when disabled.
   void begin(PhaseId id) {
-#if IMRM_PROFILING
     if (!enabled_) return;
     if (depth_ < kMaxDepth) frames_[depth_] = {id, now_ns(), 0};
     ++depth_;
-#else
-    (void)id;
-#endif
   }
 
   /// Closes the innermost frame, attributing its duration to `id` and its
   /// exclusive share to the parent frame's child accumulator.
   void end(PhaseId id) {
-#if IMRM_PROFILING
     if (!enabled_ || depth_ == 0) return;
     --depth_;
     if (depth_ >= kMaxDepth) return;  // was an overflow frame; only counted
@@ -175,21 +160,14 @@ class Profiler {
     account(f.id, dur, dur - std::min(f.child_ns, dur), 1);
     if (depth_ > 0) frames_[depth_ - 1].child_ns += dur;
     (void)id;
-#else
-    (void)id;
-#endif
   }
 
   /// Direct attribution of an externally measured duration: `calls`
   /// invocations costing `ns` in total (per-replication timings, aggregate
   /// protocol rounds). Does not interact with the frame stack.
   void record(PhaseId id, std::uint64_t ns, std::uint64_t calls = 1) {
-#if IMRM_PROFILING
     if (!enabled_ || calls == 0) return;
     account(id, ns, ns, calls);
-#else
-    (void)id, (void)ns, (void)calls;
-#endif
   }
 
   /// RAII phase frame. `Scope s(profiler_or_null, id);` — a null profiler

@@ -116,7 +116,7 @@ struct RunReport {
   Snapshot metrics;
   /// Wall-clock attribution (schema v2). Written as a `profile` member only
   /// when non-empty: disabled-profiling reports carry no profile key at all,
-  /// keeping them byte-comparable with profiling compiled out.
+  /// keeping them byte-identical to reports of runs without a profiler.
   ProfileSnapshot profile;
   /// Service-mode accounting (schema v3); written only when service.present.
   ServiceBlock service;

@@ -1,13 +1,9 @@
 // Low-overhead structured tracing.
 //
 // A bounded ring buffer of fixed-size POD records (obs::RingBuffer), written
-// through interned name ids so the hot path never touches a string. Two
-// switches gate the cost:
-//  * compile time — building with -DIMRM_TRACING=0 (CMake option
-//    IMRM_TRACING=OFF) turns every record call into an empty inline, so
-//    instrumented code costs literally nothing;
-//  * runtime — a tracer starts disabled; record calls on a disabled tracer
-//    are a single predictable branch.
+// through interned name ids so the hot path never touches a string. A
+// tracer starts disabled; record calls on a disabled tracer are a single
+// predictable branch.
 //
 // Records carry simulated time. Exports:
 //  * write_chrome_trace: Chrome trace_event JSON (the "JSON Array Format"
@@ -25,10 +21,6 @@
 
 #include "obs/ring_buffer.h"
 #include "sim/time.h"
-
-#ifndef IMRM_TRACING
-#define IMRM_TRACING 1
-#endif
 
 namespace imrm::obs {
 
@@ -57,11 +49,8 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity) : records_(capacity) {}
 
-  /// Compile-time availability of tracing in this build.
-  [[nodiscard]] static constexpr bool compiled_in() { return IMRM_TRACING != 0; }
-
   [[nodiscard]] bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on && compiled_in(); }
+  void set_enabled(bool on) { enabled_ = on; }
 
   /// Interns a name/category pair (setup-time; allocates). Ids are dense
   /// and stable; interning the same pair again returns the same id.
@@ -74,24 +63,16 @@ class Tracer {
 
   void instant(sim::SimTime t, NameId name, std::uint32_t track = 0,
                double value = 0.0) {
-#if IMRM_TRACING
     if (enabled_) records_.push({t.to_seconds() * 1e6, 0.0, value, name, track, 'i'});
-#else
-    (void)t, (void)name, (void)track, (void)value;
-#endif
   }
 
   /// A span covering [start, end] in simulated time.
   void complete(sim::SimTime start, sim::SimTime end, NameId name,
                 std::uint32_t track = 0, double value = 0.0) {
-#if IMRM_TRACING
     if (enabled_) {
       records_.push({start.to_seconds() * 1e6, (end - start).to_seconds() * 1e6,
                      value, name, track, 'X'});
     }
-#else
-    (void)start, (void)end, (void)name, (void)track, (void)value;
-#endif
   }
 
   /// A wall-clock span on a declared pid lane: [start_us, start_us + dur_us]
@@ -99,20 +80,12 @@ class Tracer {
   /// lanes go through here; pid 1 stays reserved for simulated time.
   void complete_wall(double start_us, double dur_us, NameId name,
                      std::uint32_t pid, std::uint32_t track, double value = 0.0) {
-#if IMRM_TRACING
     if (enabled_) records_.push({start_us, dur_us, value, name, track, 'X', pid});
-#else
-    (void)start_us, (void)dur_us, (void)name, (void)pid, (void)track, (void)value;
-#endif
   }
 
   /// A sample on a counter track (rendered as a stacked area chart).
   void counter(sim::SimTime t, NameId name, double value) {
-#if IMRM_TRACING
     if (enabled_) records_.push({t.to_seconds() * 1e6, 0.0, value, name, 0, 'C'});
-#else
-    (void)t, (void)name, (void)value;
-#endif
   }
 
   [[nodiscard]] const RingBuffer<TraceRecord>& records() const { return records_; }

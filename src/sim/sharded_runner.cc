@@ -79,25 +79,11 @@ std::size_t ShardedRunner::next_batch_budget() const {
   return config_.batch > 0 ? config_.batch : auto_batch_;
 }
 
-void ShardedRunner::update_batch_controller(std::uint64_t dispatch_wall_ns) {
-  if (config_.batch > 0) return;
-  if (profile_active_) {
-    // Wall-fed steering off the same measurement the profiler records as the
-    // shard.window phase: grow while dispatches come back quickly, back off
-    // once a burst keeps the coordinator (progress meter, caller polling)
-    // dark for tens of milliseconds. Legal to consult the wall clock here —
-    // batch size affects scheduling only, never simulation results.
-    constexpr std::uint64_t kGrowBelowNs = 5'000'000;     // 5 ms
-    constexpr std::uint64_t kShrinkAboveNs = 50'000'000;  // 50 ms
-    if (dispatch_wall_ns < kGrowBelowNs) {
-      auto_batch_ = std::min(auto_batch_ * 2, kAutoBatchMax);
-    } else if (dispatch_wall_ns > kShrinkAboveNs) {
-      auto_batch_ = std::max(auto_batch_ / 2, kAutoBatchMin);
-    }
-  } else if (burst_exhausted_) {
-    // No clocks to consult: exponential ramp while bursts keep filling their
-    // budget with events still pending. Horizon- or quiescence-terminated
-    // bursts leave the budget alone.
+void ShardedRunner::update_batch_controller() {
+  // Exponential ramp while bursts keep filling their budget with events
+  // still pending. Horizon- or quiescence-terminated bursts leave the budget
+  // alone.
+  if (config_.batch == 0 && burst_exhausted_) {
     auto_batch_ = std::min(auto_batch_ * 2, kAutoBatchMax);
   }
 }
@@ -163,14 +149,12 @@ std::uint64_t ShardedRunner::run_until(SimTime horizon) {
       done_cv_.wait(lock, [&] { return running_ == 0; });
     }
     ++stats_.dispatches;
-    std::uint64_t dispatch_wall = 0;
     if (profile_active_) {
       const std::uint64_t t2 = obs::Profiler::now_ns();
-      dispatch_wall = t2 - t1;
       account_dispatch(t_prev, t1, t2);
       t_prev = t2;
     }
-    update_batch_controller(dispatch_wall);
+    update_batch_controller();
     min_next = burst_min_next_;
     if (config_.progress != nullptr && config_.progress->armed()) {
       const double h = horizon.to_seconds();

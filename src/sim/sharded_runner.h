@@ -152,14 +152,13 @@ class ShardedRunner {
     /// passed to post_row(). For the grid this is the scheduler tick.
     Duration window = Duration::millis(1.0);
     /// Windows executed per coordinator dispatch. 0 (the default) enables
-    /// the adaptive controller: start at kAutoBatchMin, double whenever a
-    /// burst exhausts its budget while events remain — and, when the
-    /// profiler is armed, steer on the measured dispatch wall instead (grow
-    /// while dispatches stay short, back off past ~50 ms so the coordinator
-    /// never goes dark). Any value >= 1 pins the burst length. Batch size
-    /// affects synchronization cost only, never results: the window
-    /// sequence, exchange contents and injection order are batch-invariant
-    /// by construction (see file header).
+    /// the adaptive controller: start at kAutoBatchMin and double, up to
+    /// kAutoBatchMax, whenever a burst exhausts its budget while events
+    /// remain. The rule reads no clock, so a profiled run dispatches the
+    /// same bursts as an unprofiled one. Any value >= 1 pins the burst
+    /// length. Batch size affects synchronization cost only, never results:
+    /// the window sequence, exchange contents and injection order are
+    /// batch-invariant by construction (see file header).
     std::size_t batch = 0;
     /// Optional wall-clock attribution (ISSUE 7). When set and enabled, the
     /// runner keeps per-worker busy/barrier-wait/idle lanes, straggler
@@ -319,7 +318,7 @@ class ShardedRunner {
   void worker_loop(std::size_t worker);
   void arm_profiling();
   [[nodiscard]] std::size_t next_batch_budget() const;
-  void update_batch_controller(std::uint64_t dispatch_wall_ns);
+  void update_batch_controller();
   void account_dispatch(std::uint64_t prep_start_ns,
                         std::uint64_t dispatch_start_ns,
                         std::uint64_t dispatch_end_ns);

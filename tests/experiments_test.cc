@@ -2,12 +2,17 @@
 // two-cell probabilistic admission sim (Figure 6), and the Figure 4 office
 // mobility experiment. These pin down the qualitative results the paper
 // reports — who wins, by roughly what factor.
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "experiments/campus_day.h"
 #include "experiments/classroom.h"
 #include "experiments/fig4_mobility.h"
 #include "experiments/twocell.h"
+#include "obs/metrics.h"
+#include "obs/profiler.h"
 
 namespace imrm::experiments {
 namespace {
@@ -279,6 +284,30 @@ TEST(CampusDay, Deterministic) {
   const auto b = campus(CampusPolicy::kDispatcher);
   EXPECT_EQ(a.attendee_drops, b.attendee_drops);
   EXPECT_EQ(a.squatter_blocks, b.squatter_blocks);
+}
+
+// A single day's metrics are a function of its seed alone: no wall-clock
+// instrument reaches the registry, and a profiled day writes the same bytes
+// as an unprofiled one.
+TEST(CampusDay, MetricsDependOnlyOnTheSeed) {
+  const auto metrics_json = [](obs::Profiler* profiler) {
+    obs::Registry registry;
+    CampusDayConfig config;
+    config.seed = 3;
+    config.metrics = &registry;
+    config.profiler = profiler;
+    (void)run_campus_day(config);
+    std::ostringstream os;
+    registry.snapshot().write_json(os);
+    return os.str();
+  };
+  const std::string first = metrics_json(nullptr);
+  EXPECT_NE(first.find("mobility.handoffs"), std::string::npos);
+  EXPECT_EQ(metrics_json(nullptr), first);
+  obs::Profiler profiler;
+  profiler.set_enabled(true);
+  EXPECT_EQ(metrics_json(&profiler), first);
+  EXPECT_FALSE(profiler.snapshot().empty());
 }
 
 TEST(CampusDay, BlockedSquattersStopRetryingAtTheHorizon) {

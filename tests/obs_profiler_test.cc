@@ -54,15 +54,13 @@ TEST(Profiler, StartsDisabledAndRecordsNothing) {
   EXPECT_TRUE(profiler.snapshot().empty());
 }
 
-TEST(Profiler, EnabledTracksEnablementOnlyWhenCompiledIn) {
+TEST(Profiler, EnabledTracksSetEnabled) {
   Profiler profiler;
   profiler.set_enabled(true);
-  EXPECT_EQ(profiler.enabled(), Profiler::compiled_in());
+  EXPECT_TRUE(profiler.enabled());
   profiler.set_enabled(false);
   EXPECT_FALSE(profiler.enabled());
 }
-
-#if IMRM_PROFILING
 
 TEST(Profiler, ScopeAttributesSelfTimeExactly) {
   Profiler profiler;
@@ -207,8 +205,6 @@ TEST(RunReport, ProfileBlockPresentExactlyWhenNonEmpty) {
   };
   EXPECT_EQ(metrics_tail(without), metrics_tail(with));
 }
-
-#endif  // IMRM_PROFILING
 
 TEST(Profiler, NullScopeIsSafe) {
   const PhaseId id = 3;

@@ -58,8 +58,6 @@ TEST(Tracer, DisabledRecordsNothing) {
   EXPECT_EQ(tracer.records().size(), 0u);
 }
 
-#if IMRM_TRACING
-
 TEST(Tracer, BoundedCapacityCountsDrops) {
   Tracer tracer(3);
   tracer.set_enabled(true);
@@ -126,16 +124,3 @@ TEST(Tracer, ChromeTraceIsWellFormedSkeleton) {
   // No eviction occurred, so no dropped-records metadata.
   EXPECT_EQ(json.find("dropped_records"), std::string::npos);
 }
-
-#else  // !IMRM_TRACING
-
-TEST(Tracer, CompiledOutRecordsNothingEvenWhenEnabled) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  EXPECT_FALSE(tracer.enabled());  // set_enabled is a no-op without support
-  const obs::NameId name = tracer.intern("x");
-  tracer.instant(SimTime::seconds(1), name);
-  EXPECT_EQ(tracer.records().size(), 0u);
-}
-
-#endif  // IMRM_TRACING

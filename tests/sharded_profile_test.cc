@@ -65,14 +65,8 @@ TEST(ShardedProfile, MetricsByteIdenticalAcrossProfilingModes) {
   on_config.profiler = &on;
   const GridDay profiled = run_with_metrics(on_config);
   EXPECT_EQ(profiled.metrics, golden);
-  if (obs::Profiler::compiled_in()) {
-    EXPECT_FALSE(profiled.result.profile.empty());
-  } else {
-    EXPECT_TRUE(profiled.result.profile.empty());
-  }
+  EXPECT_FALSE(profiled.result.profile.empty());
 }
-
-#if IMRM_PROFILING
 
 TEST(ShardedProfile, LaneAccountingIsConsistent) {
   obs::Profiler profiler;
@@ -204,6 +198,29 @@ TEST(ShardedProfile, ProgressHeartbeatReportsStraggler) {
   EXPECT_NE(lines.find("straggler shard"), std::string::npos);
 }
 
+// The profile counts the bursts an unprofiled run dispatches: the adaptive
+// batch rule reads no clock, so arming the profiler leaves the burst
+// sequence alone. The 100-cell x 10k-portable day's dispatches run for
+// milliseconds each, long enough that a wall-fed rule would steer them.
+TEST(ShardedProfile, ProfiledDayDispatchesTheUnprofiledBursts) {
+  CampusScaleConfig config;
+  config.cells = 100;
+  config.portables = 10000;
+  config.seed = 1;
+  for (const std::size_t shards : {std::size_t(1), std::size_t(2)}) {
+    config.shards = shards;
+    config.profiler = nullptr;
+    const CampusScaleResult clean = run_campus_scale_sharded(config);
+    obs::Profiler profiler;
+    profiler.set_enabled(true);
+    config.profiler = &profiler;
+    const CampusScaleResult profiled = run_campus_scale_sharded(config);
+    EXPECT_EQ(profiled.profile.barriers, clean.dispatches) << "shards=" << shards;
+    EXPECT_EQ(profiled.dispatches, clean.dispatches) << "shards=" << shards;
+    EXPECT_EQ(profiled.windows, clean.windows) << "shards=" << shards;
+  }
+}
+
 TEST(ShardedProfile, SingleShardStillProfiles) {
   obs::Profiler profiler;
   profiler.set_enabled(true);
@@ -214,8 +231,6 @@ TEST(ShardedProfile, SingleShardStillProfiles) {
   EXPECT_EQ(r.profile.shards[0].straggler_windows, r.profile.barriers);
   EXPECT_GT(r.profile.shards[0].busy_ns, 0u);
 }
-
-#endif  // IMRM_PROFILING
 
 }  // namespace
 }  // namespace imrm::experiments

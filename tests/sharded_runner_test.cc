@@ -307,6 +307,32 @@ TEST(ShardedRunner, BatchingCollapsesCoordinatorDispatches) {
   EXPECT_LT(adaptive.dispatches, unbatched.dispatches);
 }
 
+// Profiling observes the run and never steers it: the adaptive batch rule
+// reads no clock, so a profiled runner dispatches the same bursts as an
+// unprofiled one. The short run_until steps end each burst on the horizon
+// after a few microseconds, which a wall-fed rule would grow the budget on;
+// the last, long step then shows any difference in the budget.
+TEST(ShardedRunner, ProfilingDoesNotChangeTheDispatchSequence) {
+  const auto run = [](obs::Profiler* profiler) {
+    ShardedRunner runner(ShardedRunner::Config{2, 2, Duration::millis(1), 0, profiler});
+    runner.set_row_handler<TestRow>([&runner](std::size_t at, const TestRow&) {
+      runner.post_row(at, 1 - at, Duration::millis(1), TestRow{});
+    });
+    runner.post_row(0, 1, Duration::millis(1), TestRow{});
+    for (int step = 1; step <= 12; ++step) runner.run_until(SimTime::millis(4.0 * step));
+    runner.run_until(SimTime::seconds(1.0));
+    return runner.stats();
+  };
+  const ShardedRunner::Stats clean = run(nullptr);
+  obs::Profiler profiler;
+  profiler.set_enabled(true);
+  const ShardedRunner::Stats profiled = run(&profiler);
+  EXPECT_GT(clean.windows, 900u);
+  EXPECT_EQ(profiled.windows, clean.windows);
+  EXPECT_EQ(profiled.dispatches, clean.dispatches);
+  EXPECT_EQ(profiled.boundary_messages, clean.boundary_messages);
+}
+
 TEST(ShardedRunner, RepeatedRunUntilCarriesLeftoverMessages) {
   ShardedRunner::Config config{2, 1, Duration::millis(10)};
   ShardedRunner runner(config);
@@ -629,7 +655,6 @@ TEST(ShardedRunner, ProfileCountsEnvelopeBytesAndRowsPerLane) {
   });
   runner.run_until(SimTime::seconds(1.0));
   EXPECT_EQ(runner.stats().boundary_messages, 5u);
-  if (!obs::Profiler::compiled_in()) return;
   obs::ProfileSnapshot p;
   runner.export_profile(p);
   EXPECT_EQ(p.boundary_bytes, 5 * ShardedRunner::kRowEnvelopeBytes);

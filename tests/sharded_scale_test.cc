@@ -186,8 +186,7 @@ TEST(ShardedScale, WalkersConsumeTheirReservations) {
   }
 }
 
-// Two runs of one layout render the same bytes: the adaptive batch steers on
-// wall time, which must never reach a decision.
+// Two runs of one layout render the same bytes at the adaptive batch.
 TEST(ShardedScale, RepeatedRunsAreByteIdentical) {
   const Outcome a = run(4, 0);
   const Outcome b = run(4, 0);

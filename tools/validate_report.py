@@ -32,8 +32,8 @@ everything else is unchanged from v2.
 Schema v2 delta (ISSUE 7): an optional top-level ``profile`` object carries
 wall-clock attribution — interned phase totals plus, for sharded runs,
 per-shard busy/barrier_wait/idle lanes and window histograms. The block is
-present exactly when the run was profiled (``--profile 1`` on a build with
-IMRM_PROFILING on); everything else is unchanged from v1.
+present exactly when the run was profiled (``--profile 1``); everything
+else is unchanged from v1.
 
 Usage:
   tools/validate_report.py report.json [trace.json]
@@ -342,10 +342,8 @@ def run_and_validate(argv):
         _expect(result.returncode == 0,
                 f"{' '.join(cmd)} exited with {result.returncode}")
         _expect(report_path.exists(), "scenario_cli wrote no report")
-        # A build with IMRM_TRACING=OFF legitimately produces an empty trace
-        # file only when the tracer is compiled out; the report must exist
-        # either way, the trace is validated when present.
-        validate_files(report_path, trace_path if trace_path.exists() else None)
+        _expect(trace_path.exists(), "scenario_cli wrote no --trace-out file")
+        validate_files(report_path, trace_path)
 
 
 def main():

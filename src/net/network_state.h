@@ -25,6 +25,8 @@ struct Connection {
   qos::QosRequest request;
   qos::MobilityClass mobility = qos::MobilityClass::kMobile;
   qos::BitsPerSecond allocated = 0.0;  // current end-to-end rate (b_j)
+  // Buffer space the reverse pass reserved at each hop of `route`.
+  std::vector<qos::Bits> hop_buffers;
 };
 
 class NetworkState {
@@ -36,8 +38,9 @@ class NetworkState {
   [[nodiscard]] const LinkState& link(LinkId id) const { return links_.at(id.value()); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
 
-  /// Runs Table 2 admission over `route` and, on success, installs the
-  /// connection on every link, copying the route into recycled storage.
+  /// Runs Table 2 admission over `route` and, on success, counts the
+  /// connection in on every link, copying the route and its per-hop buffers
+  /// into recycled storage.
   /// Returns the new connection id, or nullopt with `last_result()` holding
   /// the rejection detail.
   std::optional<ConnectionId> admit(NodeId src, NodeId dst, const Route& route,
@@ -46,11 +49,11 @@ class NetworkState {
                                     qos::Scheduler scheduler = qos::Scheduler::kWfq,
                                     qos::BitsPerSecond b_stamp = 0.0);
 
-  /// Removes the connection from all its links. Throws std::out_of_range
-  /// when it is not live.
+  /// Takes the connection's minimum and buffers back from all its links.
+  /// Throws std::out_of_range when it is not live.
   void teardown(ConnectionId id);
 
-  /// Moves a connection's allocation (adaptation); applies on every link.
+  /// Moves a connection's end-to-end allocation (adaptation).
   void set_allocated(ConnectionId id, qos::BitsPerSecond rate);
 
   /// Updates the connection's static/mobile class (re-classification after
@@ -75,7 +78,12 @@ class NetworkState {
   }
   [[nodiscard]] std::size_t connection_count() const { return slot_of_.size(); }
   /// Live connection ids, ascending. Invalidated by admit and teardown.
-  [[nodiscard]] const std::vector<ConnectionId>& connection_ids() const { return ids_; }
+  /// Drops the ids teardown left behind first, so two threads must not call
+  /// it on one NetworkState at once.
+  [[nodiscard]] const std::vector<ConnectionId>& connection_ids() const {
+    if (dead_ids_ != 0) drop_dead_ids();
+    return ids_;
+  }
   /// Live connections of class kStatic: how many max-min adaptation moves.
   [[nodiscard]] std::size_t static_connection_count() const { return static_count_; }
 
@@ -84,6 +92,8 @@ class NetworkState {
  private:
   /// Storage slot of a live connection; throws std::out_of_range otherwise.
   [[nodiscard]] std::uint32_t slot(ConnectionId id) const;
+  /// Drops the ids of torn-down connections from `ids_`.
+  void drop_dead_ids() const;
 
   const Topology* topology_;
   std::vector<LinkState> links_;
@@ -92,7 +102,10 @@ class NetworkState {
   std::vector<Connection> connections_;
   std::vector<std::uint32_t> free_slots_;
   sim::FlatMap<ConnectionId::underlying, std::uint32_t> slot_of_;  // live id -> slot
-  std::vector<ConnectionId> ids_;  // live ids, ascending
+  // Ids issued, ascending: the live ones plus `dead_ids_` that teardown left
+  // in place instead of shifting the tail, dropped in one pass later.
+  mutable std::vector<ConnectionId> ids_;
+  mutable std::size_t dead_ids_ = 0;
   std::size_t static_count_ = 0;  // live connections whose class is kStatic
   std::vector<qos::LinkSnapshot> snapshots_;  // admit's per-hop scratch
   qos::AdmissionResult last_result_;

@@ -8,17 +8,32 @@
 
 namespace imrm::net {
 
+void Router::refresh() const {
+  const std::size_t n = topology_->node_count();
+  if (std::pair(n, topology_->link_count()) == memo_size_) return;
+  memo_size_ = {n, topology_->link_count()};
+  trees_.assign(n, {});
+  // Counting sort of the links by source node. After the prefix sum entry v
+  // is the end of v's run; placing the links last to first moves it down to
+  // the run's start and leaves each run in link id order.
+  const std::vector<Link>& links = topology_->links();
+  out_begin_.assign(n + 1, 0);
+  for (const Link& link : links) ++out_begin_[link.from.value()];
+  for (std::size_t v = 1; v <= n; ++v) out_begin_[v] += out_begin_[v - 1];
+  out_links_.resize(links.size());
+  for (auto link = links.rbegin(); link != links.rend(); ++link) {
+    out_links_[--out_begin_[link->from.value()]] = link->id;
+  }
+}
+
 const std::vector<LinkId>& Router::tree_from(NodeId src) const {
   struct QueueItem {
     double dist;
     NodeId node;
     bool operator<(const QueueItem& rhs) const { return dist > rhs.dist; }  // min-heap
   };
+  refresh();
   const std::size_t n = topology_->node_count();
-  if (std::pair(n, topology_->link_count()) != memo_size_) {
-    trees_.assign(n, {});
-    memo_size_ = {n, topology_->link_count()};
-  }
   std::vector<LinkId>& via = trees_[src.value()];
   if (!via.empty()) return via;
 
@@ -33,7 +48,8 @@ const std::vector<LinkId>& Router::tree_from(NodeId src) const {
     const auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[u.value()]) continue;  // stale entry; u is already settled
-    for (LinkId lid : topology_->out_links(u)) {
+    for (std::size_t i = out_begin_[u.value()]; i < out_begin_[u.value() + 1]; ++i) {
+      const LinkId lid = out_links_[i];
       const Link& link = topology_->link(lid);
       const double w = weight_(link);
       assert(w >= 0.0);

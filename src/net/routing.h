@@ -53,8 +53,16 @@ class Router {
 
   const Topology* topology_;
   WeightFn weight_;
+  /// Rebuilds the out-link table and empties the trees when the topology
+  /// has grown since the last query.
+  void refresh() const;
+
   // Per-source trees, empty until queried; valid for memo_size_ = (nodes, links).
   mutable std::vector<std::vector<LinkId>> trees_;
+  // Out-links of every node, grouped by node in link id order: node v's are
+  // out_links_[out_begin_[v] .. out_begin_[v + 1]). Valid with the trees.
+  mutable std::vector<std::size_t> out_begin_;
+  mutable std::vector<LinkId> out_links_;
   mutable std::pair<std::size_t, std::size_t> memo_size_{0, 0};
 };
 

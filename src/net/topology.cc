@@ -7,7 +7,6 @@ namespace imrm::net {
 
 void Topology::reserve(std::size_t nodes, std::size_t links) {
   nodes_.reserve(nodes);
-  adjacency_.reserve(nodes);
   links_.reserve(links);
 }
 
@@ -15,7 +14,6 @@ NodeId Topology::add_node(NodeKind kind, std::string name) {
   const NodeId id{static_cast<NodeId::underlying>(nodes_.size())};
   if (name.empty()) name = std::string("n").append(std::to_string(id.value()));
   nodes_.push_back(Node{id, kind, std::move(name)});
-  adjacency_.emplace_back();
   return id;
 }
 
@@ -25,7 +23,6 @@ LinkId Topology::add_link(NodeId from, NodeId to, qos::BitsPerSecond capacity,
   assert(capacity > 0.0);
   const LinkId id{static_cast<LinkId::underlying>(links_.size())};
   links_.push_back(Link{id, from, to, capacity, buffer_capacity, error_prob, wireless});
-  adjacency_[from.value()].push_back(id);
   return id;
 }
 

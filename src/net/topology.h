@@ -56,18 +56,12 @@ class Topology {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
 
-  /// Outgoing links of a node.
-  [[nodiscard]] const std::vector<LinkId>& out_links(NodeId id) const {
-    return adjacency_.at(id.value());
-  }
-
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
   [[nodiscard]] const std::vector<Link>& links() const { return links_; }
 
  private:
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  std::vector<std::vector<LinkId>> adjacency_;
 };
 
 }  // namespace imrm::net

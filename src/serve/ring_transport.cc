@@ -1,5 +1,7 @@
 #include "serve/ring_transport.h"
 
+#include <algorithm>
+#include <memory>
 #include <thread>
 
 namespace imrm::serve {
@@ -32,12 +34,21 @@ bool wait_until(Ready&& ready, std::chrono::microseconds wait) {
 }  // namespace
 
 SpscRing::SpscRing(std::size_t capacity)
-    : slots_(round_up_pow2(capacity < 2 ? 2 : capacity)), mask_(slots_.size() - 1) {}
+    : capacity_(round_up_pow2(capacity < 2 ? 2 : capacity)), mask_(capacity_ - 1),
+      slots_(std::allocator<Frame>().allocate(capacity_)) {}
+
+SpscRing::~SpscRing() {
+  std::destroy_n(slots_, std::min(head_.load(std::memory_order_relaxed), capacity_));
+  std::allocator<Frame>().deallocate(slots_, capacity_);
+}
 
 bool SpscRing::push(std::vector<std::uint8_t>& frame) {
   const std::size_t head = head_.load(std::memory_order_relaxed);
   const std::size_t tail = tail_.load(std::memory_order_acquire);
-  if (head - tail == slots_.size()) return false;
+  if (head - tail == capacity_) return false;
+  // The first lap constructs the slot it writes: the consumer reads only
+  // slots below head, and the spare trade below only slots below tail.
+  if (head < capacity_) std::construct_at(slots_ + head);
   slots_[head & mask_].swap(frame);
   if (frame.capacity() == 0) {
     // `frame` holds a never-used vector (the ring's first lap, or one left
@@ -45,7 +56,7 @@ bool SpscRing::push(std::vector<std::uint8_t>& frame) {
     // in a released slot: a position below `tail`, whose pop happened
     // before the tail store this thread acquired, and above head - capacity,
     // which this side has not written since.
-    if (reclaim_ + slots_.size() <= head) reclaim_ = head + 1 - slots_.size();
+    if (reclaim_ + capacity_ <= head) reclaim_ = head + 1 - capacity_;
     if (reclaim_ < tail) frame.swap(slots_[reclaim_++ & mask_]);
   }
   head_.store(head + 1, std::memory_order_release);

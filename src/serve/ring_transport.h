@@ -31,10 +31,14 @@ namespace imrm::serve {
 /// consumer's old buffer in the slot it read, and push() hands the producer
 /// a spare in exchange for its frame, so buffers circulate between the two
 /// sides and a warm ring allocates nothing (DESIGN.md, "Serve frame
-/// buffers").
+/// buffers"). A slot is constructed when the first push reaches it, so a
+/// ring that only ever holds a few frames touches only a few slots.
 class SpscRing {
  public:
   explicit SpscRing(std::size_t capacity);
+  ~SpscRing();
+  SpscRing(const SpscRing&) = delete;
+  SpscRing& operator=(const SpscRing&) = delete;
 
   /// Producer side: swaps `frame` into the ring and leaves a spare buffer in
   /// `frame`. False when the ring is full (frame left untouched).
@@ -48,11 +52,16 @@ class SpscRing {
     return head_.load(std::memory_order_acquire) ==
            tail_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
-  std::vector<std::vector<std::uint8_t>> slots_;
+  using Frame = std::vector<std::uint8_t>;
+
+  std::size_t capacity_;
   std::size_t mask_;
+  // capacity_ slots of raw storage; slot i is constructed once push() has
+  // reached position i, that is, the slots below min(head, capacity_).
+  Frame* slots_;
   std::atomic<std::size_t> head_{0};  // next slot the producer writes
   std::atomic<std::size_t> tail_{0};  // next slot the consumer reads
   // Producer-only: the oldest released position whose spare push() has not

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "connection_table.h"
 #include "core/network_environment.h"
 #include "mobility/floorplan.h"
 #include "mobility/movement.h"
@@ -117,13 +118,15 @@ TEST(FullSystem, HalfDayCampusUnderFading) {
 
   // Final-state invariants across every wireless link.
   for (const auto& cell : env.map().cells()) {
-    const auto& link = env.network().link(env.wireless_link(cell.id));
+    const net::LinkId air = env.wireless_link(cell.id);
+    const auto& link = env.network().link(air);
     double allocated = 0.0;
-    link.for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
-      EXPECT_GE(share.allocated, share.bounds.b_min - 1e-6);
-      EXPECT_LE(share.allocated, share.bounds.b_max + 1e-6);
-      allocated += share.allocated;
-    });
+    test_support::for_each_connection_on(
+        env.network(), air, [&allocated](const net::Connection& conn, std::size_t) {
+          EXPECT_GE(conn.allocated, conn.request.bandwidth.b_min - 1e-6);
+          EXPECT_LE(conn.allocated, conn.request.bandwidth.b_max + 1e-6);
+          allocated += conn.allocated;
+        });
     EXPECT_LE(allocated, link.capacity() + 1e-6) << cell.name;
     EXPECT_NEAR(link.advance_reserved(), reserved_in(env, population, cell.id), 1e-6)
         << cell.name;

@@ -13,6 +13,7 @@
 #include <string>
 #include <utility>
 
+#include "connection_table.h"
 #include "net/ids.h"
 #include "net/link_state.h"
 #include "net/multicast.h"
@@ -38,6 +39,11 @@ qos::QosRequest small_request() {
   return r;
 }
 
+std::size_t out_degree(const Topology& topo, NodeId node) {
+  return std::size_t(std::count_if(topo.links().begin(), topo.links().end(),
+                                   [node](const Link& l) { return l.from == node; }));
+}
+
 TEST(Ids, DistinctTypesAndValidity) {
   const NodeId n{3};
   EXPECT_TRUE(n.is_valid());
@@ -57,8 +63,8 @@ TEST(Topology, NodesAndLinks) {
   EXPECT_EQ(topo.link(l).to, b);
   EXPECT_TRUE(topo.link(l).wireless);
   EXPECT_EQ(topo.node(b).kind, NodeKind::kBaseStation);
-  EXPECT_EQ(topo.out_links(a).size(), 1u);
-  EXPECT_TRUE(topo.out_links(b).empty());
+  EXPECT_EQ(out_degree(topo, a), 1u);
+  EXPECT_EQ(out_degree(topo, b), 0u);
 }
 
 TEST(Topology, DuplexAddsBothDirections) {
@@ -68,7 +74,7 @@ TEST(Topology, DuplexAddsBothDirections) {
   const LinkId f = topo.add_duplex(a, b, mbps(10), 1e6);
   EXPECT_EQ(topo.link_count(), 2u);
   EXPECT_EQ(topo.link(f).from, a);
-  EXPECT_EQ(topo.out_links(b).size(), 1u);
+  EXPECT_EQ(out_degree(topo, b), 1u);
 }
 
 TEST(Routing, FindsShortestHopPath) {
@@ -252,27 +258,21 @@ TEST(RoutingProperty, MemoizedRoutesMatchFreshRouter) {
 }
 
 TEST(LinkState, TracksSumBMinAndExcess) {
-  LinkState ls(LinkId{0}, mbps(10), 1e6, 0.0);
-  ls.add_connection(ConnectionId{1}, {mbps(1), mbps(2)}, mbps(1));
-  ls.add_connection(ConnectionId{2}, {mbps(2), mbps(4)}, mbps(2));
+  LinkState ls(mbps(10), 1e6, 0.0);
+  ls.attach(mbps(1), 0.0);
+  ls.attach(mbps(2), 0.0);
   EXPECT_DOUBLE_EQ(ls.sum_b_min(), mbps(3));
+  EXPECT_EQ(ls.connection_count(), 2u);
   EXPECT_DOUBLE_EQ(ls.excess_available(), mbps(7));
   ls.reserve_advance(mbps(1));
   EXPECT_DOUBLE_EQ(ls.excess_available(), mbps(6));
-  ls.remove_connection(ConnectionId{1});
+  ls.detach(mbps(1), 0.0);
   EXPECT_DOUBLE_EQ(ls.sum_b_min(), mbps(2));
-}
-
-TEST(LinkState, SetAllocatedClampsWithinBounds) {
-  LinkState ls(LinkId{0}, mbps(10), 1e6, 0.0);
-  ls.add_connection(ConnectionId{1}, {mbps(1), mbps(2)}, mbps(1));
-  ls.set_allocated(ConnectionId{1}, mbps(1.5));
-  EXPECT_DOUBLE_EQ(ls.share(ConnectionId{1}).allocated, mbps(1.5));
-  EXPECT_DOUBLE_EQ(ls.sum_allocated(), mbps(1.5));
+  EXPECT_EQ(ls.connection_count(), 1u);
 }
 
 TEST(LinkState, ReleaseBeyondTheAdvancePoolThrows) {
-  LinkState ls(LinkId{0}, mbps(10), 1e6, 0.0);
+  LinkState ls(mbps(10), 1e6, 0.0);
   ls.reserve_advance(kbps(100));
   EXPECT_THROW(ls.release_advance(kbps(200)), std::logic_error);
   EXPECT_DOUBLE_EQ(ls.advance_reserved(), kbps(100));
@@ -282,26 +282,16 @@ TEST(LinkState, ReleaseBeyondTheAdvancePoolThrows) {
 }
 
 TEST(LinkState, SnapshotMirrorsState) {
-  LinkState ls(LinkId{0}, mbps(10), 5e5, 0.02);
-  ls.add_connection(ConnectionId{1}, {mbps(1), mbps(2)}, mbps(1));
+  LinkState ls(mbps(10), 5e5, 0.02);
+  ls.attach(mbps(1), 1e5);
   ls.reserve_advance(mbps(2));
   const auto snap = ls.snapshot();
   EXPECT_DOUBLE_EQ(snap.capacity, mbps(10));
   EXPECT_DOUBLE_EQ(snap.advance_reserved, mbps(2));
   EXPECT_DOUBLE_EQ(snap.sum_b_min, mbps(1));
-  EXPECT_DOUBLE_EQ(snap.buffer_capacity, 5e5);
+  EXPECT_DOUBLE_EQ(snap.buffer_capacity, 4e5);  // what the reservation left
   EXPECT_DOUBLE_EQ(snap.error_prob, 0.02);
   EXPECT_DOUBLE_EQ(snap.admissible_bandwidth(), mbps(7));
-}
-
-TEST(LinkState, ConnectionIdsSortedDeterministically) {
-  LinkState ls(LinkId{0}, mbps(10), 1e6, 0.0);
-  ls.add_connection(ConnectionId{5}, {kbps(16), kbps(16)}, kbps(16));
-  ls.add_connection(ConnectionId{2}, {kbps(16), kbps(16)}, kbps(16));
-  const auto ids = ls.connection_ids();
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(ids[0], ConnectionId{2});
-  EXPECT_EQ(ids[1], ConnectionId{5});
 }
 
 class NetworkStateTest : public ::testing::Test {
@@ -330,7 +320,7 @@ TEST_F(NetworkStateTest, AdmitInstallsOnAllLinks) {
   ASSERT_TRUE(id.has_value());
   EXPECT_EQ(net.connection_count(), 1u);
   for (LinkId lid : net.connection(*id).route) {
-    EXPECT_TRUE(net.link(lid).has_connection(*id));
+    EXPECT_EQ(net.link(lid).connection_count(), 1u);
     EXPECT_DOUBLE_EQ(net.link(lid).sum_b_min(), kbps(16));
   }
 }
@@ -411,10 +401,12 @@ TEST_F(NetworkStateTest, BufferAccountingTracksShares) {
   const auto id = net.admit(src_, bs_, route_to_bs(), small_request(),
                             qos::MobilityClass::kMobile);
   ASSERT_TRUE(id);
-  for (std::size_t l = 0; l < net.connection(*id).route.size(); ++l) {
-    const auto& link = net.link(net.connection(*id).route[l]);
+  const Connection& conn = net.connection(*id);
+  ASSERT_EQ(conn.hop_buffers.size(), conn.route.size());
+  for (std::size_t l = 0; l < conn.route.size(); ++l) {
+    const auto& link = net.link(conn.route[l]);
     EXPECT_GT(link.buffer_reserved(), 0.0);
-    EXPECT_DOUBLE_EQ(link.buffer_reserved(), link.share(*id).buffer);
+    EXPECT_DOUBLE_EQ(link.buffer_reserved(), conn.hop_buffers[l]);
   }
   net.teardown(*id);
   for (const auto& l : topo_.links()) {
@@ -430,7 +422,8 @@ TEST_F(NetworkStateTest, SetAllocatedAppliesEverywhere) {
   net.set_allocated(*id, kbps(48));
   EXPECT_DOUBLE_EQ(net.connection(*id).allocated, kbps(48));
   for (LinkId lid : net.connection(*id).route) {
-    EXPECT_DOUBLE_EQ(net.link(lid).share(*id).allocated, kbps(48));
+    EXPECT_DOUBLE_EQ(test_support::allocated_on(net, lid), kbps(48));
+    EXPECT_DOUBLE_EQ(net.link(lid).sum_b_min(), kbps(16));  // the guarantee stays put
   }
 }
 
@@ -578,8 +571,14 @@ TEST_F(NetworkStateTest, RecycledConnectionSlotsHoldTheNewConnection) {
   }
   EXPECT_EQ(net.connection_count(), live.size());
   EXPECT_EQ(net.connection_ids(), live);  // ascending: issued in order
+  // Every link counts exactly the live routes that cross it.
+  std::vector<std::size_t> crossing(net.link_count(), 0);
   for (ConnectionId id : live) {
-    for (LinkId lid : net.connection(id).route) EXPECT_TRUE(net.link(lid).has_connection(id));
+    EXPECT_EQ(net.connection(id).hop_buffers.size(), net.connection(id).route.size());
+    for (LinkId lid : net.connection(id).route) ++crossing[lid.value()];
+  }
+  for (std::size_t l = 0; l < net.link_count(); ++l) {
+    EXPECT_EQ(net.link(LinkId{LinkId::underlying(l)}).connection_count(), crossing[l]) << l;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "connection_table.h"
 #include "core/network_environment.h"
 #include "maxmin/bridge.h"
 #include "mobility/floorplan.h"
@@ -88,10 +89,21 @@ TEST_F(NetworkEnvironmentTest, OpenConnectionReservesTheMinimumOnEveryHop) {
   // server - core - area switch - base station - air.
   ASSERT_EQ(route.size(), 4u);
   EXPECT_EQ(route.back(), env_->wireless_link(cells_.d));
+  const net::Connection& conn = env_->network().connection(id);
+  EXPECT_DOUBLE_EQ(conn.request.bandwidth.b_min, kbps(64));
+  EXPECT_DOUBLE_EQ(conn.allocated, kbps(64));
   for (const net::LinkId link : route) {
-    const auto& share = env_->network().link(link).share(id);
-    EXPECT_DOUBLE_EQ(share.bounds.b_min, kbps(64)) << "link " << link.value();
-    EXPECT_DOUBLE_EQ(share.allocated, kbps(64)) << "link " << link.value();
+    // The hop's minimum sum counts this connection with every other one
+    // crossing the link (multicast branches included).
+    double b_min = 0.0;
+    bool crossed = false;
+    test_support::for_each_connection_on(
+        env_->network(), link, [&](const net::Connection& other, std::size_t) {
+          b_min += other.request.bandwidth.b_min;
+          crossed = crossed || other.id == id;
+        });
+    EXPECT_TRUE(crossed) << "link " << link.value();
+    EXPECT_DOUBLE_EQ(env_->network().link(link).sum_b_min(), b_min) << "link " << link.value();
   }
 }
 
@@ -327,12 +339,8 @@ TEST_F(RedivisionTest, CloseHandsTheFreedExcessToTheStatics) {
   env_->close_connection(other_);
   // Alone in D: the whole 1600 kbps air, short of its 2000 kbps b_max.
   EXPECT_NEAR(env_->allocated(settled_), kbps(1600), 1.0);
-  double allocated = 0.0;
-  env_->network().link(env_->wireless_link(cells_.d))
-      .for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
-        allocated += share.allocated;
-      });
-  EXPECT_NEAR(allocated, kbps(1600), 1.0);
+  EXPECT_NEAR(test_support::allocated_on(env_->network(), env_->wireless_link(cells_.d)),
+              kbps(1600), 1.0);
 }
 
 TEST_F(RedivisionTest, RenegotiationRedividesWithoutAnAdapt) {

@@ -1,14 +1,16 @@
-// Heap-allocation budget of the admission service's steady state.
+// Heap-allocation budgets of the admission service's set-up and steady
+// state.
 //
 // This binary replaces the global operator new/delete with a pair that
-// counts every allocation, warms one virtual drive of the default request
-// mix (LoadDriver::run_virtual over RingTransport, the perfbench `serve`
-// drive) and then asserts that a second drive on the same service, ring and
-// driver stays within kBudgetPerRequest heap allocations per request. Frame
-// buffers, queue slots, connection storage, multicast trees and admission
-// scratch are all recycled once warm (DESIGN.md, "Serve frame buffers"); a
-// change that reintroduces a per-request allocation shows up here as a
-// count, not as a timing wobble.
+// counts every allocation. It counts the allocations of constructing the
+// service, ring and driver against kSetUpBudget. It then warms one virtual
+// drive of the default request mix (LoadDriver::run_virtual over
+// RingTransport, the perfbench `serve` drive) and asserts that a second
+// drive on the same service, ring and driver stays within kBudgetPerRequest
+// heap allocations per request. Frame buffers, queue slots, connection
+// storage, multicast trees and admission scratch are all recycled once warm
+// (DESIGN.md, "Serve frame buffers"); a change that reintroduces a
+// per-request allocation shows up here as a count, not as a timing wobble.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -46,6 +48,27 @@ namespace {
 
 // Measured at 0.028 per request; the bound leaves room for about 3x that.
 constexpr double kBudgetPerRequest = 0.1;
+// Measured at 51; the bound fails a topology that allocates per node again
+// (121).
+constexpr std::uint64_t kSetUpBudget = 60;
+
+TEST(ServeAllocBudget, ColdSetUpStaysWithinBudget) {
+  const ServiceConfig service_config;
+  DriveConfig drive_config;
+  drive_config.cells = std::uint32_t(service_config.cells);
+  sim::Simulator simulator;
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  {
+    AdmissionService service(service_config, simulator);
+    RingTransport ring;
+    LoadDriver driver(drive_config);
+  }
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  std::printf("cold set-up: %llu heap allocations\n",
+              static_cast<unsigned long long>(allocations));
+  EXPECT_LE(allocations, kSetUpBudget);
+}
 
 TEST(ServeAllocBudget, SteadyStateDriveStaysWithinBudget) {
   const ServiceConfig service_config;  // the pinned 16-cell service

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <random>
 
+#include "connection_table.h"
 #include "core/network_environment.h"
 #include "mobility/floorplan.h"
 
@@ -33,7 +34,8 @@ class StressCampaign : public ::testing::TestWithParam<int> {
   void check_invariants(const NetworkEnvironment& env, const std::vector<PortableId>& portables) {
     const net::NetworkState& net = env.network();
     for (const auto& cell : env.map().cells()) {
-      const auto& link = net.link(env.wireless_link(cell.id));
+      const net::LinkId air = env.wireless_link(cell.id);
+      const auto& link = net.link(air);
       // The pool holds exactly the live sessions' reservations in the cell,
       // and guaranteed minima never exceed what admission could have allowed.
       double reserved = 0.0;
@@ -46,11 +48,12 @@ class StressCampaign : public ::testing::TestWithParam<int> {
       // Every allocation sits within its connection's bounds and the link's
       // allocations are feasible.
       double allocated = 0.0;
-      link.for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
-        EXPECT_GE(share.allocated, share.bounds.b_min - 1e-6);
-        EXPECT_LE(share.allocated, share.bounds.b_max + 1e-6);
-        allocated += share.allocated;
-      });
+      test_support::for_each_connection_on(
+          net, air, [&allocated](const net::Connection& conn, std::size_t) {
+            EXPECT_GE(conn.allocated, conn.request.bandwidth.b_min - 1e-6);
+            EXPECT_LE(conn.allocated, conn.request.bandwidth.b_max + 1e-6);
+            allocated += conn.allocated;
+          });
       EXPECT_LE(allocated, link.capacity() + 1e-6) << cell.name;
     }
   }
@@ -215,10 +218,8 @@ TEST_P(StressCampaign, WirelessCapacityCollapseIsSurvivable) {
   auto& link = env.network_mut().link(env.wireless_link(cells.d));
   link.set_capacity(qos::mbps(0.4));
   env.adapt();
-  double allocated = 0.0;
-  link.for_each_share([&allocated](net::ConnectionId, const net::LinkState::Share& share) {
-    allocated += share.allocated;
-  });
+  const double allocated =
+      test_support::allocated_on(env.network(), env.wireless_link(cells.d));
   // The guaranteed minima may exceed a collapsed link (that is what
   // renegotiation is for), but adaptation must not allocate *excess* beyond
   // the collapsed capacity.

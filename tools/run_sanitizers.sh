@@ -28,10 +28,12 @@
 #        per-flow counter arithmetic, the controller's window harvesting,
 #        and the campus loop's packet lambdas that capture per-stream state.
 #        netpath = asan+ubsan over the `netpath` and `serve` labels — the
-#        routed network path (memoized Router trees, NetworkState's id
-#        index, LinkState's flat share tables, multicast setup, max-min
-#        extraction, gated reclassification, the randomized stress
-#        campaign) and the admission service on top of it. Router hands
+#        routed network path (memoized Router trees and out-link table,
+#        NetworkState's id index with its lazily dropped dead ids, the
+#        connection table's per-hop buffers that LinkState's Table 2 sums are
+#        taken back from, multicast setup, max-min extraction, gated
+#        reclassification, the randomized stress campaign and the link-sum
+#        oracle) and the admission service on top of it. Router hands
 #        out references into a memo that is reset
 #        when the topology grows; a dangling one would corrupt routes
 #        silently, which is what asan catches.
